@@ -273,7 +273,7 @@ def _timing_ratios(repeats: int) -> dict:
         warm_args, warm_memory = speculative_arguments(KERNEL)
         engine.call(KERNEL, warm_args, memory=warm_memory)
     state = engine.function(KERNEL).state
-    assert state.is_compiled and state.speculative
+    assert state.is_compiled and state.versions[-1].version.speculative
 
     def warm_call():
         call_args, call_memory = speculative_arguments(KERNEL)
@@ -862,7 +862,7 @@ def _verify_overhead(repeats: int) -> dict:
 
     Each kernel is profiled once; the timed A/B compares the full
     version build (speculative pipeline + deopt plans + forward
-    mapping — exactly what ``_build_version`` does) against the same
+    mapping — what ``repro.vm.version.build_version`` does) against the same
     build followed by :func:`repro.analysis.soundness.verify_version`,
     sampled alternately so clock drift cancels.  The verified side also
     hard-asserts every obligation proves clean — a kernel the verifier

@@ -36,10 +36,11 @@ def warmed_engine():
 
 def test_speculative_version_prunes_cold_paths(warmed_engine):
     function, engine = warmed_engine
-    state = engine.function(KERNEL).state
-    assert state.speculative
-    assert state.pair.optimized.num_instructions() < function.num_instructions()
-    assert len(state.pair.optimized.block_labels()) < len(function.block_labels())
+    handle = engine.function(KERNEL)
+    assert handle.version.speculative
+    optimized = handle.state.versions[-1].version.optimized
+    assert optimized.num_instructions() < function.num_instructions()
+    assert len(optimized.block_labels()) < len(function.block_labels())
 
 
 def test_warm_speculative_call(benchmark, warmed_engine):

@@ -1,8 +1,7 @@
 """The public embedding API of the adaptive OSR runtime.
 
-Three pieces replace the historical ``AdaptiveRuntime(**kwargs)``
-surface (*OSR à la Carte*'s "OSR as a composable library" argument,
-with *Deoptless*'s policy knobs made first-class):
+Three pieces (*OSR à la Carte*'s "OSR as a composable library"
+argument, with *Deoptless*'s policy knobs made first-class):
 
 * :class:`EngineConfig` — every tuning knob as one frozen, validated
   value; :meth:`EngineConfig.from_env` subsumes ``REPRO_BACKEND``.

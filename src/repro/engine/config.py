@@ -1,11 +1,10 @@
 """Typed, validated, frozen configuration for the adaptive engine.
 
-Every tuning knob that used to live in ``AdaptiveRuntime.__init__``'s
-kwargs pile is a field of :class:`EngineConfig`: hotness and profile
-thresholds, backends per tier, speculation and inlining toggles with
-their budgets, the backend-independent recursion fuel, and the sizes of
-the two bounded caches (the event ring buffer and the per-function
-continuation cache).  The dataclass is frozen — a config is a value,
+Every tuning knob of the runtime is a field of :class:`EngineConfig`:
+hotness and profile thresholds, backends per tier, speculation and
+inlining toggles with their budgets, the backend-independent recursion
+fuel, and the sizes of the two bounded caches (the event ring buffer and
+the per-function continuation cache).  The dataclass is frozen — a config is a value,
 safely shared between engines — and validates itself on construction,
 so a nonsensical knob fails loudly at the embedding site instead of
 deep inside a tier transition.
@@ -29,7 +28,6 @@ from ..core.reconstruct import ReconstructionMode
 
 __all__ = [
     "EngineConfig",
-    "LEGACY_KWARG_FIELDS",
     "FINGERPRINT_FIELDS",
     "verify_deopt_from_env",
 ]
@@ -75,29 +73,6 @@ FINGERPRINT_FIELDS: Tuple[str, ...] = (
     "mode",
     "passes",
 )
-
-
-#: ``AdaptiveRuntime.__init__`` legacy kwargs and the EngineConfig field
-#: each maps to (the names were kept aligned on purpose, so the mapping
-#: is the identity — the table exists so the shim can reject unknown
-#: kwargs with a helpful message and docs can render the migration).
-LEGACY_KWARG_FIELDS: Dict[str, str] = {
-    "hotness_threshold": "hotness_threshold",
-    "passes": "passes",
-    "step_limit": "step_limit",
-    "mode": "mode",
-    "speculate": "speculate",
-    "min_samples": "min_samples",
-    "min_ratio": "min_ratio",
-    "inline": "inline",
-    "inline_min_calls": "inline_min_calls",
-    "max_callee_size": "max_callee_size",
-    "max_inline_depth": "max_inline_depth",
-    "max_call_depth": "max_call_depth",
-    "invalidate_after": "invalidate_after",
-    "opt_backend": "opt_backend",
-    "base_backend": "base_backend",
-}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -259,27 +234,6 @@ class EngineConfig:
         if "verify_deopt" not in overrides:
             overrides["verify_deopt"] = verify_deopt_from_env()
         return cls(**overrides)
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "EngineConfig":
-        """Translate ``AdaptiveRuntime``'s historical kwargs to a config.
-
-        Used by the deprecation shim only.  The historical default of
-        ``base_backend=None`` meant "the interpreter"; the typed config
-        spells that out.
-        """
-        unknown = sorted(set(kwargs) - set(LEGACY_KWARG_FIELDS))
-        if unknown:
-            raise TypeError(
-                f"unknown AdaptiveRuntime argument(s) {unknown}; "
-                f"known: {sorted(LEGACY_KWARG_FIELDS)}"
-            )
-        translated = {LEGACY_KWARG_FIELDS[key]: value for key, value in kwargs.items()}
-        if translated.get("base_backend") is None:
-            translated.pop("base_backend", None)
-        if translated.get("passes") is not None:
-            translated["passes"] = tuple(translated["passes"])
-        return cls(**translated)
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -1,7 +1,6 @@
 """Structured runtime events: a typed hierarchy, a bus, and a bounded log.
 
-The adaptive runtime used to narrate its life as an unbounded list of
-``(function, kind, point)`` tuples.  This module replaces that with
+The adaptive runtime narrates its life through
 
 * a :class:`RuntimeEvent` dataclass hierarchy — one class per tier
   transition, each carrying the structured facts a client actually
@@ -45,7 +44,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     Type,
 )
 
@@ -104,18 +102,13 @@ class RuntimeEvent:
     ``function`` is the registered function the transition concerns and
     ``point`` the program point it happened at (``None`` for whole-
     function transitions such as a tier-up).  ``kind`` is a stable
-    machine-readable tag, also used by :meth:`as_tuple` to render the
-    legacy ``(function, kind, point)`` shape.
+    machine-readable tag (the JSON codec's class discriminator).
     """
 
     function: str
     point: Optional[ProgramPoint] = None
 
     kind: ClassVar[str] = "event"
-
-    def as_tuple(self) -> Tuple[str, str, Optional[ProgramPoint]]:
-        """The legacy tuple rendering kept for the compatibility shim."""
-        return (self.function, self.kind, self.point)
 
 
 @dataclass(frozen=True)

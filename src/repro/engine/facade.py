@@ -1,8 +1,7 @@
 """The `Engine` facade: one object from source text to tiered execution.
 
-Embedders used to hand-stitch frontend → lowering → mem2reg →
-``register_module`` and then poke at ``AdaptiveRuntime`` internals.
-:class:`Engine` packages that whole flow:
+:class:`Engine` packages the whole frontend → lowering → mem2reg →
+registration → tiered execution flow:
 
     from repro.engine import Engine, EngineConfig
 
@@ -79,27 +78,22 @@ def __getattr__(name: str):
 class VersionInfo:
     """A read-only description of one installed version.
 
-    The supported replacement for reaching through ``handle.state`` into
-    runtime internals: the current :class:`~repro.engine.events.Tier`,
-    whether the version speculates (and on how many guards), how many
-    frames its deopt plans reconstruct, and the
-    :class:`~repro.store.artifacts.ArtifactKey` the version would be
-    persisted under (``None`` while the function is base-tier).
-
-    With a version multiverse (``EngineConfig.max_versions > 1``) a
-    function may hold several of these at once — one per entry-profile
-    cluster; see :attr:`FunctionHandle.versions`.  ``key`` renders the
-    version's :class:`~repro.vm.profile.VersionKey` (``"generic"`` for
-    the unspecialized build), ``hits`` counts the entry dispatches it
-    served, and ``dispatched`` marks the version the most recent call
-    selected.
+    Its :class:`~repro.engine.events.Tier`, whether it speculates (and
+    on how many guards), how many frames its deopt plans reconstruct,
+    and the :class:`~repro.store.artifacts.ArtifactKey` it would be
+    persisted under (``None`` while the function is base-tier).  A
+    function may hold several at once — one per entry-profile cluster,
+    see :attr:`FunctionHandle.versions`: ``key`` renders the version's
+    :class:`~repro.vm.profile.VersionKey` (``"generic"`` for the
+    unspecialized build), ``hits`` counts the entry dispatches it
+    served, ``dispatched`` marks the one the most recent call selected.
     """
 
-    tier: Tier
-    speculative: bool
-    guards: int
-    inlined_frames: int
-    artifact_key: Optional["ArtifactKey"]
+    tier: Tier = Tier.BASE
+    speculative: bool = False
+    guards: int = 0
+    inlined_frames: int = 0
+    artifact_key: Optional["ArtifactKey"] = None
     key: str = "generic"
     hits: int = 0
     dispatched: bool = False
@@ -144,65 +138,51 @@ class FunctionHandle:
 
     @property
     def version(self) -> VersionInfo:
-        """A read-only :class:`VersionInfo` for the installed version.
+        """A read-only :class:`VersionInfo` for the newest installed version.
 
-        Prefer this over ``handle.state`` (mechanism internals): it is a
-        stable snapshot — safe to hold across tier transitions — and it
+        A stable snapshot — safe to hold across tier transitions — that
         carries the artifact key the version persists under.
         """
         infos = self.versions
-        if not infos:
-            return VersionInfo(
-                tier=Tier.BASE,
-                speculative=False,
-                guards=0,
-                inlined_frames=0,
-                artifact_key=None,
-            )
-        return infos[-1]
+        return infos[-1] if infos else VersionInfo()
 
     @property
     def versions(self) -> List[VersionInfo]:
         """The live version multiverse, oldest first (read-only).
 
-        One frozen :class:`VersionInfo` per installed version, each
-        carrying its entry-profile ``key`` and dispatch ``hits``; the
-        version the most recent call dispatched to has
-        ``dispatched=True``.  Empty while the function is base-tier;
-        a single generic entry reproduces the pre-multiverse view.
+        One frozen :class:`VersionInfo` per installed version — a
+        projection of :meth:`introspect` — each carrying its
+        entry-profile ``key`` and dispatch ``hits``; the version the
+        most recent call dispatched to has ``dispatched=True``.  Empty
+        while the function is base-tier.
         """
-        state = self.state
-        with state.lock:
-            entries = [
-                (entry.key, entry.version, entry.hits) for entry in state.versions
-            ]
-            dispatched_key = state.last_dispatched_key
-        if not entries:
+        described = self.introspect()["versions"]
+        if not described:
             return []
         from ..store.artifacts import ArtifactKey, function_ir_hash
 
         artifact_key = ArtifactKey(
             function=self.name,
-            base_ir_hash=function_ir_hash(state.base),
+            base_ir_hash=function_ir_hash(self.state.base),
             config_fingerprint=self._engine.config.fingerprint(),
         )
         return [
             VersionInfo(
                 tier=Tier.OPTIMIZED,
-                speculative=version.speculative,
-                guards=len(version.pair.guard_points()),
-                inlined_frames=version.inlined_frames,
+                speculative=version["speculative"],
+                guards=version["guards"],
+                inlined_frames=version["inlined_frames"],
                 artifact_key=artifact_key,
-                key=str(key),
-                hits=hits,
-                dispatched=key == dispatched_key,
+                key=version["key"],
+                hits=version["hits"],
+                dispatched=version["dispatched"],
             )
-            for key, version, hits in entries
+            for version in described
         ]
 
     @property
     def speculative(self) -> bool:
-        return self.state.speculative
+        return self.version.speculative
 
     @property
     def profile(self) -> FunctionProfile:
@@ -214,14 +194,9 @@ class FunctionHandle:
         return self._engine.stats(self.name)
 
     def introspect(self) -> Dict[str, object]:
-        """A JSON-safe snapshot of this function's full tier state.
-
-        The operator view behind ``repro inspect``: the live version
-        table with per-version dispatch hits and per-guard failure
-        counters, the continuation cache's entries, refuted speculation
-        reasons per version key, and the compile pipeline's in-flight
-        claim.  See :meth:`repro.vm.runtime.AdaptiveRuntime.introspect`.
-        """
+        """A JSON-safe snapshot of this function's full tier state (the
+        operator view behind ``repro inspect``); see
+        :meth:`repro.vm.runtime.AdaptiveRuntime.introspect`."""
         return self._engine.runtime.introspect(self.name)
 
     def deopt_points(self) -> List[ProgramPoint]:
@@ -473,10 +448,6 @@ class Engine:
 
         state = self.runtime.functions[name]
         return replace(self._collector.function(name), calls=state.call_count)
-
-    def stats_dict(self, name: str) -> Dict[str, int]:
-        """The legacy ``AdaptiveRuntime.stats()`` dict, from EngineStats."""
-        return self.stats(name).as_dict()
 
     def stats_all(self) -> Dict[str, EngineStats]:
         """Per-function :class:`EngineStats` for every registered function."""

@@ -1,10 +1,9 @@
 """Engine statistics derived from the event stream.
 
-The legacy runtime answered ``stats()`` from hand-maintained counters.
-With the structured event bus in place, the transition counters are a
-*fold* over the events instead: :class:`StatsCollector` subscribes to
-the bus and reduces every :class:`~repro.engine.events.RuntimeEvent`
-into a per-function :class:`EngineStats`.  Because the collector sees
+The transition counters are a *fold* over the structured event stream:
+:class:`StatsCollector` subscribes to the bus and reduces every
+:class:`~repro.engine.events.RuntimeEvent` into a per-function
+:class:`EngineStats`.  Because the collector sees
 events as they are published, its numbers are exact even when the
 bounded ring buffer has evicted old events.
 
@@ -19,7 +18,7 @@ time; everything else is pure reduction.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Mapping
 
 from .events import (
@@ -46,7 +45,7 @@ __all__ = ["EngineStats", "StatsCollector"]
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Per-function tiering statistics (the typed successor of ``stats()``)."""
+    """Per-function tiering statistics."""
 
     calls: int = 0
     compiled: int = 0
@@ -71,27 +70,8 @@ class EngineStats:
     soundness_violations: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """The legacy ``AdaptiveRuntime.stats()`` dict shape."""
-        return {
-            "calls": self.calls,
-            "compiled": self.compiled,
-            "speculative": self.speculative,
-            "guards": self.guards,
-            "inlined_frames": self.inlined_frames,
-            "osr_entries": self.osr_entries,
-            "osr_exits": self.osr_exits,
-            "guard_failures": self.guard_failures,
-            "multiframe_deopts": self.multiframe_deopts,
-            "invalidations": self.invalidations,
-            "dispatch_hits": self.dispatch_hits,
-            "dispatch_misses": self.dispatch_misses,
-            "continuations": self.continuations,
-            "versions": self.versions,
-            "versions_added": self.versions_added,
-            "versions_retired": self.versions_retired,
-            "entry_dispatches": self.entry_dispatches,
-            "soundness_violations": self.soundness_violations,
-        }
+        """Field name → value, the shape ``AdaptiveRuntime.stats()`` returns."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, int]) -> "EngineStats":

@@ -378,6 +378,12 @@ def inspect(
             engine.wait_for_compilation(timeout=30.0)
 
         rows: List[Dict[str, object]]
+        # The table sections are projections of the one introspection snapshot.
+        details = {
+            name: engine.runtime.introspect(name)
+            for name in sorted(engine.function_names())
+            if show in ("versions", "guards", "continuations")
+        }
         if show == "summary":
             columns = SUMMARY_COLUMNS + ("restored",)
             rows = _summary_rows(engine, engine.restored_functions)
@@ -393,8 +399,7 @@ def inspect(
                 "guard_failures",
             )
             rows = []
-            for name in sorted(engine.function_names()):
-                detail = engine.runtime.introspect(name)
+            for name, detail in details.items():
                 for version in detail["versions"]:
                     failures = ",".join(
                         f"{point}:{count}"
@@ -403,36 +408,21 @@ def inspect(
                     rows.append(
                         {
                             "function": name,
-                            "key": version["key"],
-                            "speculative": version["speculative"],
-                            "guards": version["guards"],
-                            "inlined_frames": version["inlined_frames"],
-                            "hits": version["hits"],
-                            "dispatched": version["dispatched"],
+                            **{column: version[column] for column in columns[1:-1]},
                             "guard_failures": failures or None,
                         }
                     )
         elif show == "guards":
-            columns = (
-                "function",
-                "key",
-                "point",
-                "status",
-                "failures",
-                "obligations",
-            )
+            columns = ("function", "key", "point", "status", "failures", "obligations")
             rows = []
-            for name in sorted(engine.function_names()):
-                detail = engine.runtime.introspect(name)
+            for name, detail in details.items():
                 for version in detail["versions"]:
                     violated = {}
                     for violation in version["soundness_violations"]:
                         violated.setdefault(violation["point"], []).append(
                             violation["obligation"]
                         )
-                    for point, status in sorted(
-                        version["guard_obligations"].items()
-                    ):
+                    for point, status in sorted(version["guard_obligations"].items()):
                         failed = violated.get(point, []) + violated.get(None, [])
                         rows.append(
                             {
@@ -440,28 +430,22 @@ def inspect(
                                 "key": version["key"],
                                 "point": point,
                                 "status": status,
-                                "failures": version["guard_failures"].get(
-                                    point, 0
-                                ),
+                                "failures": version["guard_failures"].get(point, 0),
                                 "obligations": ",".join(failed) or None,
                             }
                         )
         elif show == "continuations":
             columns = ("function", "key", "point", "live", "hits", "capacity")
-            rows = []
-            for name in sorted(engine.function_names()):
-                detail = engine.runtime.introspect(name)
-                for continuation in detail["continuations"]:
-                    rows.append(
-                        {
-                            "function": name,
-                            "key": continuation["key"],
-                            "point": continuation["point"],
-                            "live": ",".join(continuation["live"]),
-                            "hits": continuation["hits"],
-                            "capacity": detail["continuation_capacity"],
-                        }
-                    )
+            rows = [
+                {
+                    "function": name,
+                    **continuation,
+                    "live": ",".join(continuation["live"]),
+                    "capacity": detail["continuation_capacity"],
+                }
+                for name, detail in details.items()
+                for continuation in detail["continuations"]
+            ]
         elif show == "stats":
             sample = engine.stats(engine.function_names()[0]).as_dict()
             columns = ("function",) + tuple(sample)
@@ -549,15 +533,10 @@ def _lint_store_dir(root: Path) -> List[Dict[str, object]]:
             artifact = artifact_store.get(key.function, key.config_fingerprint)
             if artifact is None:
                 continue
-            payloads = (
-                [item["tier"] for item in artifact.tier_versions]
-                if artifact.tier_versions
-                else ([artifact.tier] if artifact.tier is not None else [])
-            )
-            for payload in payloads:
+            for item in artifact.versions:
                 rows.extend(
                     _lint_row(str(root), f)
-                    for f in lint_tier_payload(payload, key.function)
+                    for f in lint_tier_payload(item["tier"], key.function)
                 )
     except StoreError as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}")
@@ -599,13 +578,12 @@ def _lint_workload(name: str, calls: int, config: EngineConfig) -> List[Dict[str
             engine.call(name, call_args, memory=memory)
         engine.wait_for_compilation(timeout=30.0)
         for fn_name in engine.function_names():
-            state = engine.runtime.functions[fn_name]
-            with state.lock:
-                entries = [(e.key, e.version) for e in state.versions]
-            for key, version in entries:
+            for entry in engine.runtime.functions[fn_name].versions:
                 rows.extend(
                     _lint_row(f"workload:{name}", f)
-                    for f in lint_version(version, key=key, function_name=fn_name)
+                    for f in lint_version(
+                        entry.version, key=entry.key, function_name=fn_name
+                    )
                 )
     finally:
         engine.close()
@@ -613,19 +591,18 @@ def _lint_workload(name: str, calls: int, config: EngineConfig) -> List[Dict[str
 
 
 def _lint_benchmarks() -> List[Dict[str, object]]:
-    """Build and lint a speculative version of each benchmark loop kernel."""
+    """Build and lint the version the engine would publish for each loop kernel."""
     from ..analysis.soundness import lint_version
-    from ..core.osr_trans import OSRTransDriver
     from ..ir.interp import Interpreter
-    from ..passes import speculative_pipeline
-    from ..vm.profile import ValueProfile
-    from ..vm.runtime import CompiledVersion
+    from ..vm.profile import GENERIC_KEY, ValueProfile
+    from ..vm.version import build_version
     from ..workloads import (
         LOOP_KERNEL_NAMES,
         benchmark_arguments,
         benchmark_function,
     )
 
+    config = EngineConfig(inline=False, min_samples=2)
     rows: List[Dict[str, object]] = []
     for name in LOOP_KERNEL_NAMES:
         function = benchmark_function(name)
@@ -634,19 +611,8 @@ def _lint_benchmarks() -> List[Dict[str, object]]:
         for _ in range(6):
             args, memory = benchmark_arguments(name)
             interp.run(function, args, memory=memory)
-        pair = OSRTransDriver(
-            speculative_pipeline(profile.function(name), min_samples=2)
-        ).run(function)
-        plans, _uncovered = pair.deopt_plans()
-        keep_alive = frozenset().union(
-            *(plan.keep_alive() for plan in plans.values())
-        ) if plans else frozenset()
-        version = CompiledVersion(
-            pair=pair,
-            plans=plans,
-            forward_mapping=pair.forward_mapping(),
-            keep_alive=keep_alive,
-            speculative=bool(pair.guard_points()),
+        version, _rejected = build_version(
+            function, GENERIC_KEY, profile, frozenset(), config, lambda callee: None
         )
         rows.extend(
             _lint_row(f"benchmark:{name}", f)
@@ -750,18 +716,13 @@ def store_list(root: str, fingerprint: Optional[str], fmt: str) -> None:
             artifact = artifact_store.get(key.function, key.config_fingerprint)
             if artifact is None:
                 continue
-            versions = (
-                len(artifact.tier_versions)
-                if artifact.tier_versions is not None
-                else int(artifact.tier is not None)
-            )
             rows.append(
                 {
                     "function": key.function,
                     "fingerprint": key.config_fingerprint,
                     "base_ir_hash": key.base_ir_hash,
-                    "tier": artifact.tier is not None,
-                    "versions": versions,
+                    "tier": bool(artifact.versions),
+                    "versions": len(artifact.versions),
                 }
             )
     except StoreError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..ir.function import Function
 from ..ir.printer import print_function
@@ -42,7 +42,9 @@ __all__ = [
 
 #: Version of the on-disk artifact payload; bumped on incompatible schema
 #: changes so an old store fails loudly instead of half-decoding.
-ARTIFACT_FORMAT = 1
+#: Format 2 persists one ``versions`` list per function (format 1 wrote
+#: the newest version twice, as ``tier`` and as ``tier_versions[-1]``).
+ARTIFACT_FORMAT = 2
 
 
 class StoreError(RuntimeError):
@@ -99,43 +101,33 @@ class ArtifactKey:
 class FunctionArtifact:
     """Everything the store persists about one function.
 
-    ``tier`` is the encoded compiled-tier payload (optimized IR text,
-    per-guard deopt plans, forward/backward mappings, keep-alive set) or
-    ``None`` for a profile-only artifact; it stays encoded until
-    hydration because decoding needs the registered functions to resolve
-    multi-frame plans against.  ``function_hashes`` records the hash of
-    *every* function the tier payload references (the base function and
-    each deopt-plan frame's callee) so a changed callee invalidates the
-    artifact even though the caller's own body is unchanged.
-
-    ``tier_versions`` persists a whole *version multiverse*: a list of
-    ``{"key": <VersionKey JSON>, "tier": <encoded version>}`` items,
-    oldest first.  It is an additive field (the artifact format stays
-    ``1``): a single-generic-version engine omits it and ``tier`` alone
-    round-trips exactly as before, while a multiverse engine writes the
-    complete table here *and* keeps ``tier`` as the newest version's
-    payload so pre-multiverse readers still warm-start with one version.
+    ``versions`` is the function's whole version table, oldest first:
+    a list of ``{"key": <VersionKey JSON>, "tier": <encoded version>}``
+    items (empty for a profile-only artifact).  Each ``tier`` is the
+    encoded compiled-tier payload (optimized IR text, per-guard deopt
+    plans, forward/backward mappings, keep-alive set); it stays encoded
+    until hydration because decoding needs the registered functions to
+    resolve multi-frame plans against.  ``function_hashes`` records the
+    hash of *every* function the payloads reference (the base function
+    and each deopt-plan frame's callee) so a changed callee invalidates
+    the artifact even though the caller's own body is unchanged.
     """
 
     key: ArtifactKey
     profile: FunctionProfile
-    tier: Optional[Dict[str, object]] = None
+    versions: List[Dict[str, object]] = field(default_factory=list)
     function_hashes: Dict[str, str] = field(default_factory=dict)
-    tier_versions: Optional[List[Dict[str, object]]] = None
 
     def as_json(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "format": ARTIFACT_FORMAT,
             "function": self.key.function,
             "base_ir_hash": self.key.base_ir_hash,
             "config_fingerprint": self.key.config_fingerprint,
             "function_hashes": dict(sorted(self.function_hashes.items())),
             "profile": self.profile.as_json(),
-            "tier": self.tier,
+            "versions": self.versions,
         }
-        if self.tier_versions is not None:
-            data["tier_versions"] = self.tier_versions
-        return data
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "FunctionArtifact":
@@ -152,25 +144,20 @@ class FunctionArtifact:
                 config_fingerprint=str(data["config_fingerprint"]),
             )
             profile = FunctionProfile.from_json(data["profile"])
+            versions = data["versions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreFormatError(f"malformed artifact entry: {exc}") from exc
-        tier = data.get("tier")
-        if tier is not None and not isinstance(tier, dict):
-            raise StoreFormatError(f"malformed tier payload: {type(tier).__name__}")
-        tier_versions = data.get("tier_versions")
-        if tier_versions is not None:
-            if not isinstance(tier_versions, list) or not all(
-                isinstance(item, dict) and isinstance(item.get("tier"), dict)
-                for item in tier_versions
-            ):
-                raise StoreFormatError("malformed tier_versions payload")
+        if not isinstance(versions, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("tier"), dict)
+            for item in versions
+        ):
+            raise StoreFormatError("malformed versions payload")
         return cls(
             key=key,
             profile=profile,
-            tier=tier,
+            versions=versions,
             function_hashes={
                 str(name): str(digest)
                 for name, digest in dict(data.get("function_hashes", {})).items()
             },
-            tier_versions=tier_versions,
         )

@@ -3,7 +3,7 @@
 Store layout (one directory tree, safe to rsync or upload as a CI
 artifact)::
 
-    <root>/store.json                      # {"format": 1}
+    <root>/store.json                      # {"format": 1} (directory layout)
     <root>/objects/<fingerprint>/<fn>.json # one artifact per function
     <root>/objects/<fingerprint>/<fn>.lock # cross-process merge lock
 
@@ -17,7 +17,7 @@ Writes go through :meth:`ArtifactStore.put`, which is the fleet's
 **merge-and-republish** primitive: under a per-entry ``fcntl`` file lock
 it reads the current entry, merges the incoming profile into the stored
 histograms (so N workers' observations accumulate instead of clobbering
-each other), keeps the richest tier payload, and atomically replaces the
+each other), keeps the richest version table, and atomically replaces the
 file (``os.replace``), so a concurrent reader sees either the old or the
 new complete entry, never a torn one.
 """
@@ -203,7 +203,7 @@ class ArtifactStore:
 
         With ``merge`` (the default), an existing entry **with the same
         key** contributes: profiles are histogram-merged (the fleet's
-        profile accumulation) and the stored tier payload is kept when
+        profile accumulation) and the stored version table is kept when
         the incoming artifact has none.  An entry with a *different*
         base-IR hash is superseded wholesale — it described a body that
         no longer exists.
@@ -225,25 +225,19 @@ class ArtifactStore:
                 if existing is not None and existing.key == key:
                     profile = existing.profile.clone()
                     profile.merge(artifact.profile)
-                    keep_incoming_tier = artifact.tier is not None
                     merged = FunctionArtifact(
                         key=key,
                         profile=profile,
-                        tier=artifact.tier if keep_incoming_tier
-                        else existing.tier,
+                        versions=artifact.versions or existing.versions,
                         function_hashes={
                             **existing.function_hashes,
                             **artifact.function_hashes,
                         },
-                        # The multiverse travels with the tier payload it
-                        # describes — mixing one artifact's version table
-                        # with the other's primary tier would desync them.
-                        tier_versions=artifact.tier_versions
-                        if keep_incoming_tier
-                        else existing.tier_versions,
                     )
+            # One item per line, unindented: entries stay line-diffable
+            # and nesting depth (``versions[i].tier``) costs no bytes.
             self._atomic_write(
-                path, json.dumps(merged.as_json(), sort_keys=True, indent=1)
+                path, json.dumps(merged.as_json(), sort_keys=True, indent=0)
             )
         return key
 
@@ -321,46 +315,31 @@ class EngineSnapshot:
 
 
 def snapshot_runtime(runtime: AdaptiveRuntime) -> EngineSnapshot:
-    """Capture every registered function's profile and installed tier(s).
+    """Capture every registered function's profile and version table.
 
-    A multiverse function persists its whole version table (oldest
-    first, each version under its entry-profile key) in
-    ``tier_versions``; ``tier`` always carries the newest version so a
-    single-version reader still warm-starts.  A function holding one
-    generic version writes exactly the historical single-``tier``
-    payload.
+    Each live version is encoded under its entry-profile key, oldest
+    first; a base-tier function persists its profile alone.
     """
     fingerprint = runtime.config.fingerprint()
+    mode = runtime.config.mode
     artifacts: List[FunctionArtifact] = []
     for name, state in list(runtime.functions.items()):
         base_hash = function_ir_hash(state.base)
-        profile = runtime.profile.function(name)
-        with state.lock:
-            entries = [(entry.key, entry.version) for entry in state.versions]
-        tier = None
-        tier_versions = None
         hashes: Dict[str, str] = {name: base_hash}
-        if entries:
-            encoded = []
-            for key, version in entries:
-                backward = runtime._backward_mapping(state, version)
-                encoded.append(
-                    {"key": key.as_json(), "tier": encode_version(version, backward)}
-                )
-                for frame_name in plan_function_names(version):
-                    frame_state = runtime.functions.get(frame_name)
-                    if frame_state is not None:
-                        hashes[frame_name] = function_ir_hash(frame_state.base)
-            tier = encoded[-1]["tier"]
-            if len(entries) > 1 or not entries[-1][0].generic:
-                tier_versions = encoded
+        versions = []
+        for entry in state.versions:
+            tier = encode_version(entry.version, entry.backward_mapping(mode))
+            versions.append({"key": entry.key.as_json(), "tier": tier})
+            for frame_name in plan_function_names(entry.version):
+                frame_state = runtime.functions.get(frame_name)
+                if frame_state is not None:
+                    hashes[frame_name] = function_ir_hash(frame_state.base)
         artifacts.append(
             FunctionArtifact(
                 key=ArtifactKey(name, base_hash, fingerprint),
-                profile=profile,
-                tier=tier,
+                profile=runtime.profile.function(name),
+                versions=versions,
                 function_hashes=hashes,
-                tier_versions=tier_versions,
             )
         )
     return EngineSnapshot(config_fingerprint=fingerprint, artifacts=tuple(artifacts))
@@ -376,10 +355,14 @@ def hydrate_runtime(
 
     For every registered function with a stored artifact under the
     runtime's config fingerprint, the persisted profile is folded into
-    the live profile sink and — when the artifact carries a compiled
-    tier whose recorded hashes all match the registered bodies — the
-    version is decoded and installed, publishing
+    the live profile sink and — when the artifact carries compiled
+    versions whose recorded hashes all match the registered bodies —
+    each version is decoded and published through the runtime's single
+    publication path (verify gate included), announcing
     :class:`~repro.engine.events.VersionRestored` (never ``TierUp``).
+    The runtime's admission bound applies: an engine opened with a
+    smaller ``max_versions`` keeps the most recently persisted entries,
+    and one opened with a single slot restores the generic version only.
 
     Staleness handling: ``on_stale="error"`` (default) raises
     :class:`StaleArtifactError` loudly; ``on_stale="skip"`` leaves the
@@ -426,10 +409,8 @@ def hydrate_runtime(
         preload = ValueProfile()
         preload.functions[name] = artifact.profile.clone()
         runtime.profile.preload(preload, name=name)
-        if artifact.tier is None:
-            continue
 
-        def _resolve(dep: str, _artifact=artifact, _name=name) -> Function:
+        def _resolve(dep: str, _name=name) -> Function:
             dep_state = runtime.functions.get(dep)
             if dep_state is None:
                 raise StaleArtifactError(
@@ -437,55 +418,15 @@ def hydrate_runtime(
                 )
             return dep_state.base
 
-        if artifact.tier_versions:
-            # A persisted multiverse: re-install every version under its
-            # entry-profile key, oldest first.  The runtime's admission
-            # bound applies — an engine opened with a smaller
-            # ``max_versions`` keeps the most recently persisted entries.
-            for item in artifact.tier_versions:
-                version = decode_version(item["tier"], state.base, _resolve)
-                _install_verified(
-                    runtime,
-                    resolved,
-                    name,
-                    version,
-                    key=VersionKey.from_json(item.get("key", [])),
-                )
-        else:
-            version = decode_version(artifact.tier, state.base, _resolve)
-            _install_verified(runtime, resolved, name, version)
-        restored.append(name)
+        went_live = False
+        for item in artifact.versions:
+            went_live |= runtime._publish_version(
+                state,
+                decode_version(item["tier"], state.base, _resolve),
+                VersionKey.from_json(item.get("key", [])),
+                restored=True,
+                origin=resolved.root,
+            )
+        if went_live:
+            restored.append(name)
     return restored
-
-
-def _install_verified(
-    runtime: AdaptiveRuntime,
-    store: ArtifactStore,
-    name: str,
-    version,
-    *,
-    key: Optional[VersionKey] = None,
-) -> None:
-    """Install a hydrated version, pinning store context on strict failures.
-
-    Under ``verify_deopt="strict"`` the runtime's publication gate
-    rejects unsound artifacts with
-    :class:`~repro.analysis.soundness.UnsoundVersionError`; re-raising
-    it with the store's location prepended tells the operator *which
-    artifact on disk* failed, not just which function.
-    """
-    from ..analysis.soundness import UnsoundVersionError
-
-    try:
-        if key is None:
-            runtime.install_restored(name, version)
-        else:
-            runtime.install_restored(name, version, key=key)
-    except UnsoundVersionError as exc:
-        raise UnsoundVersionError(
-            exc.report,
-            context=(
-                f"artifact store {store.root} holds an unsound "
-                f"persisted version of @{name}"
-            ),
-        ) from exc

@@ -2,7 +2,9 @@
 
 This package is the *mechanism* layer: execution backends, the closure
 compiler, value profiles, and the :class:`AdaptiveRuntime` tiering
-machinery.  Embedders should use the :mod:`repro.engine` facade, which
+machinery (:mod:`~repro.vm.version` — what a version is, how it is
+built, the version table; :mod:`~repro.vm.transitions` — every OSR
+mapping application; :mod:`~repro.vm.runtime` — the coordinator).  Embedders should use the :mod:`repro.engine` facade, which
 wires a typed :class:`~repro.engine.EngineConfig`, a pluggable
 :class:`~repro.engine.TieringPolicy` and the structured event bus
 around this runtime.

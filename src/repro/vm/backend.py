@@ -226,7 +226,7 @@ class CompiledBackend(ExecutionBackend):
         module: Optional[Module] = None,
         natives: Optional[Mapping[str, NativeFunction]] = None,
         step_limit: int = 2_000_000,
-        codegen: Optional[str] = None,
+        codegen: str = "structured",
     ) -> None:
         self.module = module
         self.natives: Dict[str, NativeFunction] = dict(natives or {})

@@ -39,8 +39,7 @@ Functions whose CFG has no structured spelling (irreducible regions,
 multi-exit loops) fall back transparently to the original
 direct-threaded **dispatch-loop emitter**, which handles any CFG: a jump
 assigns an integer block id and ``continue``s to the top of a
-``while True:`` switch.  The ``REPRO_CODEGEN`` environment variable
-(``structured`` | ``dispatch``) selects the default emitter.
+``while True:`` switch.
 
 The lowering also produces **OSR entry stubs**: a variant of the function
 whose prologue re-binds every register from a transferred environment,
@@ -65,7 +64,6 @@ backend-specific, see :class:`~repro.ir.interp.ExecutionResult`).
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -109,24 +107,13 @@ __all__ = [
     "compile_ir_function",
     "mangle",
     "compile_expr",
-    "CODEGEN_ENV_VAR",
     "CODEGEN_MODES",
-    "codegen_from_env",
 ]
-
-#: Environment variable selecting the default code emitter.
-CODEGEN_ENV_VAR = "REPRO_CODEGEN"
 
 #: Recognized emitters: ``structured`` (nested ``while``/``if`` with a
 #: dispatcher fallback for unstructurable CFGs) and ``dispatch`` (the
 #: direct-threaded block-dispatch loop, always applicable).
 CODEGEN_MODES = ("structured", "dispatch")
-
-
-def codegen_from_env(default: str = "structured") -> str:
-    """The emitter selected by :data:`CODEGEN_ENV_VAR`, or ``default``."""
-    value = os.environ.get(CODEGEN_ENV_VAR, "").strip().lower()
-    return value if value in CODEGEN_MODES else default
 
 
 class _UndefinedRegister:
@@ -331,9 +318,8 @@ class ClosureCompiler:
     backend wires to module functions (compiled recursively) or host
     natives.
 
-    ``codegen`` picks the emitter: ``"structured"`` (the default,
-    overridable via :data:`CODEGEN_ENV_VAR`) reconstructs nested
-    ``while``/``if`` control flow and falls back to the dispatch loop
+    ``codegen`` picks the emitter: ``"structured"`` (the default)
+    reconstructs nested ``while``/``if`` control flow and falls back to the dispatch loop
     for CFGs with no structured spelling; ``"dispatch"`` forces the
     dispatch loop for every function.
 
@@ -352,13 +338,11 @@ class ClosureCompiler:
         step_limit: int = 2_000_000,
         resolve_call: Optional[Callable[[str, List[int], Memory], int]] = None,
         verify: bool = True,
-        codegen: Optional[str] = None,
+        codegen: str = "structured",
     ) -> None:
         self.step_limit = step_limit
         self.verify = verify
         self.resolve_call = resolve_call or _no_calls
-        if codegen is None:
-            codegen = codegen_from_env()
         if codegen not in CODEGEN_MODES:
             raise ValueError(
                 f"unknown codegen mode {codegen!r}; expected one of {CODEGEN_MODES}"
@@ -1132,7 +1116,7 @@ def compile_ir_function(
     *,
     step_limit: int = 2_000_000,
     resolve_call=None,
-    codegen: Optional[str] = None,
+    codegen: str = "structured",
 ) -> CompiledFunction:
     """One-shot convenience wrapper around :class:`ClosureCompiler`."""
     return ClosureCompiler(

@@ -48,7 +48,7 @@ from repro.frontend import compile_program
 from repro.ir.function import ProgramPoint
 from repro.ir.interp import Interpreter, StepLimitExceeded
 from repro.passes.base import Pass
-from repro.vm.profile import FunctionProfile, ShardedValueProfile
+from repro.vm.profile import GENERIC_KEY, FunctionProfile, ShardedValueProfile
 from repro.workloads import (
     CALL_KERNEL_ENTRIES,
     call_kernel_arguments,
@@ -330,7 +330,7 @@ class TestRegisterCollision:
         for _ in range(4):
             assert engine.call("probe", [1]).value == 101  # the new body
         assert engine.stats("probe").compiled == 1
-        assert engine.stats_dict("probe") == engine.runtime.stats("probe")
+        assert engine.stats("probe").as_dict() == engine.runtime.stats("probe")
 
     def test_replace_mid_ensure_compiled_terminates(self):
         """ensure_compiled must not spin on a superseded TieredFunction.
@@ -351,7 +351,7 @@ class TestRegisterCollision:
         with old_state.lock:
             old_state.compile_inflight = True
             old_state.compile_done = threading.Event()
-        runtime._compile_now(old_state, sticky_errors=True)
+        runtime._compile_now(old_state, GENERIC_KEY, sticky_errors=True)
         assert old_state.version is None
         assert not old_state.compile_inflight
         assert old_state.compile_error is None
@@ -585,7 +585,7 @@ def test_thread_stress_differential(backend, workers, kernel):
         # The event fold stayed exact under concurrency: the mechanism's
         # hand-maintained counters and the StatsCollector reduction must
         # agree on every field.
-        assert engine.stats_dict(name) == engine.runtime.stats(name)
+        assert engine.stats(name).as_dict() == engine.runtime.stats(name)
 
     total_calls = sum(
         engine.stats(name).calls

@@ -3,16 +3,14 @@
 Covers the public embedding API end to end: `EngineConfig` validation
 and `from_env`, policy injection (`AlwaysCompile` / `NeverCompile` / a
 counting policy that records every consultation), the bounded event
-ring buffer, the `AdaptiveRuntime(**kwargs)` deprecation shim, and the
+ring buffer, the bare `AdaptiveRuntime(EngineConfig)` mechanism, and the
 acceptance round-trip — a frontend program driven through warm-up,
 tier-up, guard failure and dispatched continuation with every
 transition observed as a typed `RuntimeEvent` and `EngineStats`
-agreeing with the legacy `stats()` dict on both backends.
+agreeing with the mechanism's own `stats()` dict on both backends.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -311,33 +309,15 @@ class TestEventRecording:
         assert stats.guard_failures == 8
         assert stats.dispatch_hits == 7
 
-    def test_legacy_tuple_view_matches_typed_events(self):
-        engine = _dispatch_engine()
-        for _ in range(4):
-            args, memory = speculative_arguments("dispatch")
-            engine.call("dispatch", args, memory=memory)
-        tuples = engine.runtime.events
-        assert tuples == [event.as_tuple() for event in engine.events]
-        assert ("dispatch", "tier-up", None) in tuples
-
 
 # ---------------------------------------------------------------------- #
-# The AdaptiveRuntime(**kwargs) compatibility shim.
+# The bare mechanism: AdaptiveRuntime built straight from an EngineConfig.
 # ---------------------------------------------------------------------- #
 
 
-class TestDeprecationShim:
-    def test_legacy_kwargs_emit_exactly_one_deprecation_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runtime = AdaptiveRuntime(hotness_threshold=2, min_samples=2)
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "EngineConfig" in str(deprecations[0].message)
-        # ...and the shim still works end to end.
+class TestBareRuntime:
+    def test_runtime_from_config_works_end_to_end(self):
+        runtime = AdaptiveRuntime(EngineConfig(hotness_threshold=2, min_samples=2))
         function = speculative_function("dispatch")
         runtime.register(function)
         for _ in range(3):
@@ -345,29 +325,13 @@ class TestDeprecationShim:
             expected = run_function(function, args, memory=memory.copy()).value
             assert runtime.call("dispatch", args, memory=memory).value == expected
         assert runtime.stats("dispatch")["compiled"] == 1
+        assert any(isinstance(event, TierUp) for event in runtime.bus.events())
 
-    def test_config_construction_warns_nothing(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            AdaptiveRuntime(EngineConfig())
-        assert not [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-
-    def test_config_plus_kwargs_is_rejected(self):
+    def test_tuning_knobs_are_config_fields_not_kwargs(self):
         with pytest.raises(TypeError):
             AdaptiveRuntime(EngineConfig(), hotness_threshold=5)
-
-    def test_unknown_legacy_kwarg_is_rejected(self):
-        with pytest.raises(TypeError, match="unknown AdaptiveRuntime"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                AdaptiveRuntime(hotness=3)
-
-    def test_legacy_base_backend_none_means_interpreter(self):
-        config = EngineConfig.from_legacy_kwargs(base_backend=None)
-        assert config.base_backend == "interp"
+        with pytest.raises(TypeError):
+            AdaptiveRuntime(hotness_threshold=3)
 
 
 # ---------------------------------------------------------------------- #

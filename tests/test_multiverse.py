@@ -48,6 +48,7 @@ from repro.engine import (
 )
 from repro.ir.interp import Interpreter
 from repro.vm.profile import GENERIC_KEY, EntryClusterer, VersionKey
+from repro.vm.version import excluded_reasons
 from repro.workloads import (
     POLYMORPHIC_NAMES,
     polymorphic_arguments,
@@ -184,7 +185,7 @@ def test_exact_version_events_and_stats_fold(backend):
 
     # The event fold and the mechanism agree exactly — including the
     # new version gauges and counters.
-    stats = engine.stats_dict(KERNEL)
+    stats = engine.stats(KERNEL).as_dict()
     assert stats == engine.runtime.stats(KERNEL)
     assert stats["versions"] == len(state.versions) >= 2
 
@@ -213,7 +214,7 @@ def test_retirement_at_the_version_bound():
     for event in retired:
         assert event.versions <= 2
     # Mechanism and fold still agree after retirement churn.
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
+    assert engine.stats(KERNEL).as_dict() == engine.runtime.stats(KERNEL)
     assert live_keys, "retirement must never empty the table"
 
 
@@ -232,27 +233,24 @@ def test_single_version_config_pins_legacy_behavior():
         for e in engine.events
         if isinstance(e, (VersionAdded, VersionRetired, EntryDispatched))
     ]
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
+    assert engine.stats(KERNEL).as_dict() == engine.runtime.stats(KERNEL)
 
 
 # ---------------------------------------------------------------------- #
 # Per-version speculation scoping (the blacklist bugfix).
 # ---------------------------------------------------------------------- #
 def test_refuted_reasons_are_scoped_per_version():
-    engine = _poly_engine()
-    runtime = engine.runtime
-    state = runtime.functions[KERNEL]
+    params = _poly_engine().runtime.functions[KERNEL].base.params
     specialized = VersionKey(((0, 7),))
-
-    with state.lock:
-        state.refuted_reasons[GENERIC_KEY] = {
+    refuted = {
+        GENERIC_KEY: {
             "assume-constant mode == 1",
             "assume-branch if.else18 -> if.then19 (then side hot)",
-        }
-        state.refuted_reasons[specialized] = {"assume-constant n == 16"}
-
-        generic_excluded = runtime._excluded_reasons_locked(state, GENERIC_KEY)
-        special_excluded = runtime._excluded_reasons_locked(state, specialized)
+        },
+        specialized: {"assume-constant n == 16"},
+    }
+    generic_excluded = excluded_reasons(refuted, GENERIC_KEY, params)
+    special_excluded = excluded_reasons(refuted, specialized, params)
 
     # The generic rebuild excludes exactly its own refutations.
     assert generic_excluded == frozenset(
@@ -368,7 +366,7 @@ def test_warm_start_restores_the_multiverse(backend, tmp_path):
     assert not [e for e in warm.events if isinstance(e, TierUp)]
     restores = [e for e in warm.events if isinstance(e, VersionRestored)]
     assert restores and restores[-1].versions == len(saved_keys)
-    assert warm.stats_dict(KERNEL) == warm.runtime.stats(KERNEL)
+    assert warm.stats(KERNEL).as_dict() == warm.runtime.stats(KERNEL)
     assert warm.stats(KERNEL).versions == len(saved_keys)
 
 
@@ -444,5 +442,5 @@ def test_thread_stress_phase_shifting(backend):
     for entry in state.versions:
         for point in entry.version.pair.guard_points():
             assert point in entry.version.plans
-    assert engine.stats_dict(KERNEL) == engine.runtime.stats(KERNEL)
+    assert engine.stats(KERNEL).as_dict() == engine.runtime.stats(KERNEL)
     assert engine.stats(KERNEL).calls == STRESS_THREADS * 24

@@ -61,7 +61,8 @@ from repro.ir import (
 from repro.ir.interp import Interpreter
 from repro.passes import speculative_pipeline
 from repro.vm.profile import ValueProfile, VersionKey
-from repro.vm.runtime import AdaptiveRuntime, CompiledVersion
+from repro.vm import runtime as runtime_module
+from repro.vm.runtime import CompiledVersion
 from repro.workloads import (
     LOOP_KERNEL_NAMES,
     benchmark_arguments,
@@ -467,10 +468,10 @@ class TestConfigAndEvents:
 # --------------------------------------------------------------------- #
 def _sabotage_build(monkeypatch):
     """Make every built version declare a ghost live variable."""
-    original = AdaptiveRuntime._build_version
+    original = runtime_module.build_version
 
-    def build(self, state):
-        version = original(self, state)
+    def build(*args):
+        version, rejected = original(*args)
         point = min(version.plans, key=str)
         plan = version.plans[point]
         frames = list(plan.frames)
@@ -479,9 +480,9 @@ def _sabotage_build(monkeypatch):
         )
         plans = dict(version.plans)
         plans[point] = dataclasses.replace(plan, frames=frames)
-        return dataclasses.replace(version, plans=plans)
+        return dataclasses.replace(version, plans=plans), rejected
 
-    monkeypatch.setattr(AdaptiveRuntime, "_build_version", build)
+    monkeypatch.setattr(runtime_module, "build_version", build)
 
 
 def _dispatch_engine(backend, mode):
@@ -582,8 +583,8 @@ def _tampered_store(tmp_path, mutate):
     engine.save(root)
     entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
     data = json.loads(entry.read_text())
-    assert data["tier"] is not None
-    mutate(data["tier"])
+    assert data["versions"]
+    mutate(data["versions"][-1]["tier"])
     entry.write_text(json.dumps(data))
     return root
 
@@ -629,14 +630,14 @@ class TestHydrationGating:
             ),
         )
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         findings = lint_tier_payload(payload, "poly")
         assert any(f.rule == "mapping-range" for f in findings)
 
     def test_lint_tier_payload_flags_missing_plan(self, tmp_path):
         root = _tampered_store(tmp_path, lambda tier: tier["plans"].pop())
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         findings = lint_tier_payload(payload, "poly")
         assert any(f.rule == "guard-coverage" for f in findings)
 
@@ -648,5 +649,5 @@ class TestHydrationGating:
         engine.wait_for_compilation(timeout=30.0)
         engine.save(root)
         entry = root / "objects" / EngineConfig().fingerprint() / "poly.json"
-        payload = json.loads(entry.read_text())["tier"]
+        payload = json.loads(entry.read_text())["versions"][-1]["tier"]
         assert lint_tier_payload(payload, "poly") == []

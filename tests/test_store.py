@@ -44,7 +44,14 @@ from repro.store import (
 )
 from repro.store.codec import decode_version, encode_version
 from repro.vm.profile import FunctionProfile
-from repro.workloads import speculative_arguments, speculative_function
+from repro.workloads import (
+    polymorphic_arguments,
+    polymorphic_function,
+    polymorphic_phases,
+    speculative_arguments,
+    speculative_function,
+)
+from repro.workloads.polymorphic import POLYMORPHIC_SOURCES
 
 BACKENDS = ("interp", "compiled")
 
@@ -302,10 +309,10 @@ class TestVersionCodec:
             engine.call(name, args, memory=memory)
         runtime = engine.runtime
         state = runtime.functions[name]
-        version = state.version
-        assert version is not None
-        backward = runtime._backward_mapping(state, version)
-        payload = encode_version(version, backward)
+        assert state.versions
+        entry = state.versions[-1]
+        backward = entry.backward_mapping(runtime.config.mode)
+        payload = encode_version(entry.version, backward)
         assert json.loads(json.dumps(payload)) == payload  # JSON-clean
         decoded = decode_version(payload, state.base, lambda n: runtime.functions[n].base)
         re_encoded = encode_version(decoded, decoded.backward)
@@ -315,8 +322,9 @@ class TestVersionCodec:
         engine = warm_poly(Engine.from_source(POLY_SRC))
         runtime = engine.runtime
         state = runtime.functions["poly"]
+        entry = state.versions[-1]
         payload = encode_version(
-            state.version, runtime._backward_mapping(state, state.version)
+            entry.version, entry.backward_mapping(runtime.config.mode)
         )
         assert payload["plans"]
         broken = dict(payload, plans=[])
@@ -384,6 +392,60 @@ class TestWarmStart:
         )
         assert "poly" in warm.restored_functions
         assert warm.call("poly", [3, 20]).value == cold.call("poly", [3, 20]).value
+
+    def test_one_slot_engine_restores_only_the_generic_version(self, tmp_path):
+        # Regression: a persisted multiverse opened with max_versions=1
+        # used to admit its versions oldest-first, LRU-retire the generic
+        # one and keep only the newest *specialized* version — every call
+        # from another cluster then matched nothing and the function was
+        # wedged in the base tier forever.
+        kernel = "modal_sum"
+        config = EngineConfig(hotness_threshold=3, min_samples=2, max_versions=4)
+        engine = Engine.from_functions(polymorphic_function(kernel), config=config)
+        phases = polymorphic_phases(kernel)
+        for _ in range(5):
+            for mode in phases:
+                args, memory = polymorphic_arguments(kernel, mode)
+                for _ in range(8):
+                    engine.call(kernel, args, memory=memory)
+        saved = [info.key for info in engine.function(kernel).versions]
+        assert "generic" in saved and len(saved) >= 3
+        engine.save(tmp_path / "store")
+
+        warm = Engine.open(
+            POLYMORPHIC_SOURCES[kernel],
+            tmp_path / "store",
+            config=config.replace(max_versions=1),
+        )
+        assert kernel in warm.restored_functions
+        assert [info.key for info in warm.function(kernel).versions] == ["generic"]
+        for mode in phases:
+            args, memory = polymorphic_arguments(kernel, mode)
+            expected = engine.call(kernel, args, memory=memory).value
+            before = warm.function(kernel).version.hits
+            for _ in range(10):
+                assert warm.call(kernel, args, memory=memory).value == expected
+            # Served by the optimized tier, whatever the cluster.
+            assert warm.function(kernel).version.hits == before + 10
+        assert [e for e in warm.events if isinstance(e, TierUp)] == []
+        assert warm.stats(kernel).as_dict() == warm.runtime.stats(kernel)
+
+    def test_format_1_artifact_is_refused_loudly(self, tmp_path):
+        # Format 1 stored the newest version twice (``tier`` and
+        # ``tier_versions[-1]``); such a file is refused, never half-read.
+        root = tmp_path / "store"
+        warm_poly(Engine.from_source(POLY_SRC)).save(root)
+        fingerprint = EngineConfig().fingerprint()
+        entry = root / "objects" / fingerprint / "poly.json"
+        data = json.loads(entry.read_text())
+        assert set(data) >= {"versions"} and "tier" not in data
+        newest = data.pop("versions")[-1]["tier"]
+        data.update(format=1, tier=newest)
+        entry.write_text(json.dumps(data))
+        with pytest.raises(StoreFormatError, match="format 1"):
+            ArtifactStore(root).get("poly", fingerprint)
+        with pytest.raises(StoreFormatError, match="format 1"):
+            Engine.open(POLY_SRC, root)
 
 
 # --------------------------------------------------------------------- #
@@ -534,7 +596,7 @@ class TestStaleness:
         fingerprint = EngineConfig().fingerprint()
         entry = root / "objects" / fingerprint / "poly.json"
         data = json.loads(entry.read_text())
-        data["tier"]["plans"] = []
+        data["versions"][-1]["tier"]["plans"] = []
         entry.write_text(json.dumps(data))
         with pytest.raises(ArtifactDecodeError):
             Engine.open(POLY_SRC, root)
@@ -585,12 +647,11 @@ class TestMergeAndRepublish:
                     artifact.key.function, artifact.key.base_ir_hash, fingerprint
                 ),
                 profile=artifact.profile,
-                tier=None,
                 function_hashes=artifact.function_hashes,
             )
             store.put(rekeyed)
         merged = store.get("poly", fingerprint)
-        assert merged.tier is not None  # the stored compiled tier survived
+        assert merged.versions  # the stored compiled tier survived
 
     def test_different_base_hash_supersedes(self, tmp_path):
         root = tmp_path / "store"
@@ -610,7 +671,7 @@ class TestMergeAndRepublish:
         engine = warm_poly(Engine.from_source(POLY_SRC))
         snapshot = engine.snapshot()
         assert snapshot.config_fingerprint == engine.config.fingerprint()
-        assert snapshot.artifact("poly").tier is not None
+        assert snapshot.artifact("poly").versions
         assert snapshot.artifact("missing") is None
         assert not (tmp_path / "store").exists()
         snapshot.save(tmp_path / "store")
