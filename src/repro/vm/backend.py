@@ -41,11 +41,16 @@ __all__ = [
     "ExecutionBackend",
     "InterpreterBackend",
     "CompiledBackend",
+    "BoundEntry",
     "BACKEND_NAMES",
     "BACKEND_ENV_VAR",
     "backend_name_from_env",
     "resolve_backend",
 ]
+
+#: What :meth:`ExecutionBackend.prepare` returns: one function's entry,
+#: ``(args, memory) -> ExecutionResult``.
+BoundEntry = Callable[..., ExecutionResult]
 
 #: Environment variable selecting the backend optimized tiers run on.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -125,13 +130,33 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def prepare(self, function: Function) -> None:
-        """Pre-build whatever :meth:`run` would otherwise build lazily.
+    def prepare(self, function: Function) -> BoundEntry:
+        """Build what running ``function`` needs; return its bound entry.
 
-        The background-compilation pipeline calls this before a version
-        is published so the *request path* never pays first-run setup
-        (for the closure backend: lowering to Python and ``compile()``).
-        Default: nothing to prepare.
+        The runtime calls this once per version, before publishing it,
+        and stores the result on the table entry: the *request path*
+        then pays neither first-run setup (for the closure backend:
+        lowering to Python and ``compile()``) nor a per-call artifact
+        lookup.  The bound entry ``(args, memory) -> ExecutionResult``
+        behaves exactly like ``run(function, args, memory=memory)``.
+        Default: nothing to build, a closure over :meth:`run`.
+        """
+
+        def entry(
+            args: Sequence[int], memory: Optional[Memory] = None
+        ) -> ExecutionResult:
+            return self.run(function, args, memory=memory)
+
+        return entry
+
+    def discard(self, function: Function) -> None:
+        """Forget whatever was built for ``function``.
+
+        The runtime calls this for every version that leaves the table
+        (retired, invalidated, replaced), so a backend that caches
+        per-function artifacts is bounded by the live table.  A later
+        :meth:`run`/:meth:`run_from` of a discarded function must still
+        work — it rebuilds.  Default: nothing kept, nothing to forget.
         """
         return None
 
@@ -261,9 +286,12 @@ class CompiledBackend(ExecutionBackend):
         reject_reserved_names((name,))
         self.natives[name] = fn
 
-    def prepare(self, function: Function) -> None:
-        """Lower (and cache) the entry artifact ahead of the first run."""
-        self.compiler.compile(function)
+    def prepare(self, function: Function) -> BoundEntry:
+        """Lower (and cache) the entry artifact; return its checked entry."""
+        return self.compiler.compile(function).invoke
+
+    def discard(self, function: Function) -> None:
+        self.compiler.discard(function)
 
     def compiled_artifact(
         self, function: Function, point: Optional[ProgramPoint] = None
@@ -290,13 +318,7 @@ class CompiledBackend(ExecutionBackend):
         memory: Optional[Memory] = None,
         profiler=None,
     ) -> ExecutionResult:
-        if len(args) != len(function.params):
-            raise TypeError(
-                f"function @{function.name} expects {len(function.params)} "
-                f"arguments, got {len(args)}"
-            )
-        compiled = self.compiler.compile(function)
-        return compiled([int(value) for value in args], memory)
+        return self.compiler.compile(function).invoke(args, memory)
 
     def run_from(
         self,

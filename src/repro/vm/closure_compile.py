@@ -33,7 +33,11 @@ module removes all three costs by *lowering* a verified IR
 * **guards become inline checks** that raise
   :class:`~repro.ir.interp.GuardFailure` carrying the full live state the
   :class:`~repro.core.codemapper.CodeMapper`-derived deoptimization
-  mapping needs (register environment, memory, arrival block).
+  mapping needs (register environment, memory, arrival block),
+* **returns hand back the frame's ``locals()`` untranslated**: the
+  IR-named final environment is built only if the result's ``env`` is
+  read (:class:`CompiledResult`) — a guard failure *is* a transition
+  and snapshots eagerly, a return is not.
 
 Functions whose CFG has no structured spelling (irreducible regions,
 multi-exit loops) fall back transparently to the original
@@ -102,6 +106,7 @@ from ..ir.interp import (
 from ..ir.verify import verify_function
 
 __all__ = [
+    "CompiledResult",
     "CompiledFunction",
     "ClosureCompiler",
     "compile_ir_function",
@@ -266,6 +271,38 @@ def _expr_is_total(expr: Expr) -> bool:
 # ---------------------------------------------------------------------- #
 
 
+class CompiledResult(ExecutionResult):
+    """The :class:`ExecutionResult` of generated code.
+
+    Generated code returns its frame's ``locals()``; translating them
+    back to an IR-named environment walks the function's whole name
+    table, and nothing on the call path reads the environment of a
+    *returned* result (only paused and failed activations feed a
+    transition).  So :attr:`env` is built on its first read — ``==``
+    and ``repr`` read it, and so see the same environment the
+    interpreter would report.  Until then the result holds the frame's
+    locals as they were at the ``return``.
+    """
+
+    backend = "compiled"
+
+    def __init__(self, value, steps, frame_locals, snapshot, memory) -> None:
+        self.value = value
+        self.steps = steps
+        self.trace = []
+        self.memory = memory
+        self._frame = frame_locals
+        self._snapshot = snapshot
+
+    @property
+    def env(self) -> Dict[str, int]:
+        frame = self._frame
+        if frame is not None:
+            self._env = self._snapshot(frame)
+            self._frame = None
+        return self._env
+
+
 class CompiledFunction:
     """One compiled entry (normal or OSR stub) of an IR function.
 
@@ -282,7 +319,8 @@ class CompiledFunction:
         entry: Optional[ProgramPoint],
         raw: Callable,
         source: str,
-        emitter: str = "dispatch",
+        emitter: str,
+        snapshot: Callable[[Dict[str, object]], Dict[str, int]],
     ) -> None:
         self.function = function
         self.entry = entry
@@ -292,6 +330,12 @@ class CompiledFunction:
         #: Which emitter produced :attr:`source`: ``"structured"`` or
         #: ``"dispatch"`` (the fallback for unstructurable CFGs).
         self.emitter = emitter
+        self._snapshot = snapshot
+        #: The checked entry of a normal artifact, ``(args, memory) ->
+        #: ExecutionResult``: arity check and ``int()`` coercion included,
+        #: everything else resolved here, once.  What the runtime stores
+        #: on a table entry and :meth:`CompiledBackend.run` calls.
+        self.invoke = self._bind_entry() if entry is None else None
 
     def __call__(
         self,
@@ -300,8 +344,24 @@ class CompiledFunction:
         previous_block: Optional[str] = None,
     ) -> ExecutionResult:
         memory = memory if memory is not None else Memory()
-        value, env, steps = self._raw(args_or_env, memory, previous_block)
-        return ExecutionResult(value, steps, [], env, memory, backend="compiled")
+        value, frame_locals, steps = self._raw(args_or_env, memory, previous_block)
+        return CompiledResult(value, steps, frame_locals, self._snapshot, memory)
+
+    def _bind_entry(self) -> Callable[..., ExecutionResult]:
+        raw, snapshot = self._raw, self._snapshot
+        name, arity = self.function.name, len(self.function.params)
+
+        def invoke(args: Sequence[int], memory: Optional[Memory] = None):
+            if len(args) != arity:
+                raise TypeError(
+                    f"function @{name} expects {arity} arguments, got {len(args)}"
+                )
+            if memory is None:
+                memory = Memory()
+            value, frame_locals, steps = raw(list(map(int, args)), memory, None)
+            return CompiledResult(value, steps, frame_locals, snapshot, memory)
+
+        return invoke
 
 
 # ---------------------------------------------------------------------- #
@@ -325,11 +385,13 @@ class ClosureCompiler:
 
     Thread-safety: the generated closures keep *all* execution state in
     locals (plus the caller-supplied :class:`Memory`), so one compiled
-    artifact may run on any number of threads at once.  The artifact
-    cache itself is lock-protected; when two threads race to compile the
-    same ``(function, entry)`` the loser's artifact is discarded in
-    favour of the already-published one, so callers always share a
-    single compiled object per key.
+    artifact may run on any number of threads at once.  Writes to the
+    artifact cache are lock-protected (a lookup is one atomic
+    ``dict.get``); when two threads race to compile the same
+    ``(function, entry)`` the loser's artifact is dropped in favour of
+    the already-published one, so callers always share a single
+    compiled object per key.  The cache pins what it holds — artifact,
+    source text and the IR function — until :meth:`discard`.
     """
 
     def __init__(
@@ -361,8 +423,7 @@ class ClosureCompiler:
         (the runtime only compiles after the pass pipeline finished).
         """
         key = (id(function), entry)
-        with self._cache_lock:
-            cached = self._cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None and cached.function is function:
             return cached
         if self.verify:
@@ -374,6 +435,20 @@ class ClosureCompiler:
                 return winner  # another thread published first
             self._cache[key] = compiled
         return compiled
+
+    def discard(self, function: Function) -> None:
+        """Drop every cached artifact of ``function`` (entry and OSR stubs).
+
+        Running code keeps its own reference to what it executes; a later
+        :meth:`compile` of the same function simply lowers it again.
+        """
+        with self._cache_lock:
+            for key in [
+                key
+                for key, cached in self._cache.items()
+                if cached.function is function
+            ]:
+                del self._cache[key]
 
     def _lower(
         self, function: Function, entry: Optional[ProgramPoint]
@@ -390,6 +465,7 @@ class ClosureCompiler:
         if emitter is None or source is None:
             emitter = _DispatchEmitter(function, entry)
             source = emitter.emit()
+        snapshot = _make_snapshot(emitter.name_table)
         namespace = {
             "_U": _UNDEFINED,
             "_GF": GuardFailure,
@@ -399,7 +475,7 @@ class ClosureCompiler:
             "_irem": int_rem,
             "_undef": _raise_undef,
             "_call": self.resolve_call,
-            "_snapshot": _make_snapshot(emitter.name_table),
+            "_snapshot": snapshot,
             "_PP": emitter.point_table,
             "_REASONS": emitter.reason_table,
             "_IPATHS": emitter.path_table,
@@ -409,7 +485,7 @@ class ClosureCompiler:
         code = compile(source, f"<closure:{function.name}>", "exec")
         exec(code, namespace)
         raw = namespace["__compiled__"]
-        return CompiledFunction(function, entry, raw, source, emitter=emitter.kind)
+        return CompiledFunction(function, entry, raw, source, emitter.kind, snapshot)
 
 
 def _no_calls(name: str, args: List[int], memory: Memory) -> int:
@@ -424,7 +500,8 @@ def _make_snapshot(name_table: List[Tuple[str, str]]):
 
     Converts a compiled frame's locals back into an interpreter-style
     environment keyed by IR register names, dropping registers that are
-    still undefined.  Only called on slow paths (guard failure, return).
+    still undefined.  Runs on the guard-failure edge (the state a
+    transition transfers) and when a returned result's ``env`` is read.
     """
     undefined = _UNDEFINED
 
@@ -598,7 +675,9 @@ class _EmitterBase:
             self._w(indent, "pass")
         elif isinstance(inst, Return):
             value = compile_expr(inst.value) if inst.value is not None else "None"
-            self._w(indent, f"return ({value}, _snapshot(locals()), _FUEL - _fuel)")
+            # The frame's locals leave as they are: translating them to
+            # an IR environment is the reader's cost (CompiledResult.env).
+            self._w(indent, f"return ({value}, locals(), _FUEL - _fuel)")
         elif isinstance(inst, Abort):
             message = f"@{self.function.name}: abort at {label}:{index}"
             self._w(indent, f"raise _Abort({message!r})")

@@ -28,7 +28,8 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.function import ProgramPoint
 
@@ -657,6 +658,11 @@ class VersionKey:
 GENERIC_KEY = VersionKey()
 
 
+def _no_slots(args: Sequence[int]) -> Tuple[()]:
+    """Projection onto an empty stable set (``itemgetter()`` needs an index)."""
+    return ()
+
+
 class EntryClusterer:
     """Bounded online clustering of a function's entry argument tuples.
 
@@ -670,15 +676,19 @@ class EntryClusterer:
     selector, a constant size).
 
     The structure is deliberately tiny because :meth:`observe` runs on
-    the call fast path under the function's state lock: one histogram
-    record per argument and one Counter bump per call.  When the
+    the call fast path under the function's state lock: one Counter
+    bump per call, plus one histogram record per argument the first
+    time a signature is seen.  When the
     signature set outgrows its bound the excess observations count as
     *churn*; a churning (unstable) clusterer demotes the function to
     single-generic-version behaviour rather than chasing a signature
     distribution it cannot represent.
     """
 
-    __slots__ = ("slots", "signatures", "observed", "churn", "_max_signatures", "_stable")
+    __slots__ = (
+        "slots", "signatures", "observed", "churn", "_max_signatures",
+        "_stable", "_project", "_known",
+    )
 
     def __init__(self, *, max_clusters: int = 4) -> None:
         self.slots: List[RegisterProfile] = []
@@ -689,12 +699,29 @@ class EntryClusterer:
         self.churn = 0
         self._max_signatures = max(4, 4 * max_clusters)
         self._stable: Optional[Tuple[int, ...]] = None
+        self._project: Callable[[Sequence[int]], object] = _no_slots
+        self._known: Dict[object, Tuple[Tuple[int, int], ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Fast path.
     # ------------------------------------------------------------------ #
     def observe(self, args: Sequence[int]) -> None:
-        """Record one call's entry arguments (state-locked fast path)."""
+        """Record one call's entry arguments (state-locked fast path).
+
+        A signature that was counted before needs no histogram work:
+        each of its pairs was recorded in its slot before the signature
+        was first counted (so no stable slot can overflow on it), and
+        an overflowed slot ignores ``record``.  Such a call — nearly
+        every warm one — only bumps two counters; a slot histogram thus
+        weighs a value by how often the general path below saw it, and
+        only membership and the distinct-value bound are ever read.
+        """
+        if self._stable is not None and len(args) == len(self.slots):
+            signature = self._known.get(self._project(args))
+            if signature is not None:
+                self.signatures[signature] += 1
+                self.observed += 1
+                return
         self.observed += 1
         slots = self.slots
         if len(slots) < len(args):
@@ -712,15 +739,22 @@ class EntryClusterer:
         signature = self._signature(args)
         if signature in self.signatures or len(self.signatures) < self._max_signatures:
             self.signatures[signature] += 1
+            if len(args) == len(slots):
+                self._known[self._project(args)] = signature
         else:
             self.churn += 1
 
     def _stable_slots(self) -> Tuple[int, ...]:
         """Indices of slots whose histograms still distinguish values."""
         if self._stable is None:
-            self._stable = tuple(
+            self._stable = stable = tuple(
                 index for index, slot in enumerate(self.slots) if not slot.overflowed
             )
+            # The known-signature index of ``observe`` lives and dies with
+            # the stable set: full-length argument tuples, projected onto
+            # it at C speed, mapped to the signature they were counted as.
+            self._project = itemgetter(*stable) if stable else _no_slots
+            self._known = {}
         return self._stable
 
     def _signature(self, args: Sequence[int]) -> Tuple[Tuple[int, int], ...]:

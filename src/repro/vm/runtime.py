@@ -99,12 +99,13 @@ __all__ = [
 
 
 class ExecutionContext:
-    """Per-root-call mutable state (today: the recursion fuel).
+    """Per-thread mutable call state (today: the recursion fuel).
 
-    One per thread per *root* entry into :meth:`AdaptiveRuntime.call`;
-    nested calls share it, so the depth budget measures one logical call
-    stack, interleaved callers never charge each other's fuel, and no
-    unwind path leaks depth into a later call.
+    One per thread, created on its first :meth:`AdaptiveRuntime.call`;
+    nested calls share it and every call restores the depth it found,
+    so the depth budget measures one logical call stack, interleaved
+    callers never charge each other's fuel, and no unwind path leaks
+    depth into a later call.
     """
 
     __slots__ = ("depth",)
@@ -125,6 +126,11 @@ class TieredFunction:
     #: Every live optimized version, oldest first; at most one per
     #: entry-profile key, bounded by ``EngineConfig.max_versions``.
     versions: Tuple[SpecializedVersion, ...] = ()
+    #: The table's only entry when that entry is generic, else ``None``.
+    #: Every call then selects it and none of them is a version switch;
+    #: resolved by the table's writers so the call path need not
+    #: re-derive it (``None`` merely sends a call through ``select``).
+    sole: Optional[SpecializedVersion] = None
     #: Entry-profile clusterer feeding the specialization keys.
     clusterer: EntryClusterer = field(default_factory=EntryClusterer)
     call_count: int = 0
@@ -326,6 +332,13 @@ class AdaptiveRuntime:
         )
         self.functions[function.name] = state
         if existing is not None:
+            # The superseded state keeps its table for the activations
+            # still on it (they hold what they run); only the backend's
+            # cached artifacts go.
+            with existing.lock:
+                dead = [entry.version.optimized for entry in existing.versions]
+                dead += [c.info.function for c in existing.continuations.values()]
+            self._discard_artifacts(dead)
             self.profile.discard(function.name)
             self.bus.publish(Invalidated(function.name, None, reason=REREGISTERED))
         if function.name not in self._dispatchers:
@@ -464,13 +477,14 @@ class AdaptiveRuntime:
                         key=str(key),
                     )
                 )
-        # Pre-build the backend artifact so the first optimized call
-        # does not pay the closure lowering on the request path.
-        self.opt_backend.prepare(version.optimized)
+        # Build the backend artifact and bind its entry here, so no call
+        # pays the closure lowering or an artifact lookup.
+        run = self.opt_backend.prepare(version.optimized)
         gauges = version.gauges()
         with state.announce:
             with state.lock:
                 if self.functions.get(name) is not state:
+                    self.opt_backend.discard(version.optimized)
                     return False  # superseded by a re-registration meanwhile
                 state.dispatch_seq += 1
                 entry = SpecializedVersion(
@@ -478,14 +492,13 @@ class AdaptiveRuntime:
                     version=version,
                     last_used=state.dispatch_seq,
                     verify_report=report,
+                    run=run,
                 )
-                state.versions, retired = admit(
+                table, retired = admit(
                     state.versions, entry, self.config.max_versions
                 )
-                drop_continuations(
-                    state.continuations, [key, *(victim.key for victim in retired)]
-                )
-                live = len(state.versions)
+                dead = self._install_locked(state, table)
+                live = len(table)
                 continuations = len(state.continuations)
                 added = not restored and (
                     key.specificity > 0 or live > 1 or bool(retired)
@@ -514,9 +527,43 @@ class AdaptiveRuntime:
                 )
                 for victim in retired
             ]
+            self._discard_artifacts(dead)
             for event in events:
                 self.bus.publish(event)
         return True
+
+    @staticmethod
+    def _install_locked(
+        state: TieredFunction, table: Tuple[SpecializedVersion, ...]
+    ) -> List[Function]:
+        """Swap ``table`` in with everything derived from it (lock held).
+
+        The one place ``TieredFunction.versions`` is assigned.  Whatever
+        is a function of the table alone is settled here, not per call:
+        :attr:`TieredFunction.sole`, and the cached continuations of the
+        entries that left (retired, invalidated or replaced under the
+        same key).  Returns the code nothing will dispatch to again —
+        those entries' optimized functions and continuations — for
+        :meth:`_discard_artifacts` once the lock is released.
+        """
+        gone = [
+            old for old in state.versions if all(old is not live for live in table)
+        ]
+        state.versions = table
+        state.sole = table[0] if len(table) == 1 and table[0].key.generic else None
+        dropped = drop_continuations(state.continuations, [old.key for old in gone])
+        return [old.version.optimized for old in gone] + [
+            cached.info.function for cached in dropped
+        ]
+
+    def _discard_artifacts(self, dead: Sequence[Function]) -> None:
+        """Let the optimized tier's backend forget code that left a table.
+
+        Without this a caching backend pins every version ever built;
+        an activation still running one holds its own reference.
+        """
+        for function in dead:
+            self.opt_backend.discard(function)
 
     def ensure_compiled(self, name: str) -> CompiledVersion:
         """The installed version of ``name``, compiling (and waiting) if needed."""
@@ -561,27 +608,24 @@ class AdaptiveRuntime:
         """Call a registered function, applying the tiering policy.
 
         Nested calls (from either engine) re-enter here and share the
-        thread's root :class:`ExecutionContext`: the depth accounting is
+        thread's :class:`ExecutionContext`: the depth accounting is
         *backend-independent* recursion fuel, exhausted at the same
         depth on both engines instead of overflowing the Python stack.
         """
-        context = getattr(self._tls, "context", None)
-        root = context is None
-        if root:
-            context = ExecutionContext()
-            self._tls.context = context
-        context.depth += 1
         try:
-            if context.depth > self.config.max_call_depth:
+            context = self._tls.context
+        except AttributeError:
+            context = self._tls.context = ExecutionContext()
+        context.depth = depth = context.depth + 1
+        try:
+            if depth > self.config.max_call_depth:
                 raise StepLimitExceeded(
                     f"call depth exceeded the budget of "
                     f"{self.config.max_call_depth} activations (at @{name})"
                 )
             return self._call_tiered(name, args, memory)
         finally:
-            context.depth -= 1
-            if root:
-                self._tls.context = None
+            context.depth = depth - 1
 
     @staticmethod
     def _note_dispatch_locked(
@@ -594,12 +638,12 @@ class AdaptiveRuntime:
         key differs from the previous call's), so steady-state traffic
         inside one phase stays event-free.
         """
-        state.dispatch_seq += 1
+        state.dispatch_seq = entry.last_used = state.dispatch_seq + 1
         entry.hits += 1
-        entry.last_used = state.dispatch_seq
-        switched = state.last_dispatched_key != entry.key
-        state.last_dispatched_key = entry.key
-        if switched and (len(state.versions) > 1 or not entry.key.generic):
+        previous, state.last_dispatched_key = state.last_dispatched_key, entry.key
+        if entry is state.sole or previous is entry.key or previous == entry.key:
+            return None
+        if len(state.versions) > 1 or not entry.key.generic:
             state.entry_dispatches += 1
             return EntryDispatched(
                 state.base.name, key=str(entry.key), versions=len(state.versions)
@@ -681,8 +725,15 @@ class AdaptiveRuntime:
             error = state.compile_error
             entry = None
             if error is None:
-                entry = select(state.versions, args)
-                if not state.compile_inflight:
+                entry = state.sole
+                if entry is None:
+                    entry = select(state.versions, args)
+                # Only an unmatched call or a nominated cluster can
+                # propose a build: with a match and no nomination
+                # ``_propose_key_locked`` answers ``None`` untouched.
+                if (
+                    entry is None or state.pending_key is not None
+                ) and not state.compile_inflight:
                     claim_key = self._propose_key_locked(state, args, entry)
                     if claim_key is not None:
                         self._claim_locked(state, claim_key)
@@ -722,9 +773,7 @@ class AdaptiveRuntime:
             # table entries while this one runs, and its failure must
             # resolve against the version that actually raised it.
             try:
-                return self.opt_backend.run(
-                    entry.version.optimized, args, memory=memory
-                )
+                return entry.run(args, memory)
             except GuardFailure as failure:
                 return self.transitions.guard_failed(state, failure, entry, args)
         return self.base_backend.run(
@@ -790,10 +839,11 @@ class AdaptiveRuntime:
                     live is not entry for live in state.versions
                 ):
                     return
-                state.versions = survivors = without(state.versions, entry)
+                survivors = without(state.versions, entry)
+                dead = self._install_locked(state, survivors)
                 state.invalidations += 1
-                drop_continuations(state.continuations, [entry.key])
                 continuations = len(state.continuations)
+            self._discard_artifacts(dead)
             gauges = survivors[-1].version.gauges() if survivors else NO_GAUGES
             self.bus.publish(
                 Invalidated(

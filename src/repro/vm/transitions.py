@@ -390,7 +390,7 @@ class Transitions:
             )
         ):
             continuation = build_continuation(base, failure.point, plan, version)
-            evicted: List[ProgramPoint] = []
+            evicted: List[Tuple[ProgramPoint, CachedContinuation]] = []
             with state.lock:
                 stored = (
                     any(live is entry for live in state.versions)
@@ -403,11 +403,13 @@ class Transitions:
                         > self.config.continuation_cache_size
                     ):
                         evicted_key = next(iter(state.continuations))
-                        del state.continuations[evicted_key]
-                        evicted.append(evicted_key[1])
+                        evicted.append(
+                            (evicted_key[1], state.continuations.pop(evicted_key))
+                        )
             if stored:
                 self.publish(ContinuationCached(base.name, failure.point))
-                for point in evicted:
+                for point, victim in evicted:
+                    self.opt_backend.discard(victim.info.function)
                     self.publish(ContinuationEvicted(base.name, point))
         return result
 

@@ -60,6 +60,7 @@ from .profile import GENERIC_KEY, FunctionProfile, RegisterProfile, ValueProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.config import EngineConfig
+    from .backend import BoundEntry
 
 __all__ = [
     "NO_GAUGES",
@@ -337,6 +338,11 @@ class SpecializedVersion:
     #: when it was published with ``verify_deopt="off"``) — the
     #: inspection API renders per-guard obligation statuses from it.
     verify_report: Optional[VerifyReport] = None
+    #: The optimized tier's bound entry for ``version.optimized``,
+    #: ``(args, memory) -> ExecutionResult``, resolved once at publish
+    #: (:meth:`repro.vm.backend.ExecutionBackend.prepare`); ``None``
+    #: only on entries built outside the runtime.
+    run: Optional["BoundEntry"] = None
 
     def backward_mapping(self, mode: ReconstructionMode) -> OSRMapping:
         """The full f_opt → f_base mapping of exactly this version.
@@ -457,13 +463,15 @@ def without(
 
 def drop_continuations(
     continuations: MutableMapping[tuple, object], dead_keys: Iterable[VersionKey]
-) -> None:
-    """Flush cached continuations belonging to ``dead_keys``.
+) -> List[object]:
+    """Flush (and return) cached continuations belonging to ``dead_keys``.
 
     A continuation is specialized against one version (its cache key
     leads with that version's :class:`VersionKey`); once the version is
     replaced, retired or invalidated it must never serve a live one.
     """
     dead = set(dead_keys)
-    for ckey in [ckey for ckey in continuations if ckey[0] in dead]:
-        del continuations[ckey]
+    return [
+        continuations.pop(ckey)
+        for ckey in [ckey for ckey in continuations if ckey[0] in dead]
+    ]

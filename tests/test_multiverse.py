@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     Engine,
@@ -47,7 +48,7 @@ from repro.engine import (
     VersionRetired,
 )
 from repro.ir.interp import Interpreter
-from repro.vm.profile import GENERIC_KEY, EntryClusterer, VersionKey
+from repro.vm.profile import GENERIC_KEY, EntryClusterer, RegisterProfile, VersionKey
 from repro.vm.version import excluded_reasons
 from repro.workloads import (
     POLYMORPHIC_NAMES,
@@ -132,6 +133,96 @@ class TestEntryClusterer:
             clusterer.observe([call % 8, call % 6])
         assert clusterer.unstable
         assert clusterer.key_for([0, 0]) == GENERIC_KEY
+
+    # -- observe()'s known-signature path against the general one ------- #
+    def test_known_signature_path_survives_a_mid_stream_overflow(self):
+        # A pointer-like slot overflows early; much later the mode slot
+        # takes its ninth value, re-projecting signatures that the fast
+        # path has been counting for hundreds of calls.
+        stream = [[call % 3, 1000 + call, 16] for call in range(300)]
+        stream += [[3 + call % 7, 2000 + call, 16] for call in range(60)]
+        fast, _ = _observe_both(stream, max_clusters=4)
+        assert fast.slots[0].overflowed and fast.slots[1].overflowed
+        assert fast.key_for([0, 1, 16]) == VersionKey(((2, 16),))
+
+    def test_known_signature_path_counts_churn_like_the_general_one(self):
+        stream = [[call % 8, call % 6] for call in range(200)]
+        stream += [[call % 2, call % 2] for call in range(200)]  # back to known ones
+        fast, _ = _observe_both(stream, max_clusters=1)
+        assert fast.churn > 0 and len(fast.signatures) == 4
+
+    def test_known_signature_path_handles_shorter_and_longer_calls(self):
+        stream = [[1, 7], [1, 7], [1], [1, 7, 9], [1, 7], [1, 7, 9], [], [1]] * 6
+        fast, _ = _observe_both(stream, max_clusters=2)
+        assert len(fast.slots) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 11), st.integers(0, 40), st.integers(0, 1)),
+                st.tuples(st.integers(0, 2), st.integers(0, 40)),
+                st.tuples(st.integers(0, 11), st.just(5), st.integers(0, 1), st.just(0)),
+            ),
+            max_size=150,
+        ),
+        max_clusters=st.integers(1, 4),
+    )
+    def test_known_signature_path_is_exact(self, stream, max_clusters):
+        _observe_both([list(args) for args in stream], max_clusters=max_clusters)
+
+
+def _reference_observe(self, args):
+    """``EntryClusterer.observe`` as it was before it had a fast path:
+    one histogram record per argument on every call."""
+    self.observed += 1
+    slots = self.slots
+    if len(slots) < len(args):
+        slots.extend(RegisterProfile() for _ in range(len(args) - len(slots)))
+        self._stable = None
+    overflow_changed = False
+    for index, value in enumerate(args):
+        slot = slots[index]
+        was_overflowed = slot.overflowed
+        slot.record(value)
+        if slot.overflowed and not was_overflowed:
+            overflow_changed = True
+    if overflow_changed:
+        self._reproject()
+    signature = self._signature(args)
+    if signature in self.signatures or len(self.signatures) < self._max_signatures:
+        self.signatures[signature] += 1
+    else:
+        self.churn += 1
+
+
+class _ReferenceClusterer(EntryClusterer):
+    observe = _reference_observe
+
+
+def _observe_both(stream, *, max_clusters):
+    """Feed ``stream`` to both clusterers; everything observable agrees
+    after every step (for this call's arguments and all earlier ones)."""
+    fast = EntryClusterer(max_clusters=max_clusters)
+    reference = _ReferenceClusterer(max_clusters=max_clusters)
+    seen = []
+    for args in stream:
+        fast.observe(args)
+        reference.observe(args)
+        if args not in seen:
+            seen.append(args)
+        assert fast.observed == reference.observed
+        assert fast.signatures == reference.signatures
+        assert fast.churn == reference.churn
+        assert fast.unstable == reference.unstable
+        assert [s.overflowed for s in fast.slots] == [
+            s.overflowed for s in reference.slots
+        ]
+        for probe in seen[-6:]:
+            key = fast.key_for(probe)
+            assert key == reference.key_for(probe)
+            assert fast.cluster_samples(key) == reference.cluster_samples(key)
+    return fast, reference
 
 
 # ---------------------------------------------------------------------- #

@@ -42,6 +42,7 @@ from repro.workloads import (
     polymorphic_arguments,
     polymorphic_function,
     polymorphic_phases,
+    polymorphic_source,
     speculative_arguments,
     speculative_function,
 )
@@ -307,6 +308,80 @@ def test_one_slot_table_regrows_a_generic_version_when_nothing_matches():
     assert [entry.key for entry in state.versions] == [GENERIC_KEY]
     kinds = [type(e) for e in runtime.bus.events()]
     assert TierUp in kinds and VersionRetired in kinds and VersionAdded in kinds
+
+
+# ---------------------------------------------------------------------- #
+# The bound entry: resolved at publish, whichever way a version came in.
+# ---------------------------------------------------------------------- #
+def _function_run_by(backend, entry, args, memory, monkeypatch):
+    """Call ``entry.run``; return the function it executed and the result."""
+    if backend.name == "compiled":
+        # The closure backend binds the cached artifact's checked entry.
+        artifact = backend.compiled_artifact(entry.version.optimized)
+        assert entry.run is artifact.invoke
+        return artifact.function, entry.run(args, memory)
+    ran = []
+    interpret = Interpreter.run
+
+    def spy(self, function, *rest, **kwargs):
+        ran.append(function)
+        return interpret(self, function, *rest, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Interpreter, "run", spy)
+        result = entry.run(args, memory)
+    assert len(ran) == 1
+    return ran[0], result
+
+
+@pytest.mark.parametrize("backend_name", ("compiled", "interp"))
+def test_every_way_into_the_table_binds_the_entrys_own_code(
+    backend_name, tmp_path, monkeypatch
+):
+    config = EngineConfig(
+        hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend_name
+    )
+    source = polymorphic_source(KERNEL)
+    phases = {
+        mode: polymorphic_arguments(KERNEL, mode) for mode in polymorphic_phases(KERNEL)
+    }
+    oracle = {
+        mode: Interpreter().run(polymorphic_function(KERNEL), args, memory=memory.copy())
+        for mode, (args, memory) in phases.items()
+    }
+    # Local builds: the first tier-up is generic, phase traffic then
+    # grows specialized versions; hydration re-installs all of them.
+    engine = Engine.from_source(source, config=config)
+    for _ in range(4):
+        for args, memory in phases.values():
+            for _ in range(8):
+                engine.call(KERNEL, args, memory=memory)
+    engine.save(tmp_path)
+    reopened = Engine.open(source, tmp_path, config=config)
+    assert KERNEL in reopened.restored_functions
+
+    for each in (engine, reopened):
+        entries = each.function(KERNEL).state.versions
+        assert [entry.key.generic for entry in entries].count(True) == 1
+        assert len(entries) >= 3
+        backend = each.runtime.opt_backend
+        for entry in entries:
+            mode = next(m for m, (args, _) in phases.items() if entry.key.matches(args))
+            args, memory = phases[mode]
+            function, result = _function_run_by(
+                backend, entry, args, memory.copy(), monkeypatch
+            )
+            assert function is entry.version.optimized
+            assert result.value == oracle[mode].value
+            assert result.backend == backend_name
+        # The arity check moved into the bound entry with the rest.
+        short = phases[polymorphic_phases(KERNEL)[0]][0][:2]
+        with pytest.raises(TypeError) as direct:
+            backend.run(entries[-1].version.optimized, short)
+        with pytest.raises(TypeError, match="expects 3 arguments, got 2") as raised:
+            each.call(KERNEL, short)
+        assert str(raised.value) == str(direct.value)
+        each.close()
 
 
 # ---------------------------------------------------------------------- #
