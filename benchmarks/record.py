@@ -18,13 +18,11 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
   reported separately).  The check enforces both baseline drift *and* a
   hard **per-kernel** floor on the loop kernels (the
   ``LOOP_SPEEDUP_FLOORS`` table, overridable with repeated
-  ``--speedup-floor KERNEL=RATIO`` flags): the floors were recorded
-  against the structured emitter, whose numbers sit far above anything
-  the old dispatch loop could produce, so they also catch a silent
-  emitter downgrade.  The recording notes which emitter lowered each
-  kernel, and a loop kernel that quietly falls back to the dispatch
-  emitter (or is skipped outright) *fails* the recording — it does not
-  warn and drift past the gate.
+  ``--speedup-floor KERNEL=RATIO`` flags): the floors sit just under
+  what structured ``while``/``if`` code measures, so generated code
+  that loses its loop shape trips them.  A loop kernel that is skipped
+  outright *fails* the recording — it does not warn and drift past the
+  gate.
 
 * **event-bus overhead** — ``subscribed_vs_plain`` per kernel: wall-clock
   ratio of a steady state with one event subscriber attached versus a
@@ -161,13 +159,11 @@ BACKEND_STRAIGHT_KERNELS = tuple(STRAIGHT_LINE_NAMES)
 BACKEND_KERNEL_SIZE = 192
 
 #: Hard per-kernel ``interp_vs_compiled`` floors for the loop kernels.
-#: The structured emitter measures 50-75x (h264ref), 46-56x (perlbench)
-#: and 57-64x (sjeng) across quiet and noisy runs; the dispatch-loop
-#: emitter topped out at 38x, 25x and 31x respectively on the same
-#: inputs.  Each floor sits above the dispatch emitter's best and below
-#: the structured emitter's worst, so the gate tolerates runner variance
-#: yet still trips on a silent emitter downgrade even if the explicit
-#: emitter check were somehow bypassed.
+#: Structured code measures 50-75x (h264ref), 46-56x (perlbench) and
+#: 57-64x (sjeng) across quiet and noisy runs; a block-dispatch loop
+#: (the deleted second emitter) topped out at 38x, 25x and 31x on the
+#: same inputs.  Each floor sits between the two, so the gate tolerates
+#: runner variance yet trips if generated code loses its loop shape.
 LOOP_SPEEDUP_FLOORS = {
     "h264ref": 40.0,
     "perlbench": 30.0,
@@ -310,14 +306,9 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
     measures steady-state engine speed, not compilation.  Compile time is
     reported separately as ``compile_seconds``.
 
-    The emitter that lowered each kernel is recorded next to its ratio,
-    and the generated source is written into ``dump_dir`` when given (CI
+    The generated source is written into ``dump_dir`` when given (CI
     uploads that directory next to the recording, so a perf question can
-    start from the exact code that ran).  Under structured codegen a
-    kernel that quietly falls back to the dispatch emitter is a hard
-    *failure*: the per-kernel floors were recorded against structured
-    code, and a silent fallback would otherwise surface only as an
-    unexplained slowdown on some future run.
+    start from the exact code that ran).
     """
     interp = InterpreterBackend(step_limit=50_000_000)
     compiled = CompiledBackend(step_limit=50_000_000)
@@ -335,22 +326,14 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
         )
 
     speedups: dict = {}
-    emitters: dict = {}
     compile_seconds = 0.0
     for name, function, (args, memory) in kernels:
         start = time.perf_counter()
         artifact = compiled.compiled_artifact(function)  # pure lowering
         compile_seconds += time.perf_counter() - start
-        emitters[name] = artifact.emitter
         if dump_dir is not None:
             dump_dir.mkdir(parents=True, exist_ok=True)
             (dump_dir / f"{name}.py").write_text(artifact.source)
-        if compiled.compiler.codegen == "structured" and artifact.emitter != "structured":
-            raise AssertionError(
-                f"kernel {name} silently fell back to the {artifact.emitter!r} "
-                f"emitter under structured codegen; fix the structuring "
-                f"analysis or exclude the kernel explicitly"
-            )
         warm = compiled.run(function, args, memory=memory.copy())
         reference = interp.run(function, args, memory=memory.copy())
         if warm.value != reference.value:
@@ -372,8 +355,6 @@ def _backend_speedups(repeats: int, dump_dir: Path = None) -> dict:
     loop_ratios = [speedups[name] for name in BACKEND_LOOP_KERNELS]
     return {
         "interp_vs_compiled": speedups,
-        "emitters": emitters,
-        "codegen": compiled.compiler.codegen,
         "loop_kernel_min_speedup": round(min(loop_ratios), 4),
         "loop_kernels": list(BACKEND_LOOP_KERNELS),
         "compile_seconds": round(compile_seconds, 4),
@@ -1203,8 +1184,8 @@ def check(
 
     # Backend speedups: drift vs baseline AND a hard per-kernel floor on
     # the loop kernels — the compiled tier exists to be decisively
-    # faster, and each kernel's floor was set against the structured
-    # emitter's recorded performance.
+    # faster, and each kernel's floor was set against structured code's
+    # recorded performance.
     if "backend" in current:
         current_backend = current["backend"]
         baseline_backend = baseline.get("backend", {})
@@ -1231,12 +1212,6 @@ def check(
                 problems.append(
                     f"loop kernel {key}: compiled speedup {actual} is below "
                     f"its floor of {floor}x"
-                )
-            emitter = current_backend.get("emitters", {}).get(key)
-            if emitter != "structured":
-                problems.append(
-                    f"loop kernel {key}: lowered by emitter {emitter!r}, "
-                    f"expected the structured emitter (silent fallback?)"
                 )
 
     # Interprocedural tier: at least `inline_floor_kernels` call-heavy

@@ -6,7 +6,6 @@ from .loops import LoopNest, NaturalLoop, find_loops
 from .structure import (
     VIRTUAL_EXIT,
     HoistableGuard,
-    LoopShape,
     PostDominators,
     StructureInfo,
     UnstructurableCFG,
@@ -27,7 +26,6 @@ __all__ = [
     "VIRTUAL_EXIT",
     "UnstructurableCFG",
     "PostDominators",
-    "LoopShape",
     "StructureInfo",
     "HoistableGuard",
     "invariant_guard_plan",

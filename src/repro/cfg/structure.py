@@ -1,28 +1,28 @@
 """CFG structuring analysis for structured-control-flow code emission.
 
-The closure compiler's structured emitter (:mod:`repro.vm.closure_compile`)
+The closure compiler's emitter (:mod:`repro.vm.closure_compile`)
 reconstructs idiomatic nested ``while``/``if`` Python from the block graph
 — the loop-reconstruction-and-extraction technique of Mosaner et al.
-(arXiv 1909.08815) — instead of threading every block through a dispatch
-loop.  This module provides the *analysis* side of that reconstruction:
+(arXiv 1909.08815).  This module provides the *analysis* side of that
+reconstruction:
 
 * :func:`is_reducible` — the classic reducibility test: a CFG is
   reducible iff deleting every back edge (an edge whose target dominates
   its source) leaves an acyclic graph.  Only reducible CFGs have a
-  unique structured form; irreducible regions fall back to the
-  dispatcher emitter.
+  structured form; MiniC and the pass pipeline produce nothing else.
 
 * :class:`PostDominators` — immediate postdominators over the reverse
   CFG (with a virtual exit joining every ``ret``/``abort`` block).  The
   immediate postdominator of a branch block is the *join* where its arms
-  reconverge — exactly where the structured emitter closes an
-  ``if``/``else`` region and lowers the join block's phis to edge moves.
+  reconverge — exactly where the emitter closes an ``if``/``else``
+  region and lowers the join block's phis to edge moves.
 
 * :class:`StructureInfo` — everything the emitter consumes: the CFG,
-  dominator tree, loop nest, postdominators, and per-loop *shapes* (the
-  unique loop follow each ``break`` targets).  Shapes that violate the
-  single-follow discipline mark the function unstructurable, which the
-  emitter turns into a dispatcher fallback.
+  dominator tree, loop nest, postdominators, and each loop's *follow*
+  (the block its ``break`` lands on, picked among the blocks its exit
+  edges lead to; every other exit is emitted inline at its edge, so a
+  loop may exit to any number of blocks).  Raises
+  :class:`UnstructurableCFG` for an irreducible function.
 
 * :func:`invariant_guard_plan` — per-loop unswitching plans: guards in a
   loop body whose condition is reconstructible from registers defined
@@ -42,7 +42,7 @@ from ..ir.expr import Expr, free_vars, substitute
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Assign, Guard
 from .dominance import DominatorTree
-from .graph import ControlFlowGraph, reachable_blocks
+from .graph import ControlFlowGraph, reachable_blocks, reverse_postorder
 from .loops import LoopNest, NaturalLoop, find_loops
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "UnstructurableCFG",
     "PostDominators",
     "is_reducible",
-    "LoopShape",
     "StructureInfo",
     "HoistableGuard",
     "invariant_guard_plan",
@@ -65,10 +64,10 @@ VIRTUAL_EXIT = "<exit>"
 class UnstructurableCFG(Exception):
     """The function cannot be emitted as structured control flow.
 
-    Raised by the structuring analysis (irreducible CFG, multi-target
-    loop exits) or by the structured emitter itself when a transfer has
-    no legal structured spelling.  The closure compiler catches it and
-    falls back to the dispatch-loop emitter, which handles any CFG.
+    Raised by :class:`StructureInfo` for an irreducible CFG (reachable
+    only from hand-written IR) and by the emitter for nesting deeper
+    than Python compiles.  The compiled backend runs such a function on
+    the reference interpreter.
     """
 
 
@@ -211,84 +210,77 @@ class PostDominators:
         return a == b
 
 
-@dataclass
-class LoopShape:
-    """One natural loop as the structured emitter sees it."""
-
-    loop: NaturalLoop
-    #: The unique out-of-loop block every exit edge targets — where the
-    #: emitted ``break`` lands.  ``None`` for loops without exit edges.
-    follow: Optional[str]
-
-
 class StructureInfo:
-    """Everything the structured emitter needs to know about a function."""
+    """Everything the structured emitter needs to know about a function.
+
+    Construction raises :class:`UnstructurableCFG` for an irreducible
+    CFG: only natural loops have a ``while`` to open.
+    """
 
     def __init__(self, function: Function) -> None:
         self.function = function
         self.cfg = ControlFlowGraph(function)
         self.domtree = DominatorTree(self.cfg)
         self.reachable = reachable_blocks(self.cfg)
-        self.reducible = is_reducible(self.cfg, self.domtree)
+        if not is_reducible(self.cfg, self.domtree):
+            raise UnstructurableCFG(f"@{function.name}: irreducible control flow")
         self.postdoms = PostDominators(self.cfg)
         self.loops: LoopNest = find_loops(self.cfg, self.domtree)
-        #: Loop shapes keyed by header label (reducible functions only).
-        self.shapes: Dict[str, LoopShape] = {}
-        #: Human-readable reason the function is unstructurable, if it is.
-        self.unstructurable_reason: Optional[str] = None
+        self._order: Optional[Dict[str, int]] = None
+        #: The *follow* of each natural loop, keyed by header label: the
+        #: block the emitted ``break`` lands on, emitted right after the
+        #: ``while``.  ``None`` when no exit edge stays in the enclosing
+        #: loop (every exit returns, or there is none).
+        self.follows: Dict[str, Optional[str]] = {
+            loop.header: self._follow(loop) for loop in self.loops
+        }
 
-        if not self.reducible:
-            self.unstructurable_reason = "irreducible control flow"
-            return
-        for loop in self.loops:
-            shape = self._shape(loop)
-            if shape is None:
-                return
-            self.shapes[loop.header] = shape
+    def _follow(self, loop: NaturalLoop) -> Optional[str]:
+        """Pick the loop's follow among the blocks its exits lead to.
 
-    # ------------------------------------------------------------------ #
-    @property
-    def structurable(self) -> bool:
-        return self.unstructurable_reason is None
-
-    def require_structurable(self) -> None:
-        if not self.structurable:
-            raise UnstructurableCFG(
-                f"@{self.function.name}: {self.unstructurable_reason}"
-            )
-
-    def _shape(self, loop: NaturalLoop) -> Optional[LoopShape]:
-        """Compute the loop's follow, or record why none exists."""
-        exit_targets = sorted(
-            {
-                dst
-                for _, dst in loop.exit_edges(self.cfg)
-                if dst in self.reachable
-            }
+        Any choice is *correct* — the emitter spells an exit edge to
+        some other block inline at the edge — so this picks for shape:
+        the block the most exit tails run into (``break`` with a
+        statement before it, several ``break`` s), then the longest
+        tail (an early ``return`` stays a short inline tail, the rest of
+        the function follows the loop unnested), then the earliest such
+        block.  Only blocks of the enclosing loop's body qualify: an
+        exit that leaves the enclosing loop too is not where *this*
+        loop's ``break`` may land.
+        """
+        targets = sorted(
+            {dst for _, dst in loop.exit_edges(self.cfg) if dst in self.reachable}
         )
-        if not exit_targets:
-            return LoopShape(loop, None)
-        if len(exit_targets) > 1:
-            self.unstructurable_reason = (
-                f"loop at {loop.header} exits to multiple blocks "
-                f"{exit_targets}"
-            )
-            return None
-        follow = exit_targets[0]
-        # The follow is emitted right after the ``while``; every other
-        # way of reaching it would need a second copy.
-        outside_preds = [
-            p
-            for p in self.cfg.preds(follow)
-            if p in self.reachable and p not in loop.body
-        ]
-        if outside_preds:
-            self.unstructurable_reason = (
-                f"loop follow {follow} is also reachable from "
-                f"{sorted(outside_preds)} outside the loop at {loop.header}"
-            )
-            return None
-        return LoopShape(loop, follow)
+        if len(targets) <= 1:
+            return targets[0] if targets else None
+        tails = [self._tail(target, loop) for target in targets]
+        if self._order is None:
+            order = reverse_postorder(self.cfg)
+            self._order = {label: i for i, label in enumerate(order)}
+
+        def rank(label: str) -> Tuple[int, int, int]:
+            reaching = [tail for tail in tails if label in tail]
+            return len(reaching), sum(map(len, reaching)), -self._order[label]
+
+        return max(set().union(*tails), key=rank, default=None)
+
+    def _tail(self, start: str, loop: NaturalLoop) -> Set[str]:
+        """Blocks an exit of ``loop`` to ``start`` can run into before it
+        re-enters the loop or leaves (or re-iterates) the enclosing one."""
+        parent = loop.parent
+        seen: Set[str] = set()
+        stack = [start]
+        while stack:
+            label = stack.pop()
+            if label in seen or label in loop.body or label not in self.reachable:
+                continue
+            if parent is not None and (
+                label not in parent.body or label == parent.header
+            ):
+                continue
+            seen.add(label)
+            stack.extend(self.cfg.succs(label))
+        return seen
 
 
 # ---------------------------------------------------------------------- #

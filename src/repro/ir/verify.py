@@ -6,8 +6,11 @@
   at block ends;
 * every branch target names an existing block;
 * phi instructions appear only at block heads, have exactly one
-  incoming value per CFG predecessor, and never sit in a block with no
-  predecessors at all (there is no edge to select a value from);
+  incoming value per CFG predecessor, never sit in a block with no
+  predecessors at all (there is no edge to select a value from), and
+  never read a phi of their own block along an edge that block does
+  not dominate (phis are one parallel assignment on the edge; only the
+  previous trip's value is readable);
 * every guard condition references only registers the function defines
   somewhere (parameters included) — an unknown register would otherwise
   surface as a codegen ``NameError``/interpreter ``KeyError`` in the
@@ -75,6 +78,8 @@ def verify_function(
         raise VerificationError(function.name, ["function has no blocks"])
 
     preds = _predecessor_map(function)
+    #: (block, phi, pred): the phi reads a phi of its own block on that edge.
+    sibling_reads: List[tuple] = []
 
     for block in function.iter_blocks():
         if not block.instructions:
@@ -96,6 +101,7 @@ def verify_function(
                 )
         # Phi placement and incoming-edge coverage.
         seen_non_phi = False
+        phi_dests = {phi.dest for phi in block.phis()}
         for index, inst in enumerate(block.instructions):
             if isinstance(inst, Phi):
                 if seen_non_phi:
@@ -122,8 +128,26 @@ def verify_function(
                         f"phi {inst} in {block.label} names non-predecessor blocks "
                         f"{sorted(extra)}"
                     )
+                for pred, value in inst.incoming.items():
+                    if pred != block.label and free_vars(value) & phi_dests:
+                        sibling_reads.append((block.label, inst, pred))
             else:
                 seen_non_phi = True
+
+    # Phis are one parallel assignment on the edge: a phi of the same
+    # block is readable only as the previous trip's value, i.e. along an
+    # edge the block dominates.  (Rare enough to build dominators lazily.)
+    if sibling_reads:
+        from ..cfg.dominance import DominatorTree
+        from ..cfg.graph import ControlFlowGraph
+
+        domtree = DominatorTree(ControlFlowGraph(function))
+        for label, phi, pred in sibling_reads:
+            if domtree.is_reachable(pred) and not domtree.dominates(label, pred):
+                problems.append(
+                    f"phi {phi} in {label} reads a phi of the same block "
+                    f"along the edge from {pred}, which {label} does not dominate"
+                )
 
     # Guard register definedness (independent of SSA mode: non-SSA
     # functions get full use-before-def checking only under require_ssa,

@@ -62,9 +62,13 @@ class LoopClosedSSA(Pass):
                     if point.block in loop.body:
                         continue
                     if isinstance(inst, Phi):
+                        # A phi reads its operand at the end of the
+                        # predecessor: an edge from inside the loop is
+                        # an in-loop use.
                         if any(
                             isinstance(v, Var) and v.name == name
-                            for v in inst.incoming.values()
+                            for pred, v in inst.incoming.items()
+                            if pred not in loop.body
                         ):
                             outside_uses.append((point, inst))
                     elif name in inst.uses():
@@ -75,23 +79,25 @@ class LoopClosedSSA(Pass):
                 # Insert one LCSSA phi per exit block that the definition
                 # dominates; rewrite dominated outside uses to the phi.
                 for exit_label in exit_blocks:
-                    if not domtree.dominates(def_block, exit_label):
+                    # The phi needs the value on every edge into the
+                    # exit block, including one from a ``break`` tail
+                    # that already left the loop.
+                    preds = cfg.preds(exit_label)
+                    if not all(domtree.dominates(def_block, p) for p in preds):
                         continue
                     exit_block = function.blocks[exit_label]
-                    in_loop_preds = [
-                        p for p in cfg.preds(exit_label) if p in loop.body
-                    ]
-                    if not in_loop_preds:
-                        continue
                     lcssa_name = function.fresh_temp(f"{name.strip('%')}.lcssa")
-                    phi = Phi(lcssa_name, {p: Var(name) for p in in_loop_preds})
+                    phi = Phi(lcssa_name, {p: Var(name) for p in preds})
                     exit_block.insert(0, phi)
                     mapper.add_instruction(phi, f"LCSSA phi in {exit_label}")
                     changed = True
 
                     replacement = {name: Var(lcssa_name)}
                     for point, user in outside_uses:
-                        if user is phi:
+                        if point.block == exit_label and isinstance(user, Phi):
+                            # Phis are parallel: a sibling in the exit
+                            # block reads the in-loop value on its edge,
+                            # never another phi of the same block.
                             continue
                         if not domtree.dominates(exit_label, point.block):
                             continue

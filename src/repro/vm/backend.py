@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from ..cfg.structure import UnstructurableCFG
 from ..ir.function import Function, Module, ProgramPoint
 from ..ir.interp import ExecutionResult, Interpreter, Memory, NativeFunction
 from ..ir.intrinsics import call_intrinsic, is_intrinsic, reject_reserved_names
@@ -232,11 +233,17 @@ class CompiledBackend(ExecutionBackend):
     invoked directly — mirroring :class:`~repro.ir.interp.Interpreter`'s
     resolution order.
 
+    A function with no structured spelling — an irreducible CFG, which
+    only hand-written IR can contain, or nesting deeper than Python
+    compiles — is not compiled: ``prepare``/``run``/``run_from`` run it
+    on the reference interpreter over the same module, natives and step
+    limit.
+
     Step-budget semantics differ from the interpreter's: the interpreter
     charges callees against the caller's single budget, while every
     compiled invocation (including nested calls) gets its own
-    ``step_limit`` of block transfers — per-call fuel keeps the hot
-    dispatch loop free of shared-counter traffic.  Termination is still
+    ``step_limit`` of loop iterations — per-call fuel keeps the hot
+    loops free of shared-counter traffic.  Termination is still
     guaranteed (each activation is bounded, and recursion depth is
     bounded by the Python stack); only *total* work across deep call
     trees is looser than the interpreter's accounting.
@@ -251,16 +258,13 @@ class CompiledBackend(ExecutionBackend):
         module: Optional[Module] = None,
         natives: Optional[Mapping[str, NativeFunction]] = None,
         step_limit: int = 2_000_000,
-        codegen: str = "structured",
     ) -> None:
         self.module = module
         self.natives: Dict[str, NativeFunction] = dict(natives or {})
         reject_reserved_names(self.natives)
         self.step_limit = step_limit
         self.compiler = ClosureCompiler(
-            step_limit=step_limit,
-            resolve_call=self._resolve_call,
-            codegen=codegen,
+            step_limit=step_limit, resolve_call=self._resolve_call
         )
 
     # -------------------------------------------------------------- #
@@ -286,9 +290,21 @@ class CompiledBackend(ExecutionBackend):
         reject_reserved_names((name,))
         self.natives[name] = fn
 
+    def _interpreter(self) -> Interpreter:
+        return Interpreter(
+            self.module, step_limit=self.step_limit, natives=self.natives
+        )
+
     def prepare(self, function: Function) -> BoundEntry:
         """Lower (and cache) the entry artifact; return its checked entry."""
-        return self.compiler.compile(function).invoke
+        try:
+            return self.compiler.compile(function).invoke
+        except UnstructurableCFG:
+
+            def interpreted(args: Sequence[int], memory: Optional[Memory] = None):
+                return self._interpreter().run(function, args, memory=memory)
+
+            return interpreted
 
     def discard(self, function: Function) -> None:
         self.compiler.discard(function)
@@ -299,11 +315,10 @@ class CompiledBackend(ExecutionBackend):
         """Compile (or fetch the cached) artifact for inspection.
 
         Exposes the :class:`~repro.vm.closure_compile.CompiledFunction`
-        so tooling can read ``.source`` (the generated Python) and
-        ``.emitter`` ("structured" or "dispatch") — the benchmark
-        recorder uses the latter to *fail* when a kernel silently fell
-        back to the dispatch emitter, and CI archives the former next
-        to the benchmark recordings.
+        so tooling can read ``.source`` (the generated Python; CI
+        archives it next to the benchmark recordings).  Raises
+        :class:`~repro.cfg.structure.UnstructurableCFG` for a function
+        this backend runs on the interpreter instead.
         """
         return self.compiler.compile(function, point)
 
@@ -318,7 +333,11 @@ class CompiledBackend(ExecutionBackend):
         memory: Optional[Memory] = None,
         profiler=None,
     ) -> ExecutionResult:
-        return self.compiler.compile(function).invoke(args, memory)
+        try:
+            artifact = self.compiler.compile(function)
+        except UnstructurableCFG:
+            return self._interpreter().run(function, args, memory=memory)
+        return artifact.invoke(args, memory)
 
     def run_from(
         self,
@@ -332,7 +351,12 @@ class CompiledBackend(ExecutionBackend):
     ) -> ExecutionResult:
         # Compiled code does not observe values; ``profiler`` is accepted
         # for interface parity and ignored.
-        stub = self.compiler.compile(function, point)
+        try:
+            stub = self.compiler.compile(function, point)
+        except UnstructurableCFG:
+            return self._interpreter().resume(
+                function, point, env, memory=memory, previous_block=previous_block
+            )
         return stub(dict(env), memory, previous_block)
 
 

@@ -12,11 +12,15 @@ module removes all three costs by *lowering* a verified IR
 * **expressions become Python expressions** compiled ahead of time,
 * **control flow becomes structured Python control flow**: natural loops
   are reconstructed as ``while True:`` statements with ``continue`` on
-  back edges and ``break`` on exit edges, and branch regions become
-  nested ``if``/``else`` closed at the postdominator join — the
-  loop-reconstruction-and-extraction technique of Mosaner et al.
-  (arXiv 1909.08815) — so CPython's own bytecode optimizer sees real
-  loops instead of a flat dispatch switch,
+  back edges and ``break`` on the edges to the loop's follow, and branch
+  regions become nested ``if``/``else`` closed at the postdominator
+  join — the loop-reconstruction-and-extraction technique of Mosaner
+  et al. (arXiv 1909.08815) — so CPython's own bytecode optimizer sees
+  real loops instead of a flat block-dispatch switch.  Exit edges to
+  any other block (``break`` tails, early ``return`` s) are emitted
+  inline at the edge; an exit that must leave more than one open
+  ``while`` sets an *exit tag* before ``break`` and is re-dispatched
+  after the loop (see :class:`_StructuredEmitter`),
 * **phi nodes become parallel edge assignments** materialized on each
   incoming edge (the classic "moves on the edges" out-of-SSA lowering),
 * **hot pairs fuse into superinstructions**: a single-use comparison
@@ -39,18 +43,21 @@ module removes all three costs by *lowering* a verified IR
   read (:class:`CompiledResult`) — a guard failure *is* a transition
   and snapshots eagerly, a return is not.
 
-Functions whose CFG has no structured spelling (irreducible regions,
-multi-exit loops) fall back transparently to the original
-direct-threaded **dispatch-loop emitter**, which handles any CFG: a jump
-assigns an integer block id and ``continue``s to the top of a
-``while True:`` switch.
+There is one emitter, and it is total over reducible CFGs — everything
+the MiniC frontend and the pass pipeline produce.  An irreducible CFG
+(only hand-written IR has one) or nesting deeper than Python compiles
+raises :class:`~repro.cfg.structure.UnstructurableCFG`;
+:class:`~repro.vm.backend.CompiledBackend` runs such a function on the
+interpreter instead.
 
 The lowering also produces **OSR entry stubs**: a variant of the function
 whose prologue re-binds every register from a transferred environment,
 executes the remainder of the interrupted loop iteration (resolving a
 leading phi run against the dynamic predecessor when the landing point
-is a block head) and then enters the *reconstructed* loop at its header
-— loop extraction in the sense of Mosaner et al.  This is how a compiled
+is a block head; a join the remainder runs into is emitted inline, so
+every program point is a landing point) and then enters the
+*reconstructed* loop at its header — loop extraction in the sense of
+Mosaner et al.  This is how a compiled
 tier accepts an optimizing-OSR transition mid-loop: the runtime maps an
 interpreter :class:`~repro.ir.function.ProgramPoint` to a stub and calls
 it with the K_avail-preserving environment produced by the forward
@@ -61,15 +68,23 @@ truncating division/remainder helpers, the same ``& 63`` shift masking,
 comparison results coerced back to ``int`` (via unary ``+`` on the
 ``bool``), the same ``GuardFailure``/``AbortExecution`` control flow and
 a step budget so miscompiled non-terminating code still fails loudly
-instead of hanging (counted per block transfer by the dispatch emitter
-and per loop iteration by the structured emitter; step totals are
+instead of hanging (counted per loop iteration; step totals are
 backend-specific, see :class:`~repro.ir.interp.ExecutionResult`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analysis.fusion import FusedCompareBranch, fusible_compare_branches
 from ..cfg.structure import (
@@ -112,13 +127,7 @@ __all__ = [
     "compile_ir_function",
     "mangle",
     "compile_expr",
-    "CODEGEN_MODES",
 ]
-
-#: Recognized emitters: ``structured`` (nested ``while``/``if`` with a
-#: dispatcher fallback for unstructurable CFGs) and ``dispatch`` (the
-#: direct-threaded block-dispatch loop, always applicable).
-CODEGEN_MODES = ("structured", "dispatch")
 
 
 class _UndefinedRegister:
@@ -313,13 +322,16 @@ class CompiledFunction:
     through the same ``_in`` parameter of the generated code.
     """
 
+    #: The one emitter there is; what cannot be structured is not
+    #: compiled at all (:class:`~repro.cfg.structure.UnstructurableCFG`).
+    emitter = "structured"
+
     def __init__(
         self,
         function: Function,
         entry: Optional[ProgramPoint],
         raw: Callable,
         source: str,
-        emitter: str,
         snapshot: Callable[[Dict[str, object]], Dict[str, int]],
     ) -> None:
         self.function = function
@@ -327,9 +339,6 @@ class CompiledFunction:
         self._raw = raw
         #: The generated Python source (kept for inspection and tests).
         self.source = source
-        #: Which emitter produced :attr:`source`: ``"structured"`` or
-        #: ``"dispatch"`` (the fallback for unstructurable CFGs).
-        self.emitter = emitter
         self._snapshot = snapshot
         #: The checked entry of a normal artifact, ``(args, memory) ->
         #: ExecutionResult``: arity check and ``int()`` coercion included,
@@ -378,10 +387,10 @@ class ClosureCompiler:
     backend wires to module functions (compiled recursively) or host
     natives.
 
-    ``codegen`` picks the emitter: ``"structured"`` (the default)
-    reconstructs nested ``while``/``if`` control flow and falls back to the dispatch loop
-    for CFGs with no structured spelling; ``"dispatch"`` forces the
-    dispatch loop for every function.
+    :meth:`compile` raises :class:`~repro.cfg.structure.UnstructurableCFG`
+    for a function with no structured spelling (irreducible control
+    flow, or nesting deeper than Python compiles); the owning backend
+    runs those on the interpreter.
 
     Thread-safety: the generated closures keep *all* execution state in
     locals (plus the caller-supplied :class:`Memory`), so one compiled
@@ -399,17 +408,9 @@ class ClosureCompiler:
         *,
         step_limit: int = 2_000_000,
         resolve_call: Optional[Callable[[str, List[int], Memory], int]] = None,
-        verify: bool = True,
-        codegen: str = "structured",
     ) -> None:
         self.step_limit = step_limit
-        self.verify = verify
         self.resolve_call = resolve_call or _no_calls
-        if codegen not in CODEGEN_MODES:
-            raise ValueError(
-                f"unknown codegen mode {codegen!r}; expected one of {CODEGEN_MODES}"
-            )
-        self.codegen = codegen
         self._cache: Dict[Tuple[int, Optional[ProgramPoint]], CompiledFunction] = {}
         self._cache_lock = threading.Lock()
 
@@ -426,8 +427,7 @@ class ClosureCompiler:
         cached = self._cache.get(key)
         if cached is not None and cached.function is function:
             return cached
-        if self.verify:
-            verify_function(function, require_ssa=False)
+        verify_function(function, require_ssa=False)
         compiled = self._lower(function, entry)
         with self._cache_lock:
             winner = self._cache.get(key)
@@ -453,18 +453,8 @@ class ClosureCompiler:
     def _lower(
         self, function: Function, entry: Optional[ProgramPoint]
     ) -> CompiledFunction:
-        emitter: Optional[_EmitterBase] = None
-        source: Optional[str] = None
-        if self.codegen == "structured":
-            try:
-                candidate = _StructuredEmitter(function, entry)
-                source = candidate.emit()
-                emitter = candidate
-            except UnstructurableCFG:
-                emitter = None  # fall back to the dispatch loop
-        if emitter is None or source is None:
-            emitter = _DispatchEmitter(function, entry)
-            source = emitter.emit()
+        emitter = _StructuredEmitter(function, entry)
+        source = emitter.emit()
         snapshot = _make_snapshot(emitter.name_table)
         namespace = {
             "_U": _UNDEFINED,
@@ -485,7 +475,7 @@ class ClosureCompiler:
         code = compile(source, f"<closure:{function.name}>", "exec")
         exec(code, namespace)
         raw = namespace["__compiled__"]
-        return CompiledFunction(function, entry, raw, source, emitter.kind, snapshot)
+        return CompiledFunction(function, entry, raw, source, snapshot)
 
 
 def _no_calls(name: str, args: List[int], memory: Memory) -> int:
@@ -515,12 +505,68 @@ def _make_snapshot(name_table: List[Tuple[str, str]]):
 
     return _snapshot
 
+# ---------------------------------------------------------------------- #
+# Structured-control-flow emission.
+# ---------------------------------------------------------------------- #
 
-class _EmitterBase:
-    """State and instruction lowering shared by both code emitters."""
+#: Deepest indentation a region may start at.  Python's tokenizer stops
+#: at 100 levels; a region writes up to three levels below its start.
+_MAX_INDENT = 95
 
-    #: Name recorded on the artifact (``"structured"`` / ``"dispatch"``).
-    kind = "dispatch"
+#: Python compiles at most 20 statically nested ``while`` blocks.
+_MAX_LOOP_DEPTH = 20
+
+_NO_GUARDS: FrozenSet[ProgramPoint] = frozenset()
+
+#: What an emission step hands back besides ``None`` (control never
+#: continues here) and a block label (emit that block next, here).
+_FALL = "<fall>"
+
+
+class _Frame(NamedTuple):
+    """One open construct of the emission context.
+
+    A **loop frame** is open between an emitted ``while True:`` and its
+    end: a transfer to ``label`` (the header) spells ``continue``, one
+    to ``follow`` spells ``break``.  A **join frame** is open while
+    emitting the arms of a branch that reconverge at ``label``: a
+    transfer there *falls off* the arm, and the join block is emitted
+    once after the ``if``/``else``.
+    """
+
+    label: str
+    is_loop: bool = False
+    follow: Optional[str] = None
+    #: Loop frames: the targets some transfer left this ``while`` for
+    #: through the exit tag, re-dispatched right after the ``while``.
+    exits: Optional[List[str]] = None
+
+
+class _StructuredEmitter:
+    """Reconstructs nested ``while``/``if`` Python from a reducible CFG.
+
+    Emission walks the CFG once under a stack of :class:`_Frame` s.  A
+    transfer the innermost frames address is spelled ``continue``,
+    ``break`` or by falling off the arm; a transfer nothing addresses
+    is emitted *inline* at the edge — a loop header opens its
+    reconstructed loop, any other block is simply continued (a block
+    several such edges share is duplicated per edge; this terminates
+    because every cycle passes a loop header, which opens its
+    ``while`` and is addressable from then on).  That covers ``break``
+    and early-``return`` tails, and the remainder an OSR stub peels.
+
+    A transfer addressed by a frame *behind* one or more open
+    ``while`` s (a callee's nested-loop early return spliced into a
+    caller's loop) leaves them one at a time: it sets the exit-tag
+    local ``_x`` and ``break`` s; the code right after each ``while``
+    re-dispatches on the tag until the owning frame is innermost.
+    That is per-exit work, never per-iteration.
+
+    Phi moves ride the edges (before ``continue``, before ``break``, on
+    arm fall-through); ``_prev`` is maintained on every edge, but only
+    for functions containing guards — it is observable solely through
+    :class:`GuardFailure`.  Fuel is charged once per loop iteration.
+    """
 
     def __init__(self, function: Function, entry: Optional[ProgramPoint]) -> None:
         self.function = function
@@ -531,10 +577,10 @@ class _EmitterBase:
         self.name_table: List[Tuple[str, str]] = [
             (mangle(name), name) for name in registers
         ]
-        #: Guard program points, indexed by emission order.  The
-        #: structured emitter may emit one guard several times (loop
-        #: copies, OSR remainders); every emission gets its own slot
-        #: carrying the same program point.
+        #: Guard program points, indexed by emission order.  One guard
+        #: may be emitted several times (loop copies, OSR remainders,
+        #: duplicated tails); every emission gets its own slot carrying
+        #: the same program point.
         self.point_table: List[ProgramPoint] = []
         #: Guard reasons (the speculated facts), same indexing.
         self.reason_table: List[Optional[str]] = []
@@ -543,6 +589,25 @@ class _EmitterBase:
         #: ``"inline_paths"`` metadata stamped by the deopt-plan builder.
         self.path_table: List[Tuple[str, ...]] = []
         self.lines: List[str] = []
+        self.info = StructureInfo(function)
+        self.track_prev = any(
+            isinstance(inst, Guard)
+            for block in function.iter_blocks()
+            for inst in block.instructions
+        )
+        self.fused: Dict[str, FusedCompareBranch] = fusible_compare_branches(function)
+        #: Guard-unswitching plans per loop header.  Disabled in OSR
+        #: stubs: a stub enters mid-iteration, where the pre-check's
+        #: "guards cannot fail in the fast copy" argument does not cover
+        #: the resumed partial iteration.
+        self.plans: Dict[str, List[HoistableGuard]] = {}
+        if entry is None and self.track_prev:
+            for header, guards in invariant_guard_plan(function, self.info).items():
+                safe = [g for g in guards if _expr_is_total(g.precheck)]
+                if safe:
+                    self.plans[header] = safe
+        #: Exit-tag value per target label (1-based; 0 means "no tag").
+        self.tags: Dict[str, int] = {}
 
     # -------------------------------------------------------------- #
     def _w(self, indent: int, text: str) -> None:
@@ -685,258 +750,136 @@ class _EmitterBase:
             raise TypeError(f"unknown instruction {inst!r}")
 
 
-class _DispatchEmitter(_EmitterBase):
-    """The direct-threaded dispatch-loop emitter (handles any CFG)."""
-
-    kind = "dispatch"
-
-    def __init__(self, function: Function, entry: Optional[ProgramPoint]) -> None:
-        super().__init__(function, entry)
-        labels = function.block_labels()
-        self.block_ids: Dict[str, int] = {label: i for i, label in enumerate(labels)}
-
-    def emit(self) -> str:
-        fn = self.function
-        self._emit_prelude()
-        start_block, start_index = self._emit_entry_bindings()
-
-        if start_index > 0:
-            # Execute the tail of the landing block as a straight-line
-            # prologue; its terminator (or the phi-head resolution in the
-            # entry bindings) hands control to the ordinary dispatch loop.
-            landing_block = fn.blocks[start_block]
-            for index in range(start_index, len(landing_block.instructions)):
-                self._emit_instruction(1, landing_block, index, in_loop=False)
-        else:
-            self._w(1, f"_b = {self.block_ids[start_block]}")
-
-        # The direct-threaded dispatch loop.
-        self._w(1, "while True:")
-        self._w(2, "_fuel -= 1")
-        self._w(2, "if _fuel < 0:")
-        self._w(
-            3,
-            "raise _StepLimit('compiled execution exceeded the step limit "
-            "of %d block transfers' % _FUEL)",
-        )
-        first = True
-        for label in fn.block_labels():
-            block = fn.blocks[label]
-            kw = "if" if first else "elif"
-            first = False
-            self._w(2, f"{kw} _b == {self.block_ids[label]}:")
-            body_start = len(block.phis())  # phis are edge moves
-            emitted = False
-            for index in range(body_start, len(block.instructions)):
-                self._emit_instruction(3, block, index, in_loop=True)
-                emitted = True
-            if not emitted:  # pragma: no cover - verify guarantees a terminator
-                self._w(3, "pass")
-        self._w(2, "else:")
-        self._w(3, "raise RuntimeError('unknown block id %r' % _b)")
-        return "\n".join(self.lines) + "\n"
-
     # -------------------------------------------------------------- #
-    def _emit_edge(
-        self, indent: int, from_label: str, to_label: str, in_loop: bool
-    ) -> None:
-        """Transfer control along one CFG edge: phi moves, then dispatch."""
-        target = self.function.blocks.get(to_label)
-        if target is None:
-            message = f"@{self.function.name}: unknown block {to_label!r}"
-            self._w(indent, f"raise KeyError({message!r})")
-            return
-        phis = target.phis()
-        if phis:
-            self._emit_phi_moves(indent, phis, from_label)
-        self._w(indent, f"_prev = {from_label!r}")
-        self._w(indent, f"_b = {self.block_ids[to_label]}")
-        if in_loop:
-            self._w(indent, "continue")
-
-    def _emit_instruction(
-        self, indent: int, block: BasicBlock, index: int, *, in_loop: bool
-    ) -> None:
-        inst = block.instructions[index]
-        label = block.label
-        if isinstance(inst, Jump):
-            self._emit_edge(indent, label, inst.target, in_loop)
-        elif isinstance(inst, Branch):
-            self._w(indent, f"if {compile_expr(inst.cond)}:")
-            self._emit_edge(indent + 1, label, inst.then_target, in_loop)
-            if in_loop:
-                # The taken arm ended in ``continue``; the fall-through
-                # is the else edge.
-                self._emit_edge(indent, label, inst.else_target, in_loop)
-            else:
-                self._w(indent, "else:")
-                self._emit_edge(indent + 1, label, inst.else_target, in_loop)
-        else:
-            self._emit_simple(indent, block, index)
-
-
-# ---------------------------------------------------------------------- #
-# Structured-control-flow emission.
-# ---------------------------------------------------------------------- #
-
-#: Bound on emission recursion (inline chains, branch regions).  CFGs
-#: deeper than this have no readable structured spelling anyway; they
-#: fall back to the dispatcher.
-_MAX_EMIT_DEPTH = 200
-
-_NO_GUARDS: FrozenSet[ProgramPoint] = frozenset()
-
-
-class _StructuredEmitter(_EmitterBase):
-    """Reconstructs nested ``while``/``if`` Python from the CFG.
-
-    Emission walks the CFG once, maintaining a stack of *context frames*:
-
-    * a **loop frame** ``("loop", header, follow)`` is open between the
-      emitted ``while True:`` and its end — a transfer to ``header``
-      spells ``continue``, a transfer to ``follow`` spells ``break``;
-    * a **join frame** ``("join", label)`` is open while emitting the
-      arms of a branch whose arms reconverge at ``label`` (the branch
-      block's immediate postdominator) — a transfer to ``label`` simply
-      *falls off* the arm, and the join block is emitted once after the
-      ``if``/``else``.
-
-    Any transfer with no structured spelling under the current context
-    raises :class:`UnstructurableCFG`, which the compiler turns into a
-    dispatcher fallback for the whole function.
-
-    Phi moves ride the edges as in the dispatcher (before ``continue``,
-    before ``break``, on arm fall-through); ``_prev`` is maintained on
-    every edge, but only for functions containing guards — it is
-    observable solely through :class:`GuardFailure`.  Fuel is charged
-    once per loop iteration rather than per block transfer.
-    """
-
-    kind = "structured"
-
-    def __init__(
-        self,
-        function: Function,
-        entry: Optional[ProgramPoint],
-        *,
-        unswitch: bool = True,
-        fuse: bool = True,
-    ) -> None:
-        super().__init__(function, entry)
-        self.info = StructureInfo(function)
-        self.info.require_structurable()
-        self.track_prev = any(
-            isinstance(inst, Guard)
-            for block in function.iter_blocks()
-            for inst in block.instructions
-        )
-        self.fused: Dict[str, FusedCompareBranch] = (
-            fusible_compare_branches(function) if fuse else {}
-        )
-        #: Guard-unswitching plans per loop header.  Disabled in OSR
-        #: stubs: a stub enters mid-iteration, where the pre-check's
-        #: "guards cannot fail in the fast copy" argument does not cover
-        #: the resumed partial iteration.
-        self.plans: Dict[str, List[HoistableGuard]] = {}
-        if unswitch and entry is None and self.track_prev:
-            for header, guards in invariant_guard_plan(function, self.info).items():
-                safe = [g for g in guards if _expr_is_total(g.precheck)]
-                if safe and header in self.info.shapes:
-                    self.plans[header] = safe
-        self._depth = 0
-
+    # Structured control flow.
     # -------------------------------------------------------------- #
     def emit(self) -> str:
         self._emit_prelude()
+        tag_init = len(self.lines)
         start_block, start_index = self._emit_entry_bindings()
-        body_start = len(self.function.blocks[start_block].phis())
-        if start_index <= body_start:
-            # Block-head entry: normal emission.  If the landing block is
-            # a loop header this opens the reconstructed loop directly —
-            # the OSR transition enters the structured loop at an
-            # iteration boundary with live state restored.
-            falls = self._emit_chain(start_block, (), 1, _NO_GUARDS)
-        else:
+        first: Optional[str] = start_block
+        if start_index > len(self.function.blocks[start_block].phis()):
             # Mid-block entry: peel the remainder of the interrupted
             # iteration as straight-line code; its terminator re-enters
             # reconstructed loops at their headers (loop extraction).
-            falls = self._emit_block_body(
-                start_block, (), 1, start_index, _NO_GUARDS
-            )
-        if falls:  # pragma: no cover - no join frame exists at the root
-            raise UnstructurableCFG(
-                f"@{self.function.name}: control fell off the function root"
-            )
+            # A block-head entry needs nothing special — landing on a
+            # loop header opens the reconstructed loop directly.
+            first = self._emit_block_body(start_block, (), 1, start_index, _NO_GUARDS)
+        self._emit_chain(first, (), 1, _NO_GUARDS)
+        if self.tags:
+            self.lines.insert(tag_init, "    _x = 0")
         return "\n".join(self.lines) + "\n"
 
-    # -------------------------------------------------------------- #
     def _emit_chain(
         self,
-        label: str,
-        ctx: Tuple[Tuple[str, ...], ...],
+        label: Optional[str],
+        ctx: Tuple[_Frame, ...],
         indent: int,
         omitted: FrozenSet[ProgramPoint],
     ) -> bool:
-        """Emit the region starting at ``label``; True if control falls
-        off toward the innermost pending join."""
-        self._depth += 1
-        try:
-            if self._depth > _MAX_EMIT_DEPTH:
-                raise UnstructurableCFG(
-                    f"@{self.function.name}: structured emission exceeds the "
-                    f"nesting limit"
-                )
-            shape = self.info.shapes.get(label)
-            if shape is not None and not self._loop_open(label, ctx):
-                return self._emit_loop(label, shape, ctx, indent, omitted)
-            block = self.function.blocks[label]
-            return self._emit_block_body(
-                label, ctx, indent, len(block.phis()), omitted
+        """Emit the region starting at ``label`` (or nothing, for the
+        ``None``/``_FALL`` an emission step returned); True if control
+        falls off toward the innermost pending join.
+
+        Code that is merely *next* — a jump target, the join after an
+        ``if``, the follow after a ``while`` — is emitted by this loop,
+        so only real nesting recurses and deepens the indentation.
+        """
+        if indent > _MAX_INDENT:
+            raise UnstructurableCFG(
+                f"@{self.function.name}: nests deeper than Python compiles"
             )
-        finally:
-            self._depth -= 1
+        while label is not None and label is not _FALL:
+            if label in self.info.follows:
+                # A loop header nothing addresses: its loop is not open.
+                label = self._emit_loop(label, ctx, indent, omitted)
+            else:
+                phis = len(self.function.blocks[label].phis())
+                label = self._emit_block_body(label, ctx, indent, phis, omitted)
+        return label is _FALL
 
-    @staticmethod
-    def _loop_open(label: str, ctx: Tuple[Tuple[str, ...], ...]) -> bool:
-        return any(frame[0] == "loop" and frame[1] == label for frame in ctx)
-
-    @staticmethod
-    def _resolve_ctx(
-        to_label: str, ctx: Tuple[Tuple[str, ...], ...]
-    ) -> Optional[str]:
+    def _resolve(
+        self, to_label: str, ctx: Tuple[_Frame, ...]
+    ) -> Tuple[Optional[str], int]:
         """How the context spells a transfer to ``to_label``.
 
-        Returns ``"fall"`` (innermost pending join), ``"continue"`` /
-        ``"break"`` (innermost loop frame), ``"unstructured"`` (the
-        target is pinned behind a frame that ``continue``/``break``
-        cannot cross), or ``None`` (not addressable — inline it).
+        Returns the spelling under the innermost frame addressing it —
+        ``"fall"``, ``"continue"``, ``"break"``, or ``None`` when no
+        frame does (emit it inline) — and how many open ``while`` s
+        sit in front of that frame.
         """
-        crossed_join = False
-        crossed_loop = False
+        whiles = 0
+        joins = 0
         for frame in reversed(ctx):
-            if frame[0] == "join":
-                if frame[1] == to_label:
-                    if crossed_join or crossed_loop:
-                        return "unstructured"
-                    return "fall"
-                crossed_join = True
+            if not frame.is_loop:
+                if frame.label == to_label:
+                    if joins:
+                        # A pending join postdominates everything in its
+                        # arms, inner joins included: unreachable for a
+                        # reducible CFG, refused rather than miscompiled.
+                        raise UnstructurableCFG(
+                            f"@{self.function.name}: no structured spelling "
+                            f"for a transfer to {to_label}"
+                        )
+                    return "fall", whiles
+                joins += 1
+            elif frame.label == to_label:
+                return "continue", whiles
+            elif frame.follow == to_label:
+                return "break", whiles
             else:
-                if frame[1] == to_label:
-                    return "unstructured" if crossed_loop else "continue"
-                if frame[2] == to_label:
-                    return "unstructured" if crossed_loop else "break"
-                crossed_loop = True
+                whiles += 1
+        return None, 0
+
+    def _emit_goto(
+        self,
+        indent: int,
+        to_label: str,
+        ctx: Tuple[_Frame, ...],
+        tagged: bool = False,
+    ) -> Optional[str]:
+        """Spell a transfer whose edge moves are already emitted.
+
+        ``tagged`` marks the re-dispatch after a ``while`` the transfer
+        left through the exit tag.  Returns ``_FALL``, ``None`` or —
+        when nothing addresses it — ``to_label`` itself, to emit next.
+        """
+        spelling, whiles = self._resolve(to_label, ctx)
+        if spelling is None:
+            return to_label
+        if whiles:
+            # The frame is behind open whiles: leave the innermost one
+            # with the tag set; the code after it takes the next step.
+            loop = next(frame for frame in reversed(ctx) if frame.is_loop)
+            if to_label not in loop.exits:
+                loop.exits.append(to_label)
+            if not tagged:
+                tag = self.tags.setdefault(to_label, len(self.tags) + 1)
+                self._w(indent, f"_x = {tag}")
+            self._w(indent, "break")
+            return None
+        if tagged:
+            self._w(indent, "_x = 0")
+        if spelling == "fall":
+            return _FALL
+        self._w(indent, spelling)
         return None
 
     # -------------------------------------------------------------- #
     def _emit_loop(
         self,
         header: str,
-        shape,
-        ctx: Tuple[Tuple[str, ...], ...],
+        ctx: Tuple[_Frame, ...],
         indent: int,
         omitted: FrozenSet[ProgramPoint],
-    ) -> bool:
+    ) -> Optional[str]:
+        if sum(frame.is_loop for frame in ctx) >= _MAX_LOOP_DEPTH:
+            raise UnstructurableCFG(
+                f"@{self.function.name}: nests more loops than Python compiles"
+            )
+        follow = self.info.follows[header]
+        frame = _Frame(header, True, follow, [])
+        inner = ctx + (frame,)
         guards = [g for g in self.plans.get(header, ()) if g.point not in omitted]
         if guards:
             # Guard unswitching: one pre-check picks between a fast copy
@@ -945,20 +888,35 @@ class _StructuredEmitter(_EmitterBase):
             # carries interpreter-identical deopt state).
             self._w(indent, f"if {self._precheck(guards)}:")
             fast = omitted | {g.point for g in guards}
-            self._emit_while(header, shape, ctx, indent + 1, fast)
+            self._emit_while(header, inner, indent + 1, fast)
             self._w(indent, "else:")
-            self._emit_while(header, shape, ctx, indent + 1, omitted)
+            self._emit_while(header, inner, indent + 1, omitted)
         else:
-            self._emit_while(header, shape, ctx, indent, omitted)
-        if shape.follow is None:
-            return False  # the loop never exits; nothing follows it
-        return self._emit_after_loop(shape.follow, ctx, indent, omitted)
+            self._emit_while(header, inner, indent, omitted)
+        # Transfers that left through the exit tag take their next step
+        # here; the phi moves for every way of reaching a target (the
+        # follow included) were emitted on the ``break`` edges.
+        falls = False
+        for n, target in enumerate(frame.exits):
+            self._w(indent, f"{'elif' if n else 'if'} _x == {self.tags[target]}:")
+            falls |= self._emit_goto(indent + 1, target, ctx, tagged=True) is _FALL
+        if follow is None:
+            return _FALL if falls else None  # no exit lands after the loop
+        if not falls:
+            return self._emit_goto(indent, follow, ctx)
+        self._w(indent, "else:")
+        mark = len(self.lines)
+        self._emit_chain(
+            self._emit_goto(indent + 1, follow, ctx), ctx, indent + 1, omitted
+        )
+        if len(self.lines) == mark:
+            self._w(indent + 1, "pass")
+        return _FALL
 
     def _emit_while(
         self,
         header: str,
-        shape,
-        ctx: Tuple[Tuple[str, ...], ...],
+        inner: Tuple[_Frame, ...],
         indent: int,
         omitted: FrozenSet[ProgramPoint],
     ) -> None:
@@ -970,37 +928,14 @@ class _StructuredEmitter(_EmitterBase):
             "raise _StepLimit('compiled execution exceeded the step limit "
             "of %d block transfers' % _FUEL)",
         )
-        inner = ctx + (("loop", header, shape.follow),)
-        block = self.function.blocks[header]
-        falls = self._emit_block_body(
-            header, inner, indent + 1, len(block.phis()), omitted
+        phis = len(self.function.blocks[header].phis())
+        # Never falls: a pending join outside the loop is behind it.
+        self._emit_chain(
+            self._emit_block_body(header, inner, indent + 1, phis, omitted),
+            inner,
+            indent + 1,
+            omitted,
         )
-        if falls:  # pragma: no cover - loop frames never resolve to "fall"
-            raise UnstructurableCFG(
-                f"@{self.function.name}: loop body at {header} fell through"
-            )
-
-    def _emit_after_loop(
-        self,
-        follow: str,
-        ctx: Tuple[Tuple[str, ...], ...],
-        indent: int,
-        omitted: FrozenSet[ProgramPoint],
-    ) -> bool:
-        """Continue at the loop follow.  The phi moves for every way of
-        reaching it were already emitted on the ``break`` edges."""
-        resolved = self._resolve_ctx(follow, ctx)
-        if resolved == "unstructured":
-            raise UnstructurableCFG(
-                f"@{self.function.name}: loop follow {follow} is pinned "
-                f"behind an enclosing loop"
-            )
-        if resolved == "fall":
-            return True
-        if resolved is not None:
-            self._w(indent, resolved)
-            return False
-        return self._emit_chain(follow, ctx, indent, omitted)
 
     def _precheck(self, guards: Sequence[HoistableGuard]) -> str:
         checks = sorted({name for g in guards for name in g.undef_checks})
@@ -1017,18 +952,14 @@ class _StructuredEmitter(_EmitterBase):
     def _emit_block_body(
         self,
         label: str,
-        ctx: Tuple[Tuple[str, ...], ...],
+        ctx: Tuple[_Frame, ...],
         indent: int,
         body_start: int,
         omitted: FrozenSet[ProgramPoint],
-    ) -> bool:
+    ) -> Optional[str]:
         block = self.function.blocks[label]
         insts = block.instructions
-        if not insts or not insts[-1].is_terminator:  # pragma: no cover - verify
-            raise UnstructurableCFG(
-                f"@{self.function.name}: block {label} lacks a terminator"
-            )
-        last = len(insts) - 1
+        last = len(insts) - 1  # the terminator: verify_function ran
         fused = self.fused.get(label)
         if fused is not None and body_start > last - 1:
             # Entering past the comparison (OSR remainder): the operands
@@ -1044,73 +975,50 @@ class _StructuredEmitter(_EmitterBase):
             self._emit_simple(indent, block, index)
         term = insts[last]
         if isinstance(term, Jump):
-            return self._emit_transfer(indent, label, term.target, ctx, omitted)
+            return self._emit_transfer(indent, label, term.target, ctx)
         if isinstance(term, Branch):
             return self._emit_branch(block, term, ctx, indent, omitted, fused)
         self._emit_simple(indent, block, last)  # Return / Abort
-        return False
+        return None
 
-    def _emit_edge_moves(self, indent: int, from_label: str, to_label: str) -> None:
-        phis = self.function.blocks[to_label].phis()
+    def _emit_transfer(
+        self, indent: int, from_label: str, to_label: str, ctx: Tuple[_Frame, ...]
+    ) -> Optional[str]:
+        """Emit one CFG edge: its phi moves, then the spelled transfer."""
+        target = self.function.blocks.get(to_label)
+        if target is None:
+            message = f"@{self.function.name}: unknown block {to_label!r}"
+            self._w(indent, f"raise KeyError({message!r})")
+            return None
+        phis = target.phis()
         if phis:
             self._emit_phi_moves(indent, phis, from_label)
         if self.track_prev:
             self._w(indent, f"_prev = {from_label!r}")
+        return self._emit_goto(indent, to_label, ctx)
 
-    def _emit_transfer(
+    def _emit_arm(
         self,
         indent: int,
         from_label: str,
         to_label: str,
-        ctx: Tuple[Tuple[str, ...], ...],
+        ctx: Tuple[_Frame, ...],
         omitted: FrozenSet[ProgramPoint],
     ) -> bool:
-        """Emit one CFG edge under the current context; True if control
-        falls toward the innermost pending join."""
-        if to_label not in self.function.blocks:
-            message = f"@{self.function.name}: unknown block {to_label!r}"
-            self._w(indent, f"raise KeyError({message!r})")
-            return False
-        resolved = self._resolve_ctx(to_label, ctx)
-        if resolved == "unstructured":
-            raise UnstructurableCFG(
-                f"@{self.function.name}: no structured spelling for the edge "
-                f"{from_label} -> {to_label}"
-            )
-        if resolved == "fall":
-            self._emit_edge_moves(indent, from_label, to_label)
-            return True
-        if resolved is not None:
-            self._emit_edge_moves(indent, from_label, to_label)
-            self._w(indent, resolved)
-            return False
-        # Not addressable: inline the target here.  Loop headers open
-        # their reconstructed loop (multi-entry loops are duplicated per
-        # entry edge, each copy self-contained); plain blocks must have a
-        # unique predecessor or the region has no structured position.
-        if self.info.shapes.get(to_label) is None:
-            preds = {
-                p
-                for p in self.info.cfg.preds(to_label)
-                if p in self.info.reachable
-            }
-            if len(preds) != 1:
-                raise UnstructurableCFG(
-                    f"@{self.function.name}: block {to_label} joins several "
-                    f"paths but has no structured position"
-                )
-        self._emit_edge_moves(indent, from_label, to_label)
-        return self._emit_chain(to_label, ctx, indent, omitted)
+        """One branch arm: the edge, then whatever it leads to inline."""
+        return self._emit_chain(
+            self._emit_transfer(indent, from_label, to_label, ctx), ctx, indent, omitted
+        )
 
     def _emit_branch(
         self,
         block: BasicBlock,
         inst: Branch,
-        ctx: Tuple[Tuple[str, ...], ...],
+        ctx: Tuple[_Frame, ...],
         indent: int,
         omitted: FrozenSet[ProgramPoint],
         fused: Optional[FusedCompareBranch],
-    ) -> bool:
+    ) -> Optional[str]:
         label = block.label
         then_t, else_t = inst.then_target, inst.else_target
         if then_t == else_t:
@@ -1118,7 +1026,7 @@ class _StructuredEmitter(_EmitterBase):
             # observe an unbound register, like the interpreter would).
             self._w(indent, f"if {compile_expr(inst.cond)}:")
             self._w(indent + 1, "pass")
-            return self._emit_transfer(indent, label, then_t, ctx, omitted)
+            return self._emit_transfer(indent, label, then_t, ctx)
 
         if fused is not None:
             compare = fused.compare
@@ -1136,14 +1044,20 @@ class _StructuredEmitter(_EmitterBase):
             cond_src = compile_expr(inst.cond)
             then_extra = else_extra = None
 
-        join = self._local_join(label, ctx)
-        arm_ctx = ctx + (("join", join),) if join is not None else ctx
+        # The arms reconverge at the branch's immediate postdominator;
+        # if nothing addresses it yet, it is emitted after the ``if``.
+        join = self.info.postdoms.immediate(label)
+        if join is not None and (
+            join == VIRTUAL_EXIT or self._resolve(join, ctx)[0] is not None
+        ):
+            join = None
+        arm_ctx = ctx + (_Frame(join),) if join is not None else ctx
 
         self._w(indent, f"if {cond_src}:")
         mark = len(self.lines)
         if then_extra:
             self._w(indent + 1, then_extra)
-        then_falls = self._emit_transfer(indent + 1, label, then_t, arm_ctx, omitted)
+        then_falls = self._emit_arm(indent + 1, label, then_t, arm_ctx, omitted)
         if len(self.lines) == mark:
             self._w(indent + 1, "pass")
         if then_falls:
@@ -1151,9 +1065,7 @@ class _StructuredEmitter(_EmitterBase):
             mark = len(self.lines)
             if else_extra:
                 self._w(indent + 1, else_extra)
-            else_falls = self._emit_transfer(
-                indent + 1, label, else_t, arm_ctx, omitted
-            )
+            else_falls = self._emit_arm(indent + 1, label, else_t, arm_ctx, omitted)
             if len(self.lines) == mark:
                 self._w(indent + 1, "pass")
         else:
@@ -1161,32 +1073,13 @@ class _StructuredEmitter(_EmitterBase):
             # dedent the else arm instead of nesting it.
             if else_extra:
                 self._w(indent, else_extra)
-            else_falls = self._emit_transfer(indent, label, else_t, arm_ctx, omitted)
+            if join is None:
+                return self._emit_transfer(indent, label, else_t, ctx)
+            else_falls = self._emit_arm(indent, label, else_t, arm_ctx, omitted)
 
-        reached = then_falls or else_falls
-        if join is None:
-            return reached
-        if not reached:  # pragma: no cover - the join postdominates the branch
-            return False
-        return self._emit_chain(join, ctx, indent, omitted)
-
-    def _local_join(
-        self, label: str, ctx: Tuple[Tuple[str, ...], ...]
-    ) -> Optional[str]:
-        """The block where this branch's arms reconverge, if it can be
-        emitted right after the ``if``/``else``."""
-        join = self.info.postdoms.immediate(label)
-        if join is None or join == VIRTUAL_EXIT:
+        if not (then_falls or else_falls):
             return None
-        if self._resolve_ctx(join, ctx) is not None:
-            return None  # already addressable — the arms use the context
-        domtree = self.info.domtree
-        for pred in self.info.cfg.preds(join):
-            if pred in self.info.reachable and not domtree.dominates(label, pred):
-                # Some other path reaches the join; emitting it after
-                # this branch would misplace it.
-                return None
-        return join
+        return _FALL if join is None else join
 
 
 def compile_ir_function(
@@ -1195,9 +1088,8 @@ def compile_ir_function(
     *,
     step_limit: int = 2_000_000,
     resolve_call=None,
-    codegen: str = "structured",
 ) -> CompiledFunction:
     """One-shot convenience wrapper around :class:`ClosureCompiler`."""
-    return ClosureCompiler(
-        step_limit=step_limit, resolve_call=resolve_call, codegen=codegen
-    ).compile(function, entry)
+    return ClosureCompiler(step_limit=step_limit, resolve_call=resolve_call).compile(
+        function, entry
+    )

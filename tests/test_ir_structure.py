@@ -6,6 +6,7 @@ from repro.ir import (
     Assign,
     Branch,
     Call,
+    Const,
     Jump,
     Load,
     Nop,
@@ -190,6 +191,19 @@ class TestVerifier:
         del phi.incoming["else"]
         with pytest.raises(VerificationError):
             verify_function(diamond)
+
+    def test_detects_phi_reading_a_phi_of_its_own_block(self, diamond, sum_loop):
+        # Phis are one parallel assignment: along `then`, `x4` would read
+        # the `x3` of a previous visit (there is none).
+        merge = diamond.blocks["merge"]
+        merge.insert(1, Phi("x4", {"then": Var("x3"), "else": Const(0)}))
+        with pytest.raises(VerificationError) as excinfo:
+            verify_function(diamond)
+        assert "reads a phi of the same block" in str(excinfo.value)
+        # Around a back edge the previous trip's value is readable.
+        loop = sum_loop.blocks["loop"]
+        loop.insert(2, Phi("swap", {"entry": Const(0), "body": Var("i2")}))
+        verify_function(sum_loop, require_ssa=True)
 
     def test_is_ssa_predicate(self, sum_loop):
         assert is_ssa(sum_loop)

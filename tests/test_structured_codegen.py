@@ -1,26 +1,25 @@
-"""Golden-file tests for the closure compiler's code emitters.
+"""Golden-file tests for the closure compiler's emitter.
 
-The structured emitter's whole value proposition is the *shape* of the
-code it generates — real ``while`` loops, nested ``if``/``else``, phis
-lowered to parallel moves on edges — and shape is exactly what the
-behavioural suites cannot see: a regression that quietly degrades a
-reconstructed loop back into dispatch-style control flow passes every
-differential test while silently giving back the speedup.  These tests
-pin the emitted source for representative kernels against checked-in
-golden files:
+The emitter's whole value proposition is the *shape* of the code it
+generates — real ``while`` loops, nested ``if``/``else``, phis lowered
+to parallel moves on edges — and shape is exactly what the behavioural
+suites cannot see: a regression that quietly degrades a reconstructed
+loop passes every differential test while silently giving back the
+speedup.  These tests pin the emitted source for representative kernels
+against checked-in golden files:
 
 * ``loop_sum`` — a counted loop whose body branches (phis at the header
   and at an interior join, a fused compare+branch guarding the back
-  edge), emitted by both engines so the dispatch golden doubles as the
-  "before" half of the README example;
+  edge);
 * ``nested_if`` — nested branch regions closing at their immediate
   postdominator joins, no loop;
-* ``irreducible`` — a two-entry cycle the structuring analysis must
-  *refuse* (``is_reducible`` is False), exercising the documented
-  dispatch fallback;
 * an OSR entry stub into ``loop_sum`` mid-iteration — the remainder of
   the interrupted iteration peeled straight-line, then the loop
   re-entered as a freshly reconstructed construct.
+
+``irreducible`` — a two-entry cycle, which only hand-written IR can
+contain — has no structured form: the compiler refuses it and the
+compiled backend runs it on the interpreter.
 
 To regenerate after an intentional emitter change::
 
@@ -37,9 +36,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cfg import ControlFlowGraph, DominatorTree, is_reducible
+from repro.cfg import ControlFlowGraph, DominatorTree, UnstructurableCFG, is_reducible
 from repro.ir import Interpreter, parse_function
 from repro.ir.function import ProgramPoint
+from repro.vm import CompiledBackend
 from repro.vm.closure_compile import compile_ir_function
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -145,45 +145,40 @@ def assert_matches_golden(name: str, source: str) -> None:
 class TestStructuredGoldens:
     def test_loop_kernel_structured(self):
         function = parse_function(LOOP_SUM)
-        compiled = compile_ir_function(function, codegen="structured")
-        assert compiled.emitter == "structured"
+        compiled = compile_ir_function(function)
         assert_matches_golden("loop_sum_structured.py.txt", compiled.source)
         # Shape assertions on top of the byte-for-byte diff: the loop is
-        # a real `while`, the guarding compare+branch was fused, and no
-        # dispatch scaffolding survives.
+        # a real `while` and the guarding compare+branch was fused.
         assert "while True:" in compiled.source
-        assert "elif _b ==" not in compiled.source
-        result = compiled([9], None)
-        assert result.value == Interpreter().run(function, [9]).value
-
-    def test_loop_kernel_dispatch(self):
-        function = parse_function(LOOP_SUM)
-        compiled = compile_ir_function(function, codegen="dispatch")
-        assert compiled.emitter == "dispatch"
-        assert_matches_golden("loop_sum_dispatch.py.txt", compiled.source)
+        assert "if r__pi_d0 < r_n:" in compiled.source
         result = compiled([9], None)
         assert result.value == Interpreter().run(function, [9]).value
 
     def test_nested_if_structured(self):
         function = parse_function(NESTED_IF)
-        compiled = compile_ir_function(function, codegen="structured")
-        assert compiled.emitter == "structured"
+        compiled = compile_ir_function(function)
         assert_matches_golden("nested_if_structured.py.txt", compiled.source)
         assert "while True:" not in compiled.source  # no loop, no loop code
         for args in ([3, 7], [15, 20], [9, 2]):
             result = compiled(list(args), None)
             assert result.value == Interpreter().run(function, args).value
 
-    def test_irreducible_falls_back_to_dispatch(self):
+    def test_irreducible_runs_on_the_interpreter(self):
         function = parse_function(IRREDUCIBLE)
         cfg = ControlFlowGraph(function)
         assert not is_reducible(cfg, DominatorTree(cfg))
-        compiled = compile_ir_function(function, codegen="structured")
-        assert compiled.emitter == "dispatch"
-        assert_matches_golden("irreducible_fallback.py.txt", compiled.source)
-        for args in ([0], [15]):
-            result = compiled(list(args), None)
-            assert result.value == Interpreter().run(function, args).value
+        with pytest.raises(UnstructurableCFG):
+            compile_ir_function(function)
+        backend = CompiledBackend()
+        for n in (0, 15):  # both sides of `n < 10`: both entries of the cycle
+            reference = Interpreter().run(function, [n])
+            assert backend.run(function, [n]).value == reference.value
+            assert backend.prepare(function)([n]).value == reference.value
+            # Land inside the cycle, on the entered side.
+            point = ProgramPoint("a" if n < 10 else "b", 1)
+            paused = Interpreter().run(function, [n], break_at=point)
+            resumed = backend.run_from(function, point, paused.env)
+            assert resumed.value == reference.value
 
     def test_osr_entry_stub_structured(self):
         function = parse_function(LOOP_SUM)
@@ -191,8 +186,7 @@ class TestStructuredGoldens:
         # peel the rest of the interrupted iteration straight-line and
         # then re-enter the loop as a freshly reconstructed construct.
         point = ProgramPoint("body", 1)
-        compiled = compile_ir_function(function, point, codegen="structured")
-        assert compiled.emitter == "structured"
+        compiled = compile_ir_function(function, point)
         assert_matches_golden("loop_sum_osr_structured.py.txt", compiled.source)
         # Resume at i=4 (%t1 = 4 % 2 = 0 already computed); register keys
         # keep their IR spelling, params are bare names.
@@ -206,9 +200,7 @@ class TestGoldenHygiene:
     def test_goldens_exist_and_are_nonempty(self):
         names = [
             "loop_sum_structured.py.txt",
-            "loop_sum_dispatch.py.txt",
             "nested_if_structured.py.txt",
-            "irreducible_fallback.py.txt",
             "loop_sum_osr_structured.py.txt",
         ]
         for name in names:
