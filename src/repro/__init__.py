@@ -1,18 +1,32 @@
 """repro — a reproduction of "On-Stack Replacement, Distilled" (PLDI 2018).
 
-The package is organized the way the paper is:
+The package is organized the way the paper is, in two layers cut at the
+paper's §4/§5 line.  Imports point downwards in each list and from the
+second list to the first, never back.
+
+What an engine loads (Sections 5–7 and the runtime around them):
+
+* :mod:`repro.ir`, :mod:`repro.cfg`, :mod:`repro.analysis`,
+  :mod:`repro.ssa`, :mod:`repro.frontend` — the compiler substrate
+  standing in for LLVM (Section 5); none of them imports ``core``;
+* :mod:`repro.passes`, :mod:`repro.core` — the OSR-aware passes and the
+  OSR framework itself: CodeMapper, OSR mappings, ``reconstruct``
+  (Algorithm 1), deoptimization plans, OSRKit-style transitions;
+* :mod:`repro.vm`, :mod:`repro.engine`, :mod:`repro.store`,
+  :mod:`repro.ops` — the adaptive runtime, its facade, the artifact
+  store and the operator tooling;
+* :mod:`repro.workloads` — the kernels and generators of the evaluation.
+
+What only tests, tables and examples load (no module above imports it):
 
 * :mod:`repro.formal`, :mod:`repro.ctl`, :mod:`repro.rewrite` — the
   abstract framework of Sections 2–4 (minimal language, CTL predicates,
-  LVE rewrite rules);
-* :mod:`repro.ir`, :mod:`repro.cfg`, :mod:`repro.analysis`,
-  :mod:`repro.ssa`, :mod:`repro.passes`, :mod:`repro.frontend` — the
-  compiler substrate standing in for LLVM (Section 5);
-* :mod:`repro.core` — the OSR framework itself: CodeMapper, OSR mappings,
-  ``reconstruct`` (Algorithm 1), OSRKit-style transitions, and the
-  optimized-code debugging machinery of Section 7;
-* :mod:`repro.vm` — a TinyVM-like adaptive runtime;
-* :mod:`repro.workloads`, :mod:`repro.harness` — the evaluation.
+  LVE rewrite rules, ``OSR_trans``); they import ``core`` for
+  ``ProgramView``, the mappings and Algorithm 1;
+* :mod:`repro.harness` — Tables 1–5 and Figures 7–9;
+* :mod:`repro.core.debug`, :mod:`repro.core.bisimulation` — the
+  optimized-code debugging analyses of Section 7 and the executable
+  transition checks (neither is imported by ``repro.core`` itself).
 
 Quickstart::
 

@@ -6,7 +6,6 @@ Everything the OSR framework and the optimization passes need:
   ``live`` reconstruct variant, LVB checking);
 * :mod:`~repro.analysis.reaching` — reaching definitions and the ``ud``
   predicate of Algorithm 1;
-* :mod:`~repro.analysis.use_def` — def-use chains for the passes;
 * :mod:`~repro.analysis.availability` — available values (the ``avail``
   reconstruct variant / ``K_avail`` sets) and available expressions;
 * :mod:`~repro.analysis.constants` — the SCCP lattice analysis.
@@ -19,7 +18,6 @@ from .reaching import (
     ReachingDefinitions,
     reaching_definitions,
 )
-from .use_def import DefUseChains, build_def_use
 from .availability import AvailableValues, available_expressions, available_values
 from .constants import (
     BOTTOM,
@@ -45,8 +43,6 @@ __all__ = [
     "ReachingDefinitions",
     "reaching_definitions",
     "PARAM_POINT",
-    "DefUseChains",
-    "build_def_use",
     "AvailableValues",
     "available_values",
     "available_expressions",

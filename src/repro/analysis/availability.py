@@ -38,9 +38,6 @@ class AvailableValues:
         """Registers carrying a computed value just before ``point`` executes."""
         return self._available.get(point, frozenset())
 
-    def is_available(self, name: str, point: ProgramPoint) -> bool:
-        return name in self.available_at(point)
-
     def __repr__(self) -> str:
         return f"<AvailableValues for @{self.function.name} ({len(self._available)} points)>"
 

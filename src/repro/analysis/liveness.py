@@ -54,17 +54,8 @@ class LivenessInfo:
         """Variables live immediately *after* the instruction at ``point``."""
         return self._live_out.get(point, frozenset())
 
-    def block_live_in(self, label: str) -> FrozenSet[str]:
-        return self._block_in.get(label, frozenset())
-
     def block_live_out(self, label: str) -> FrozenSet[str]:
         return self._block_out.get(label, frozenset())
-
-    def is_live_at(self, name: str, point: ProgramPoint) -> bool:
-        return name in self.live_in(point)
-
-    def all_points(self) -> List[ProgramPoint]:
-        return list(self._live_in)
 
     def __repr__(self) -> str:
         return f"<LivenessInfo for @{self.function.name} ({len(self._live_in)} points)>"

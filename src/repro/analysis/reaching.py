@@ -66,9 +66,6 @@ class ReachingDefinitions:
         """Definitions reaching the state *before* executing ``point``."""
         return self._reach_in.get(point, frozenset())
 
-    def reaching_out(self, point: ProgramPoint) -> FrozenSet[Definition]:
-        return self._reach_out.get(point, frozenset())
-
     def definitions_of(self, var: str, point: ProgramPoint) -> List[ProgramPoint]:
         """All points whose definition of ``var`` reaches ``point``."""
         return sorted(d.point for d in self.reaching_in(point) if d.var == var)

@@ -107,26 +107,6 @@ class DominatorTree:
     def strictly_dominates(self, a: str, b: str) -> bool:
         return a != b and self.dominates(a, b)
 
-    def dominators_of(self, label: str) -> List[str]:
-        """All blocks dominating ``label``, from the entry down to ``label``."""
-        if label not in self.idom:
-            return []
-        chain = [label]
-        while label != self.entry:
-            label = self.idom[label]
-            chain.append(label)
-        return list(reversed(chain))
-
-    def preorder(self) -> List[str]:
-        """Dominator-tree preorder (parents before children) — SSA renaming order."""
-        order: List[str] = []
-        stack = [self.entry]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(self.children.get(node, [])))
-        return order
-
     def __repr__(self) -> str:
         return f"<DominatorTree over {len(self.idom)} blocks (entry {self.entry})>"
 

@@ -73,30 +73,11 @@ class ControlFlowGraph:
             return [ProgramPoint(succ, 0) for succ in self.succs(point.block)]
         return [ProgramPoint(point.block, point.index + 1)]
 
-    def point_predecessors(self, point: ProgramPoint) -> List[ProgramPoint]:
-        """Program points that may execute immediately before ``point``."""
-        if point.index > 0:
-            return [ProgramPoint(point.block, point.index - 1)]
-        result = []
-        for pred in self.preds(point.block):
-            pred_block = self.function.blocks[pred]
-            result.append(ProgramPoint(pred, len(pred_block.instructions) - 1))
-        return result
-
-    def all_points(self) -> List[ProgramPoint]:
-        return self.function.program_points()
-
     # ------------------------------------------------------------------ #
     # Traversals.
     # ------------------------------------------------------------------ #
     def reachable(self) -> Set[str]:
         return reachable_blocks(self)
-
-    def postorder(self) -> List[str]:
-        return postorder(self)
-
-    def reverse_postorder(self) -> List[str]:
-        return reverse_postorder(self)
 
     def __repr__(self) -> str:
         return (

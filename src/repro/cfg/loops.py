@@ -42,9 +42,6 @@ class NaturalLoop:
     preheader: Optional[str] = None
     parent: Optional["NaturalLoop"] = None
 
-    def contains(self, label: str) -> bool:
-        return label in self.body
-
     def exit_edges(self, cfg: ControlFlowGraph) -> List[Tuple[str, str]]:
         """Edges leaving the loop, as ``(inside_block, outside_block)`` pairs."""
         edges = []
@@ -83,18 +80,6 @@ class LoopNest:
 
     def loop_with_header(self, header: str) -> Optional[NaturalLoop]:
         return self._by_header.get(header)
-
-    def innermost_containing(self, label: str) -> Optional[NaturalLoop]:
-        """The innermost loop whose body contains ``label``."""
-        best: Optional[NaturalLoop] = None
-        for loop in self.loops:
-            if loop.contains(label):
-                if best is None or len(loop.body) < len(best.body):
-                    best = loop
-        return best
-
-    def top_level(self) -> List[NaturalLoop]:
-        return [loop for loop in self.loops if loop.parent is None]
 
     def __iter__(self):
         return iter(self.loops)

@@ -163,19 +163,6 @@ class PostDominators:
             for label, dom in ipdom.items()
             if dom is not None and label != VIRTUAL_EXIT
         }
-        self.depth: Dict[str, int] = {VIRTUAL_EXIT: 0}
-        remaining = sorted(self.ipdom)
-        # Depths via chain walking (the tree is shallow for our sizes).
-        while remaining:
-            stalled = True
-            for label in list(remaining):
-                dom = self.ipdom[label]
-                if dom in self.depth:
-                    self.depth[label] = self.depth[dom] + 1
-                    remaining.remove(label)
-                    stalled = False
-            if stalled:  # pragma: no cover - defensive (broken tree)
-                break
 
     @staticmethod
     def _postorder(root: str, succs: Dict[str, List[str]]) -> List[str]:
@@ -200,14 +187,6 @@ class PostDominators:
     def immediate(self, label: str) -> Optional[str]:
         """The immediate postdominator, or ``None`` when no exit is reachable."""
         return self.ipdom.get(label)
-
-    def postdominates(self, a: str, b: str) -> bool:
-        """True iff every path from ``b`` to an exit passes through ``a``."""
-        if a not in self.depth or b not in self.depth:
-            return False
-        while self.depth[b] > self.depth[a]:
-            b = self.ipdom.get(b, VIRTUAL_EXIT)
-        return a == b
 
 
 class StructureInfo:

@@ -1,155 +1,27 @@
-"""Empirical live-variable bisimulation and OSR-mapping soundness checks.
+"""Executable OSR-transition checks over IR functions.
 
-The paper's correctness story has three layers, each of which gets an
-executable counterpart here:
+The paper's correctness story has three layers.  The two formal ones —
+live-variable bisimulation (Definitions 4.1–4.4) and mapping soundness
+(Definition 3.1) over the minimal language — are checked in
+:mod:`repro.formal.bisimulation`.  This module holds the IR-level layer,
+Section 6.1's "compile and run a sample of all feasible OSR pairs":
 
-* **LVB (Definitions 4.1–4.4)** — two program versions are live-variable
-  bisimilar when, run in lockstep from the same store, they agree at every
-  step on the variables live in both.  For the in-place rewrite rules of
-  Figure 5 the traces stay aligned point-for-point, so the check is a
-  direct lockstep comparison (:func:`check_live_variable_bisimulation`).
-
-* **Mapping soundness (Definition 3.1)** — firing an OSR at any realizable
-  state and continuing in the other version must produce the same final
-  output the other version would have produced on its own
-  (:func:`check_mapping_soundness`).
-
-* **IR-level transition validation (Section 6.1's "compile and run a
-  sample of all feasible OSR pairs")** — :func:`check_ir_osr_transition`
-  runs a function up to a point, transfers the state through a mapping and
-  resumes in the other version, comparing the final result against an
-  uninterrupted run.
+* :func:`check_ir_osr_transition` runs a function up to a point,
+  transfers the state through a mapping and resumes in the other
+  version, comparing the final result against an uninterrupted run;
+* :func:`check_guarded_deopt` and :func:`check_multiframe_deopt` do the
+  same for a guard failure inside speculative (and inlined) code.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from ..formal.analysis import formal_live_variables
-from ..formal.program import FormalProgram
-from ..formal.semantics import (
-    FormalAbort,
-    UndefinedSemantics,
-    run_formal,
-    trace_formal,
-)
 from ..ir.function import Function, ProgramPoint
 from ..ir.interp import GuardFailure, Interpreter, Memory
 from .mapping import OSRMapping
 
-__all__ = [
-    "check_live_variable_bisimulation",
-    "check_mapping_soundness",
-    "check_ir_osr_transition",
-    "check_guarded_deopt",
-    "check_multiframe_deopt",
-    "random_stores",
-]
-
-
-def random_stores(
-    variables: Sequence[str],
-    *,
-    count: int = 10,
-    seed: int = 0,
-    low: int = -20,
-    high: int = 20,
-) -> List[Dict[str, int]]:
-    """Deterministic pseudo-random input stores for empirical checks."""
-    rng = random.Random(seed)
-    return [
-        {name: rng.randint(low, high) for name in variables} for _ in range(count)
-    ]
-
-
-def check_live_variable_bisimulation(
-    p: FormalProgram,
-    p_prime: FormalProgram,
-    stores: Iterable[Mapping[str, int]],
-    *,
-    max_steps: int = 100_000,
-) -> bool:
-    """Empirical LVB check for same-length (in-place transformed) programs.
-
-    Runs both programs from each store and compares, state by state, the
-    variables live in *both* versions at the current point (the relation
-    ``R_A`` of Definition 4.3).  Returns False on the first disagreement,
-    including differing trace lengths or differing termination behaviour.
-    """
-    live_p = formal_live_variables(p)
-    live_q = formal_live_variables(p_prime)
-    for store in stores:
-        try:
-            trace_a = trace_formal(p, store, max_steps=max_steps)
-        except (FormalAbort, UndefinedSemantics):
-            trace_a = None
-        try:
-            trace_b = trace_formal(p_prime, store, max_steps=max_steps)
-        except (FormalAbort, UndefinedSemantics):
-            trace_b = None
-        if (trace_a is None) != (trace_b is None):
-            return False
-        if trace_a is None or trace_b is None:
-            continue
-        if len(trace_a) != len(trace_b):
-            return False
-        for state_a, state_b in zip(trace_a, trace_b):
-            if state_a.point != state_b.point:
-                return False
-            if state_a.point > len(p):
-                continue
-            common = live_p[state_a.point] & live_q[state_b.point]
-            store_a = state_a.store_dict()
-            store_b = state_b.store_dict()
-            for name in common:
-                if store_a.get(name) != store_b.get(name):
-                    return False
-    return True
-
-
-def check_mapping_soundness(
-    p: FormalProgram,
-    p_prime: FormalProgram,
-    mapping: OSRMapping,
-    stores: Iterable[Mapping[str, int]],
-    *,
-    max_steps: int = 100_000,
-) -> bool:
-    """Empirical soundness of an OSR mapping from ``p`` to ``p_prime``.
-
-    For every input store and every state (σ, l) in p's trace with l in
-    the mapping's domain: transfer the state through the mapping and run
-    ``p_prime`` from the landing point; the output must equal what
-    ``p_prime`` computes on the original input store (which, for the
-    semantics-preserving rules exercised in tests, also equals p's own
-    output).
-    """
-    for store in stores:
-        try:
-            expected = run_formal(p_prime, store, max_steps=max_steps)
-            states = trace_formal(p, store, max_steps=max_steps)
-        except (FormalAbort, UndefinedSemantics):
-            continue
-        for state in states:
-            if state.point > len(p):
-                continue
-            entry = mapping.lookup(state.point)
-            if entry is None:
-                continue
-            landing_env = mapping.transfer(state.point, state.store_dict())
-            try:
-                actual = run_formal(
-                    p_prime,
-                    landing_env,
-                    max_steps=max_steps,
-                    start_point=entry.target,
-                )
-            except (FormalAbort, UndefinedSemantics):
-                return False
-            if actual != expected:
-                return False
-    return True
+__all__ = ["check_ir_osr_transition", "check_guarded_deopt", "check_multiframe_deopt"]
 
 
 def check_ir_osr_transition(
@@ -223,7 +95,7 @@ def check_ir_osr_transition(
 def check_guarded_deopt(
     base: Function,
     optimized: Function,
-    mapping: OSRMapping,
+    plans: Mapping[ProgramPoint, "DeoptPlan"],
     args: Sequence[int],
     *,
     module=None,
@@ -234,7 +106,9 @@ def check_guarded_deopt(
     """Validate a guard failure → deoptimizing OSR round trip end to end.
 
     Runs the speculative ``optimized`` version on inputs expected to
-    violate a speculated assumption.  ``backend`` selects the engine that
+    violate a speculated assumption; ``plans`` are the pair's
+    ``deopt_plans()``, what the runtime itself transfers state through
+    (single-frame here).  ``backend`` selects the engine that
     executes the optimized version and the f_base landing — pass the
     compiled backend to validate that a guard failing *in compiled code*
     carries exactly the live state the deoptimization needs.  When a
@@ -269,14 +143,16 @@ def check_guarded_deopt(
     except GuardFailure as exc:
         failure = exc  # the except-clause name is scoped to its block
 
-    entry = mapping.lookup(failure.point)
-    if entry is None:
+    plan = plans.get(failure.point)
+    if plan is None:
         return False  # an uncovered guard fired: speculation was unsound
-    landing_env = mapping.transfer(failure.point, failure.env)
+    if plan.is_multiframe:
+        return False  # a guard inside inlined code: check_multiframe_deopt's contract
+    frame = plan.frames[0]
+    landing_env = frame.transfer(failure.env)
 
     # (2) completeness: every variable live at the landing point is defined.
-    live_at_landing = mapping.target_view.live_in(entry.target)
-    if not set(live_at_landing) <= set(landing_env):
+    if not set(frame.live_at_target) <= set(landing_env):
         return False
 
     # (1) realizability: f_base, run uninterrupted, passes through the
@@ -286,7 +162,7 @@ def check_guarded_deopt(
         args,
         memory=memory.copy() if memory is not None else None,
         collect_trace=True,
-        trace_filter=lambda point: point == entry.target,
+        trace_filter=lambda point: point == frame.target,
     )
     realizable = any(
         all(state.env.get(name) == landing_env[name] for name in landing_env)
@@ -300,7 +176,7 @@ def check_guarded_deopt(
     if backend is not None:
         resumed = backend.run_from(
             base,
-            entry.target,
+            frame.target,
             landing_env,
             memory=failure.memory,
             previous_block=failure.previous_block,
@@ -308,7 +184,7 @@ def check_guarded_deopt(
     else:
         resumed = Interpreter(module, step_limit=step_limit).resume(
             base,
-            entry.target,
+            frame.target,
             landing_env,
             memory=failure.memory,
             previous_block=failure.previous_block,

@@ -9,12 +9,10 @@ straight-line program with no loops — and Table 3 reports its size; the
 :meth:`CompensationCode.size` metric is exactly that |c| (number of
 generated assignments).
 
-The same object can be rendered in three forms:
+The same object can be rendered in two forms:
 
 * applied directly to a Python dict environment (used by the interpreter
-  and the bisimulation/soundness tests),
-* as a formal-language program (so mappings can be composed with
-  Definition 3.3's program composition), or
+  and the bisimulation/soundness tests), or
 * as a list of IR ``Assign`` instructions (so OSRKit can splice it into a
   continuation function's entry block).
 """
@@ -22,9 +20,8 @@ The same object can be rendered in three forms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from ..formal.program import FAssign, FIn, FOut, FormalProgram
 from ..ir.expr import Expr, evaluate, free_vars
 from ..ir.instructions import Assign
 
@@ -88,7 +85,7 @@ class CompensationCode:
         return frozenset(needed)
 
     # ------------------------------------------------------------------ #
-    # The three renderings.
+    # The two renderings.
     # ------------------------------------------------------------------ #
     def apply_to(self, env: Mapping[str, int]) -> Dict[str, int]:
         """Run the compensation code on a source environment.
@@ -101,17 +98,6 @@ class CompensationCode:
         for dest, expr in self.assignments:
             result[dest] = evaluate(expr, result)
         return result
-
-    def to_formal_program(
-        self,
-        input_variables: Sequence[str],
-        output_variables: Sequence[str],
-    ) -> FormalProgram:
-        """Render as a formal program ``in ...; assignments; out ...``."""
-        instructions = [FIn(tuple(input_variables))]
-        instructions.extend(FAssign(dest, expr) for dest, expr in self.assignments)
-        instructions.append(FOut(tuple(output_variables)))
-        return FormalProgram(instructions)
 
     def to_ir_instructions(self) -> List[Assign]:
         """Render as IR assignments (for a continuation function's entry block)."""

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ...ir.debuginfo import DebugInfo
 from ...ir.expr import Const, Expr, Var
 from ...ir.function import ProgramPoint
 from ...ir.instructions import Phi
 from ..osr_trans import VersionPair
-from .debuginfo import DebugInfo
 
 __all__ = ["BreakpointReport", "EndangeredAnalysis", "analyze_function"]
 

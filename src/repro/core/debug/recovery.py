@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+from ...ir.debuginfo import DebugInfo
 from ...ir.expr import Var, free_vars
 from ..osr_trans import VersionPair
 from ..reconstruct import (
@@ -28,7 +29,6 @@ from ..reconstruct import (
     ReconstructionMode,
     reconstruct_variable,
 )
-from .debuginfo import DebugInfo
 from .endangered import BreakpointReport, EndangeredAnalysis, analyze_function
 
 __all__ = ["RecoveryReport", "measure_recoverability"]

@@ -292,8 +292,8 @@ def build_deopt_plans(
     Returns ``(plans, uncovered)``.  A guard lands in ``uncovered`` when
     any frame of its virtual stack cannot be mapped or its environment
     cannot be rebuilt under ``mode`` — the caller must then refuse to
-    install the speculative version, exactly like the single-frame
-    ``guarded_backward_mapping`` contract.
+    install the speculative version: a guard that cannot deoptimize
+    would strand execution on failure.
 
     As a side effect the optimized function's ``"inline_paths"`` metadata
     is (re)stamped with each covered guard's virtual stack, which the

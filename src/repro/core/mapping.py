@@ -44,15 +44,10 @@ class OSRMapping:
         source_view: ProgramView,
         target_view: ProgramView,
         *,
-        strict: bool = True,
         name: str = "",
     ) -> None:
         self.source_view = source_view
         self.target_view = target_view
-        #: ``strict`` mappings relate runs started from the *same* initial
-        #: store (Definition 3.1's σ̂' = σ̂); non-strict mappings arise for
-        #: speculative destinations.
-        self.strict = strict
         self.name = name
         self._entries: Dict[Hashable, OSRMappingEntry] = {}
 
@@ -116,7 +111,6 @@ class OSRMapping:
         composed = OSRMapping(
             self.source_view,
             other.target_view,
-            strict=self.strict and other.strict,
             name=f"{self.name}∘{other.name}" if self.name or other.name else "",
         )
         for source_point, entry in self._entries.items():
@@ -130,24 +124,5 @@ class OSRMapping:
             )
         return composed
 
-    # ------------------------------------------------------------------ #
-    # Metrics used by the evaluation harness.
-    # ------------------------------------------------------------------ #
-    def coverage(self) -> float:
-        """Fraction of source program points at which OSR is supported."""
-        total = len(self.source_view.points())
-        return len(self._entries) / total if total else 0.0
-
-    def average_compensation_size(self) -> float:
-        sizes = [entry.compensation.size for entry in self._entries.values()]
-        return sum(sizes) / len(sizes) if sizes else 0.0
-
-    def max_compensation_size(self) -> int:
-        sizes = [entry.compensation.size for entry in self._entries.values()]
-        return max(sizes) if sizes else 0
-
     def __repr__(self) -> str:
-        return (
-            f"<OSRMapping {self.name or 'anonymous'}: {len(self._entries)} points, "
-            f"strict={self.strict}>"
-        )
+        return f"<OSRMapping {self.name or 'anonymous'}: {len(self._entries)} points>"

@@ -1,31 +1,24 @@
-"""OSR_trans: building forward and backward OSR mappings automatically.
+"""OSR_trans at the IR level: forward and backward OSR mappings, built automatically.
 
-Two drivers are provided, matching the paper's two levels:
+:class:`OSRTransDriver` is the embodiment of Section 5.4: it clones a
+function, runs an OSR-aware pass pipeline on the clone while a
+:class:`~repro.core.codemapper.CodeMapper` records primitive actions,
+derives the point correspondence from the recorded actions, and builds
+per-point compensation code with ``reconstruct``.  Its output (the
+per-point feasibility classes and compensation sizes) is what Figures
+7–8 and Table 3 aggregate.
 
-* :func:`osr_trans_formal` — the literal ``OSR_trans(p, T)`` of Section 4.2:
-  applies an LVE rewrite rule (or rule sequence) to a formal program, then
-  builds strict forward and backward OSR mappings using Algorithm 1 with
-  the identity program-point mapping (Theorem 4.6).
-
-* :class:`OSRTransDriver` — the IR-level embodiment of Section 5.4:
-  clones a function, runs an OSR-aware pass pipeline on the clone while a
-  :class:`~repro.core.codemapper.CodeMapper` records primitive actions,
-  derives the point correspondence from the recorded actions, and builds
-  per-point compensation code with ``reconstruct``.  Its output (the
-  per-point feasibility classes and compensation sizes) is what Figures
-  7–8 and Table 3 aggregate.
+The literal ``OSR_trans(p, T)`` of Section 4.2 over the formal language
+is :func:`repro.rewrite.osr_trans_formal`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..formal.program import FormalProgram
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Guard
-from ..rewrite.engine import TransformationResult, apply_rules
-from ..rewrite.rule import RewriteRule
 from .codemapper import CodeMapper, clone_for_optimization
 from .compensation import CompensationCode
 from .mapping import OSRMapping
@@ -36,82 +29,9 @@ from .reconstruct import (
     build_compensation,
     classify_point,
 )
-from .views import FormalView, FunctionView
+from .views import FunctionView
 
-__all__ = [
-    "FormalOSRTransResult",
-    "osr_trans_formal",
-    "PointReport",
-    "OSRTransDriver",
-    "VersionPair",
-]
-
-
-# ---------------------------------------------------------------------- #
-# Formal level (Section 4.2, Theorem 4.6).
-# ---------------------------------------------------------------------- #
-
-
-@dataclass
-class FormalOSRTransResult:
-    """Output of ``OSR_trans``: the transformed program plus both mappings."""
-
-    original: FormalProgram
-    transformed: FormalProgram
-    forward: OSRMapping
-    backward: OSRMapping
-    transformation: TransformationResult
-
-    def unsupported_forward_points(self) -> List[int]:
-        """Points of the original program where no forward OSR is possible."""
-        return [p for p in self.original.points() if p not in self.forward]
-
-
-def osr_trans_formal(
-    program: FormalProgram,
-    rules: Sequence[RewriteRule],
-    *,
-    mode: ReconstructionMode = ReconstructionMode.LIVE,
-) -> FormalOSRTransResult:
-    """``OSR_trans(p, T) → (p', M_pp', M_p'p)`` for in-place LVE rules.
-
-    The program-point mapping between ``p`` and ``p' = ⌈T⌉(p)`` is the
-    identity (the rules replace instructions in place), so the mapping is
-    built by invoking Algorithm 1 at every point; points where
-    reconstruction fails are simply left out of the (partial) mapping.
-    """
-    transformation = apply_rules(program, rules)
-    transformed = transformation.transformed
-
-    source_view = FormalView(program)
-    target_view = FormalView(transformed)
-
-    forward = OSRMapping(source_view, target_view, strict=True, name="forward")
-    backward = OSRMapping(target_view, source_view, strict=True, name="backward")
-
-    for point in program.points():
-        if point == 1:
-            # Point 1 is the `in` boundary: execution has not started yet,
-            # so it is not a meaningful OSR location (and its semantics
-            # checks every declared input, including dead ones).
-            continue
-        try:
-            code = build_compensation(source_view, point, target_view, point, mode=mode)
-            forward.add(point, point, code)
-        except CannotReconstruct:
-            pass
-        try:
-            code = build_compensation(target_view, point, source_view, point, mode=mode)
-            backward.add(point, point, code)
-        except CannotReconstruct:
-            pass
-
-    return FormalOSRTransResult(program, transformed, forward, backward, transformation)
-
-
-# ---------------------------------------------------------------------- #
-# IR level (Section 5.4).
-# ---------------------------------------------------------------------- #
+__all__ = ["PointReport", "OSRTransDriver", "VersionPair"]
 
 
 @dataclass
@@ -170,26 +90,6 @@ class VersionPair:
             if isinstance(inst, Guard)
         ]
 
-    def guarded_backward_mapping(
-        self, mode: ReconstructionMode = ReconstructionMode.AVAIL
-    ) -> Tuple[OSRMapping, List[ProgramPoint]]:
-        """The deoptimization mapping plus the guards it fails to cover.
-
-        Speculation is only sound when *every* guard can deoptimize: a
-        guard whose point has no backward mapping entry (no anchor, or
-        compensation-code construction failed) would strand execution on
-        failure.  Callers must treat a non-empty uncovered list as "do
-        not install this speculative version".
-
-        This is the *intra*-procedural contract: guards inside inlined
-        code are invisible to the plain backward mapping and always land
-        in the uncovered list here.  Interprocedural clients use
-        :meth:`deopt_plans`, whose multi-frame plans cover them.
-        """
-        mapping = self._mapping(deopt=True, mode=mode)
-        uncovered = [point for point in self.guard_points() if point not in mapping]
-        return mapping, uncovered
-
     def inlined_frames(self):
         """The per-site inline records the pipeline left on the CodeMapper."""
         return list(getattr(self.mapper, "inlined_frames", []))
@@ -197,9 +97,10 @@ class VersionPair:
     def deopt_plans(self, mode: ReconstructionMode = ReconstructionMode.AVAIL):
         """Multi-frame deoptimization plans for every guard (see core.frames).
 
-        Returns ``(plans, uncovered)`` — the interprocedural analogue of
-        :meth:`guarded_backward_mapping`; also stamps the optimized
-        function's ``"inline_paths"`` metadata.
+        Returns ``(plans, uncovered)``.  Speculation is only sound when
+        *every* guard can deoptimize, so callers must treat a non-empty
+        uncovered list as "do not install this speculative version".
+        Also stamps the optimized function's ``"inline_paths"`` metadata.
         """
         from .frames import build_deopt_plans
 
@@ -224,7 +125,7 @@ class VersionPair:
             src_fn = self.optimized
             correspond = self.mapper.corresponding_original_point
             name = "fopt→fbase"
-        mapping = OSRMapping(src_view, dst_view, strict=True, name=name)
+        mapping = OSRMapping(src_view, dst_view, name=name)
         for point in src_fn.program_points():
             target = correspond(point)
             if target is None:

@@ -14,9 +14,6 @@ This module provides:
   landing point becomes a block head;
 * :func:`make_continuation` — build ``f'_to`` from a variant, a landing
   point and a compensation code;
-* :class:`OSRPoint` / :func:`insert_osr_point` — instrument a function so
-  that, when a guard fires at a chosen point, the interpreter transfers
-  execution to the continuation (used by the adaptive VM);
 * :func:`perform_osr` — a one-call helper that runs a function up to a
   point, fires the transition and finishes in the other version, which is
   how tests and examples validate end-to-end transitions.
@@ -25,7 +22,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..cfg.graph import ControlFlowGraph, reachable_blocks
 from ..ir.function import Function, ProgramPoint
@@ -37,7 +34,6 @@ from .mapping import OSRMapping
 __all__ = [
     "split_block",
     "make_continuation",
-    "OSRPoint",
     "perform_osr",
     "ContinuationInfo",
 ]
@@ -134,27 +130,6 @@ def make_continuation(
                     del phi.incoming[pred]
 
     return ContinuationInfo(continuation, params, landing_label, pruned)
-
-
-@dataclass
-class OSRPoint:
-    """An instrumented OSR point: fire when the guard is met at ``location``.
-
-    ``guard`` is evaluated on the interpreter environment at the point; a
-    result of ``True`` triggers the transition.  The adaptive VM uses a
-    hotness-counter guard; tests use ``lambda env: True``.
-    """
-
-    location: ProgramPoint
-    mapping: OSRMapping
-    source: Function
-    target: Function
-    guard: object = None  # Callable[[Dict[str, int]], bool]
-
-    def should_fire(self, env: Mapping[str, int]) -> bool:
-        if self.guard is None:
-            return True
-        return bool(self.guard(env))
 
 
 def perform_osr(

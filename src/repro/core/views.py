@@ -7,7 +7,9 @@ right-hand side of that definition when it is a pure assignment.  The
 :class:`ProgramView` protocol captures exactly those queries, and two
 concrete views implement it:
 
-* :class:`FormalView` for the linear language of Sections 2–4, and
+* :class:`repro.formal.views.FormalView` for the linear language of
+  Sections 2–4 (it lives beside that language: nothing here imports
+  :mod:`repro.formal`), and
 * :class:`FunctionView` for block-IR functions (Section 5 onwards).
 
 Keeping the algorithm independent of the representation mirrors the
@@ -17,21 +19,16 @@ representation".
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import FrozenSet, Hashable, Optional, Tuple
 
 from ..analysis.availability import AvailableValues, available_values
 from ..analysis.liveness import LivenessInfo, live_variables
 from ..analysis.reaching import ReachingDefinitions, reaching_definitions, PARAM_POINT
-from ..formal.analysis import (
-    formal_live_variables,
-    formal_reaching_definitions,
-)
-from ..formal.program import FAssign, FIn, FormalProgram
 from ..ir.expr import Expr
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Assign, Phi
 
-__all__ = ["ProgramView", "FormalView", "FunctionView"]
+__all__ = ["ProgramView", "FunctionView"]
 
 
 class ProgramView:
@@ -41,10 +38,6 @@ class ProgramView:
     #: reconstruction algorithm can then identify a register's value with
     #: its unique definition without extra reaching-definition checks.
     single_assignment: bool = False
-
-    def points(self) -> List[Hashable]:
-        """All program points of this version."""
-        raise NotImplementedError
 
     def live_in(self, point: Hashable) -> FrozenSet[str]:
         """Variables live just before ``point`` (the paper's ``live(p, l)``)."""
@@ -71,72 +64,6 @@ class ProgramView:
         raise NotImplementedError
 
 
-class FormalView(ProgramView):
-    """Program view over the formal linear language."""
-
-    def __init__(self, program: FormalProgram) -> None:
-        self.program = program
-        self._live = formal_live_variables(program)
-        self._reaching = formal_reaching_definitions(program)
-        self._available = self._compute_available()
-
-    def _compute_available(self) -> Dict[int, FrozenSet[str]]:
-        """Forward must-analysis of defined-on-all-paths variables."""
-        program = self.program
-        n = len(program)
-        universe = frozenset(program.variables())
-        avail: Dict[int, FrozenSet[str]] = {point: universe for point in program.points()}
-        avail[1] = frozenset()
-        changed = True
-        while changed:
-            changed = False
-            for point in program.points():
-                if point == 1:
-                    incoming: FrozenSet[str] = frozenset()
-                else:
-                    preds = program.predecessors(point)
-                    if preds:
-                        sets = []
-                        for pred in preds:
-                            inst = program[pred]
-                            gen: FrozenSet[str]
-                            if isinstance(inst, FAssign):
-                                gen = frozenset({inst.dest})
-                            elif isinstance(inst, FIn):
-                                gen = frozenset(inst.variables)
-                            else:
-                                gen = frozenset()
-                            sets.append(avail[pred] | gen)
-                        incoming = frozenset.intersection(*sets)
-                    else:
-                        incoming = universe
-                if incoming != avail[point]:
-                    avail[point] = incoming
-                    changed = True
-        return avail
-
-    def points(self) -> List[int]:
-        return list(self.program.points())
-
-    def live_in(self, point: int) -> FrozenSet[str]:
-        return self._live.get(point, frozenset())
-
-    def available_at(self, point: int) -> FrozenSet[str]:
-        return self._available.get(point, frozenset())
-
-    def unique_reaching_definition(self, var: str, point: int) -> Optional[int]:
-        defs = sorted(d for name, d in self._reaching[point] if name == var)
-        if len(defs) == 1:
-            return defs[0]
-        return None
-
-    def assignment_at(self, point: int) -> Optional[Tuple[str, Expr]]:
-        inst = self.program[point]
-        if isinstance(inst, FAssign):
-            return inst.dest, inst.expr
-        return None
-
-
 class FunctionView(ProgramView):
     """Program view over a block-IR function."""
 
@@ -151,9 +78,6 @@ class FunctionView(ProgramView):
         from ..ir.verify import is_ssa
 
         self.single_assignment = is_ssa(function)
-
-    def points(self) -> List[ProgramPoint]:
-        return self.function.program_points()
 
     def live_in(self, point: ProgramPoint) -> FrozenSet[str]:
         return self._live.live_in(point)
@@ -183,7 +107,3 @@ class FunctionView(ProgramView):
     @property
     def liveness(self) -> LivenessInfo:
         return self._live
-
-    @property
-    def availability(self) -> AvailableValues:
-        return self._available

@@ -22,30 +22,22 @@ from .formula import (
 )
 from .checker import (
     FormalProgramGraph,
-    FunctionPointGraph,
     ModelChecker,
-    PointGraph,
 )
 from .predicates import (
-    conlit,
     formal_defines,
     formal_lives,
     formal_point_is,
     formal_stmt,
     formal_trans,
     formal_uses,
-    freevar,
-    ir_defines,
-    ir_lives,
-    ir_uses,
 )
 
 __all__ = [
     "Formula", "Atom", "TrueFormula", "FalseFormula", "TRUE", "FALSE",
     "Not", "And", "Or", "Implies",
     "AX", "EX", "AU", "EU", "BackAX", "BackEX", "BackAU", "BackEU",
-    "PointGraph", "FormalProgramGraph", "FunctionPointGraph", "ModelChecker",
+    "FormalProgramGraph", "ModelChecker",
     "formal_defines", "formal_uses", "formal_stmt", "formal_point_is",
-    "formal_trans", "formal_lives", "ir_defines", "ir_uses", "ir_lives",
-    "conlit", "freevar",
+    "formal_trans", "formal_lives",
 ]

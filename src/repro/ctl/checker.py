@@ -12,29 +12,16 @@ The ``EX true`` conjunct in AU implements *strong* until on finite maximal
 paths: a terminal point (no successors) satisfies ``A(φ U ψ)`` only via ψ.
 Backward operators use predecessors instead of successors.
 
-The graph is abstracted behind :class:`PointGraph`, with adapters for the
-formal linear language and for IR functions, so the same checker serves
-Figure 3's predicates, Figure 5's rewrite-rule side conditions and the
-IR-level tests.
+The graph is a :class:`FormalProgramGraph` (the points of a formal
+program plus its successor edges), which is what Figure 3's predicates
+and Figure 5's rewrite-rule side conditions are checked over.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Generic,
-    Hashable,
-    List,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from ..formal.program import FormalProgram
-from ..ir.function import Function, ProgramPoint
-from ..cfg.graph import ControlFlowGraph
 from .formula import (
     AU,
     AX,
@@ -54,26 +41,13 @@ from .formula import (
     TrueFormula,
 )
 
-__all__ = ["PointGraph", "FormalProgramGraph", "FunctionPointGraph", "ModelChecker"]
-
-PointT = TypeVar("PointT", bound=Hashable)
+__all__ = ["FormalProgramGraph", "ModelChecker"]
 
 
-class PointGraph(Generic[PointT]):
-    """Abstract interface the model checker needs from a program."""
-
-    def points(self) -> List[PointT]:
-        raise NotImplementedError
-
-    def successors(self, point: PointT) -> Tuple[PointT, ...]:
-        raise NotImplementedError
-
-    def predecessors(self, point: PointT) -> Tuple[PointT, ...]:
-        raise NotImplementedError
-
-
-class FormalProgramGraph(PointGraph[int]):
-    """Point graph of a formal (linear) program; points are 1-based ints."""
+class FormalProgramGraph:
+    """What the model checker needs from a formal (linear) program: its
+    points (1-based ints) and the edges between them; the virtual exit
+    point ``n + 1`` is not a point, and edges to it are dropped."""
 
     def __init__(self, program: FormalProgram) -> None:
         self.program = program
@@ -97,56 +71,28 @@ class FormalProgramGraph(PointGraph[int]):
         return tuple(self._pred.get(point, ()))
 
 
-class FunctionPointGraph(PointGraph[ProgramPoint]):
-    """Point graph of a block-IR function; points are ``(block, index)`` pairs."""
+class ModelChecker:
+    """Evaluates CTL formulas over a :class:`FormalProgramGraph`."""
 
-    def __init__(self, function: Function, cfg: ControlFlowGraph = None) -> None:
-        self.function = function
-        self.cfg = cfg or ControlFlowGraph(function)
-        self._points = function.program_points()
-        self._succ: Dict[ProgramPoint, Tuple[ProgramPoint, ...]] = {}
-        self._pred: Dict[ProgramPoint, List[ProgramPoint]] = {p: [] for p in self._points}
-        point_set = set(self._points)
-        for point in self._points:
-            succs = tuple(
-                s for s in self.cfg.point_successors(point) if s in point_set
-            )
-            self._succ[point] = succs
-            for succ in succs:
-                self._pred[succ].append(point)
-
-    def points(self) -> List[ProgramPoint]:
-        return list(self._points)
-
-    def successors(self, point: ProgramPoint) -> Tuple[ProgramPoint, ...]:
-        return self._succ.get(point, ())
-
-    def predecessors(self, point: ProgramPoint) -> Tuple[ProgramPoint, ...]:
-        return tuple(self._pred.get(point, ()))
-
-
-class ModelChecker(Generic[PointT]):
-    """Evaluates CTL formulas over a :class:`PointGraph`."""
-
-    def __init__(self, graph: PointGraph[PointT]) -> None:
+    def __init__(self, graph: FormalProgramGraph) -> None:
         self.graph = graph
         self._all_points = frozenset(graph.points())
 
     # ------------------------------------------------------------------ #
     # Public API.
     # ------------------------------------------------------------------ #
-    def sat(self, formula: Formula) -> FrozenSet[PointT]:
+    def sat(self, formula: Formula) -> FrozenSet[int]:
         """The set of program points at which ``formula`` holds."""
         return self._sat(formula)
 
-    def holds_at(self, point: PointT, formula: Formula) -> bool:
+    def holds_at(self, point: int, formula: Formula) -> bool:
         """Does ``formula`` hold at ``point``?  (``p, l ⊨ φ`` in the paper.)"""
         return point in self._sat(formula)
 
     # ------------------------------------------------------------------ #
     # Recursive satisfaction-set computation.
     # ------------------------------------------------------------------ #
-    def _sat(self, formula: Formula) -> FrozenSet[PointT]:
+    def _sat(self, formula: Formula) -> FrozenSet[int]:
         if isinstance(formula, TrueFormula):
             return self._all_points
         if isinstance(formula, FalseFormula):
@@ -192,18 +138,18 @@ class ModelChecker(Generic[PointT]):
     # ------------------------------------------------------------------ #
     def _exists_next(
         self,
-        target: FrozenSet[PointT],
-        next_of: Callable[[PointT], Tuple[PointT, ...]],
-    ) -> FrozenSet[PointT]:
+        target: FrozenSet[int],
+        next_of: Callable[[int], Tuple[int, ...]],
+    ) -> FrozenSet[int]:
         return frozenset(
             p for p in self._all_points if any(s in target for s in next_of(p))
         )
 
     def _all_next(
         self,
-        target: FrozenSet[PointT],
-        next_of: Callable[[PointT], Tuple[PointT, ...]],
-    ) -> FrozenSet[PointT]:
+        target: FrozenSet[int],
+        next_of: Callable[[int], Tuple[int, ...]],
+    ) -> FrozenSet[int]:
         # Vacuously true at points with no next states (standard AX semantics).
         return frozenset(
             p for p in self._all_points if all(s in target for s in next_of(p))
@@ -211,11 +157,11 @@ class ModelChecker(Generic[PointT]):
 
     def _exists_until(
         self,
-        lhs: FrozenSet[PointT],
-        rhs: FrozenSet[PointT],
-        next_of: Callable[[PointT], Tuple[PointT, ...]],
-    ) -> FrozenSet[PointT]:
-        result: Set[PointT] = set(rhs)
+        lhs: FrozenSet[int],
+        rhs: FrozenSet[int],
+        next_of: Callable[[int], Tuple[int, ...]],
+    ) -> FrozenSet[int]:
+        result: Set[int] = set(rhs)
         changed = True
         while changed:
             changed = False
@@ -229,11 +175,11 @@ class ModelChecker(Generic[PointT]):
 
     def _all_until(
         self,
-        lhs: FrozenSet[PointT],
-        rhs: FrozenSet[PointT],
-        next_of: Callable[[PointT], Tuple[PointT, ...]],
-    ) -> FrozenSet[PointT]:
-        result: Set[PointT] = set(rhs)
+        lhs: FrozenSet[int],
+        rhs: FrozenSet[int],
+        next_of: Callable[[int], Tuple[int, ...]],
+    ) -> FrozenSet[int]:
+        result: Set[int] = set(rhs)
         changed = True
         while changed:
             changed = False

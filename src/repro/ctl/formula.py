@@ -45,8 +45,8 @@ P = TypeVar("P", bound=Hashable)
 class Formula:
     """Base class for CTL formulas.
 
-    Overloads ``&``, ``|``, ``~`` and ``>>`` (implication) so side
-    conditions read close to the paper's notation::
+    Overloads ``&`` and ``|`` so side conditions read close to the
+    paper's notation::
 
         cond = BackAX(BackAU(TRUE, defines("x"))) & EX(uses("x"))
     """
@@ -57,12 +57,6 @@ class Formula:
     def __or__(self, other: "Formula") -> "Formula":
         return Or(self, other)
 
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Implies(self, other)
-
 
 @dataclass(frozen=True)
 class Atom(Formula):
@@ -70,8 +64,7 @@ class Atom(Formula):
 
     ``name`` is only used for display; ``predicate`` maps a program point
     to a bool.  The point type is whatever the underlying graph uses
-    (ints for formal programs, :class:`~repro.ir.function.ProgramPoint`
-    for IR functions).
+    (ints for formal programs).
     """
 
     name: str
@@ -79,9 +72,6 @@ class Atom(Formula):
 
     def __str__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        return hash((self.name, id(self.predicate)))
 
 
 @dataclass(frozen=True)

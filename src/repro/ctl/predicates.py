@@ -1,11 +1,9 @@
 """The local predicates of Figure 3, as CTL atoms and derived formulas.
 
 Each helper builds an :class:`~repro.ctl.formula.Atom` whose predicate
-inspects the instruction at a program point.  Two families are provided:
-
-* ``formal_*`` — for the linear language of :mod:`repro.formal` (used by
-  the Figure 5 rewrite rules and by the CTL-vs-dataflow liveness tests);
-* ``ir_*`` — the same predicates over block-IR functions.
+inspects the instruction at a program point of the linear language of
+:mod:`repro.formal` (used by the Figure 5 rewrite rules and by the
+CTL-vs-dataflow liveness tests).
 
 ``lives`` composes the atoms exactly as Figure 3 does::
 
@@ -19,8 +17,7 @@ from __future__ import annotations
 
 
 from ..formal.program import FAssign, FIn, FOut, FormalInstruction, FormalProgram
-from ..ir.expr import Expr, free_vars, is_constant_expr
-from ..ir.function import Function, ProgramPoint
+from ..ir.expr import Expr, free_vars
 from .formula import Atom, BackAU, BackAX, EU, Formula, Not, TRUE
 
 __all__ = [
@@ -30,17 +27,7 @@ __all__ = [
     "formal_point_is",
     "formal_trans",
     "formal_lives",
-    "ir_defines",
-    "ir_uses",
-    "ir_lives",
-    "conlit",
-    "freevar",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# Predicates over the formal (linear) language.
-# ---------------------------------------------------------------------- #
 
 
 def formal_defines(program: FormalProgram, var: str) -> Atom:
@@ -117,59 +104,3 @@ def formal_lives(program: FormalProgram, var: str) -> Formula:
     defined_on_all_backward_paths = BackAX(BackAU(TRUE, defined))
     used_before_redefined = EU(Not(defined), used)
     return defined_on_all_backward_paths & used_before_redefined
-
-
-# ---------------------------------------------------------------------- #
-# Predicates over block-IR functions.
-# ---------------------------------------------------------------------- #
-
-
-def ir_defines(function: Function, var: str) -> Atom:
-    """``def(x)`` over IR program points (parameters count as defined at entry:0)."""
-
-    def predicate(point: object) -> bool:
-        assert isinstance(point, ProgramPoint)
-        inst = function.instruction_at(point)
-        if var in inst.defs():
-            return True
-        if (
-            var in function.params
-            and point.block == function.entry_label
-            and point.index == 0
-        ):
-            return True
-        return False
-
-    return Atom(f"def({var})", predicate)
-
-
-def ir_uses(function: Function, var: str) -> Atom:
-    """``use(x)`` over IR program points."""
-
-    def predicate(point: object) -> bool:
-        assert isinstance(point, ProgramPoint)
-        return var in function.instruction_at(point).uses()
-
-    return Atom(f"use({var})", predicate)
-
-
-def ir_lives(function: Function, var: str) -> Formula:
-    """The Figure 3 liveness formula over IR points."""
-    defined = ir_defines(function, var)
-    used = ir_uses(function, var)
-    return BackAX(BackAU(TRUE, defined)) & EU(Not(defined), used)
-
-
-# ---------------------------------------------------------------------- #
-# Global (non-temporal) predicates of Section 2.2.
-# ---------------------------------------------------------------------- #
-
-
-def conlit(expr: Expr) -> bool:
-    """``conlit(c)``: the expression is a constant literal (no free variables)."""
-    return is_constant_expr(expr)
-
-
-def freevar(var: str, expr: Expr) -> bool:
-    """``freevar(x, e)``: ``x`` occurs free in ``e``."""
-    return var in free_vars(expr)

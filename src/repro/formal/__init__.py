@@ -5,9 +5,13 @@ big-step semantics (Figure 2), traces, the liveness / reaching-definition
 analyses used by the formal development, program composition
 (Definition 3.3) and the executable form of Theorem 3.2.
 
-The rewrite rules of Figure 5 and the OSR mapping machinery live in
-:mod:`repro.rewrite` and :mod:`repro.core`, which operate on both this
-language and the block-structured IR.
+The rewrite rules of Figure 5 and ``OSR_trans`` live in
+:mod:`repro.rewrite`.  Algorithm 1 and the OSR mappings live in
+:mod:`repro.core` and are written against ``ProgramView``;
+:class:`FormalView` is this language's view, and the empirical
+bisimulation / mapping-soundness checks over it are in
+:mod:`repro.formal.bisimulation`.  This package imports ``core``; nothing
+an engine loads imports this package.
 """
 
 from .program import (
@@ -32,12 +36,18 @@ from .semantics import (
     trace_formal,
 )
 from .analysis import (
-    formal_live_at,
     formal_live_variables,
     formal_reaching_definitions,
     formal_unique_reaching_definition,
 )
 from .compose import ComposeError, check_live_store_replacement, compose
+from .views import FormalView
+from .bisimulation import (
+    check_live_variable_bisimulation,
+    check_mapping_soundness,
+    random_stores,
+)
+from .generator import random_formal_program
 
 __all__ = [
     "FormalProgram",
@@ -58,10 +68,14 @@ __all__ = [
     "UndefinedSemantics",
     "semantically_equivalent_on",
     "formal_live_variables",
-    "formal_live_at",
     "formal_reaching_definitions",
     "formal_unique_reaching_definition",
     "compose",
     "ComposeError",
     "check_live_store_replacement",
+    "FormalView",
+    "check_live_variable_bisimulation",
+    "check_mapping_soundness",
+    "random_stores",
+    "random_formal_program",
 ]

@@ -18,7 +18,6 @@ from .program import FAssign, FIn, FormalProgram
 
 __all__ = [
     "formal_live_variables",
-    "formal_live_at",
     "formal_reaching_definitions",
     "formal_unique_reaching_definition",
 ]
@@ -53,11 +52,6 @@ def formal_live_variables(program: FormalProgram) -> Dict[int, FrozenSet[str]]:
                 live[point] = new_live
                 changed = True
     return {point: frozenset(values) for point, values in live.items()}
-
-
-def formal_live_at(program: FormalProgram, point: int) -> FrozenSet[str]:
-    """``live(p, l)`` for a single point (recomputes the full analysis)."""
-    return formal_live_variables(program)[point]
 
 
 def formal_reaching_definitions(

@@ -231,15 +231,6 @@ class FormalProgram:
         ]
         return tuple(preds)
 
-    def replace(self, point: int, new_instruction: FormalInstruction) -> "FormalProgram":
-        """A copy of the program with the instruction at ``point`` replaced."""
-        instructions = list(self.instructions)
-        instructions[point - 1] = new_instruction
-        return FormalProgram(instructions)
-
-    def copy(self) -> "FormalProgram":
-        return FormalProgram(list(self.instructions))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalProgram) and self.instructions == other.instructions
 

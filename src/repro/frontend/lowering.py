@@ -4,7 +4,7 @@ Every source variable lives in a single-cell stack slot; every read is a
 ``load`` and every write a ``store``, so the resulting IR is deliberately
 naive.  ``compile_program``/``compile_function`` then run ``mem2reg`` to
 produce the f_base the paper starts from (clang -O0 + mem2reg), with
-:class:`~repro.core.debug.debuginfo.DebugInfo` recording which register
+:class:`~repro.ir.debuginfo.DebugInfo` recording which register
 carries each source variable at each instruction and ``source_line``
 marking the instructions that correspond to source locations.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.debug.debuginfo import DebugInfo
+from ..ir.debuginfo import DebugInfo
 from ..ir.expr import BinOp, Const, Expr, UnOp, Var
 from ..ir.function import BasicBlock, Function, Module
 from ..ir.instructions import (

@@ -45,9 +45,9 @@ from .instructions import (
     Terminator,
 )
 from .function import BasicBlock, Function, Module, ProgramPoint
-from .builder import FunctionBuilder
+from .debuginfo import DebugInfo, SourceVariable
 from .parser import ParseError, parse_expr, parse_function, parse_module
-from .printer import annotate_function, format_table, print_function, print_module
+from .printer import format_table, print_function, print_module
 from .interp import (
     AbortExecution,
     ExecutionResult,
@@ -70,10 +70,10 @@ __all__ = [
     "Instruction", "Assign", "Load", "Store", "Alloca", "Call", "Phi", "Guard",
     "Nop", "Terminator", "Jump", "Branch", "Return", "Abort",
     # structure
-    "BasicBlock", "Function", "Module", "ProgramPoint", "FunctionBuilder",
+    "BasicBlock", "Function", "Module", "ProgramPoint", "DebugInfo", "SourceVariable",
     # text
     "ParseError", "parse_expr", "parse_function", "parse_module",
-    "print_function", "print_module", "annotate_function", "format_table",
+    "print_function", "print_module", "format_table",
     # execution
     "Interpreter", "Memory", "ExecutionResult", "TraceEntry", "run_function",
     "run_module", "AbortExecution", "StepLimitExceeded", "GuardFailure",

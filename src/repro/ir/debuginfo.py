@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ...ir.expr import Expr, Var
-from ...ir.function import Function, ProgramPoint
+from .expr import Expr
+from .function import Function, ProgramPoint
 
 __all__ = ["SourceVariable", "DebugInfo"]
 
@@ -77,14 +77,6 @@ class DebugInfo:
     def bindings_at(self, inst_uid: int) -> Dict[str, Expr]:
         """Source variable → value expression at the given instruction."""
         return dict(self.bindings_by_uid.get(inst_uid, {}))
-
-    def user_registers_at(self, inst_uid: int) -> Dict[str, str]:
-        """Source variable → register name, for variables currently held in registers."""
-        result: Dict[str, str] = {}
-        for name, value in self.bindings_by_uid.get(inst_uid, {}).items():
-            if isinstance(value, Var):
-                result[name] = value.name
-        return result
 
     def source_points(self, function: Function) -> List[ProgramPoint]:
         """Program points of ``function`` that correspond to source locations.

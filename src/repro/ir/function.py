@@ -78,9 +78,6 @@ class BasicBlock:
                 break
         return result
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [inst for inst in self.instructions if not isinstance(inst, Phi)]
-
     # ------------------------------------------------------------------ #
     # Mutation helpers used by passes.
     # ------------------------------------------------------------------ #
@@ -94,12 +91,6 @@ class BasicBlock:
 
     def remove(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
-
-    def index_of(self, inst: Instruction) -> int:
-        for i, candidate in enumerate(self.instructions):
-            if candidate is inst:
-                return i
-        raise ValueError(f"instruction {inst!r} not found in block {self.label}")
 
     def copy(self) -> Tuple["BasicBlock", Dict[int, int]]:
         """Deep-copy the block; return it plus an old-uid → new-uid map."""
@@ -136,7 +127,7 @@ class Function:
         self.blocks: Dict[str, BasicBlock] = {}
         self._block_order: List[str] = []
         #: Arbitrary per-function metadata.  The frontend stores
-        #: :class:`~repro.core.debug.debuginfo.DebugInfo` here under the
+        #: :class:`~repro.ir.debuginfo.DebugInfo` here under the
         #: key ``"debug"``; passes must not consult it (it is transparent,
         #: like LLVM debug metadata).
         self.metadata: Dict[str, object] = {}
@@ -239,19 +230,6 @@ class Function:
         for _, inst in self.instructions():
             names.update(inst.defs())
         return names
-
-    def used_variables(self) -> set:
-        names = set()
-        for _, inst in self.instructions():
-            names.update(inst.uses())
-        return names
-
-    def definitions_of(self, name: str) -> List[Tuple[ProgramPoint, Instruction]]:
-        return [
-            (point, inst)
-            for point, inst in self.instructions()
-            if name in inst.defs()
-        ]
 
     # ------------------------------------------------------------------ #
     # Whole-function transforms.

@@ -2,19 +2,16 @@
 
 ``print_function``/``print_module`` emit the canonical textual form that
 :mod:`repro.ir.parser` accepts, so text is a faithful serialization of the
-in-memory IR.  ``annotate_function`` additionally prefixes every
-instruction with its program point and, optionally, per-point analysis
-facts (e.g. live-variable sets), which is how examples and EXPERIMENTS.md
-render IR listings.
+in-memory IR.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .function import Function, Module, ProgramPoint
+from .function import Function, Module
 
-__all__ = ["print_function", "print_module", "annotate_function", "format_table"]
+__all__ = ["print_function", "print_module", "format_table"]
 
 
 def print_function(function: Function) -> str:
@@ -31,29 +28,6 @@ def print_function(function: Function) -> str:
 def print_module(module: Module) -> str:
     """Render every function of ``module``."""
     return "\n\n".join(print_function(f) for f in module)
-
-
-def annotate_function(
-    function: Function,
-    annotations: Optional[Mapping[ProgramPoint, str]] = None,
-) -> str:
-    """Render ``function`` with program points (and optional per-point notes).
-
-    ``annotations`` maps program points to a short string appended after
-    the instruction, e.g. the live set computed by
-    :func:`repro.analysis.liveness.live_variables`.
-    """
-    annotations = annotations or {}
-    lines = [f"func @{function.name}({', '.join(function.params)}) {{"]
-    for block in function.iter_blocks():
-        lines.append(f"{block.label}:")
-        for index, inst in enumerate(block.instructions):
-            point = ProgramPoint(block.label, index)
-            note = annotations.get(point)
-            suffix = f"    ; {note}" if note else ""
-            lines.append(f"  [{point}] {inst}{suffix}")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def format_table(

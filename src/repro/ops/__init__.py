@@ -26,7 +26,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsExporter,
-    MetricsRegistry,
     parse_prometheus,
     render_prometheus,
 )
@@ -34,7 +33,6 @@ from .render import FORMATS, format_rows
 
 __all__ = [
     "MetricsExporter",
-    "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",

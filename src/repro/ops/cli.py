@@ -27,6 +27,7 @@ from .. import __version__
 from ..engine.config import EngineConfig
 from ..store.artifacts import FunctionArtifact, StoreError
 from ..store.persist import ArtifactStore
+from ..vm.backend import BACKEND_ENV_VAR, DEFAULT_BACKEND
 from .export import JsonLinesSink, serve_metrics
 from .metrics import MetricsExporter
 from .render import FORMATS, format_rows
@@ -53,7 +54,7 @@ def config_options(command):
         "--backend",
         type=click.Choice(["interp", "compiled"]),
         default=None,
-        help="Optimized-tier backend (default: REPRO_BACKEND or interp).",
+        help=f"Optimized-tier backend (default: {BACKEND_ENV_VAR} or {DEFAULT_BACKEND}).",
     )(command)
     command = click.option(
         "--set",

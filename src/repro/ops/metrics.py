@@ -43,7 +43,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "MetricsExporter",
     "STAT_COUNTERS",
     "STAT_GAUGES",
@@ -207,38 +206,6 @@ class Histogram:
                 }
                 for labels in sorted(self._totals)
             }
-
-
-class MetricsRegistry:
-    """An ordered collection of metric families with one text renderer."""
-
-    def __init__(self) -> None:
-        self._families: List[object] = []
-
-    def register(self, family):
-        self._families.append(family)
-        return family
-
-    def counter(self, name: str, help: str, labels: Sequence[str] = ()) -> Counter:
-        return self.register(Counter(name, help, labels))
-
-    def gauge(self, name: str, help: str, labels: Sequence[str] = ()) -> Gauge:
-        return self.register(Gauge(name, help, labels))
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self.register(Histogram(name, help, labels, buckets))
-
-    def families(self) -> List[object]:
-        return list(self._families)
-
-    def render(self) -> str:
-        return render_prometheus(self._families)
 
 
 def render_prometheus(families: Sequence[object]) -> str:

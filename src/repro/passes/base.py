@@ -3,8 +3,7 @@
 Passes mutate a :class:`~repro.ir.function.Function` in place and report
 every IR manipulation to a CodeMapper (Section 5.1), exactly as the
 paper's edited LLVM passes do.  A pass returns ``True`` when it changed
-the function, which the manager uses to iterate pipelines to a fixed
-point.
+the function; the manager reports that per pass.
 
 Each pass also exposes rough self-description metadata (``loc`` — the
 size of its implementation — and ``tracked_action_kinds``), which the
@@ -59,33 +58,21 @@ class PipelineResult:
     function: Function
     changed: bool
     per_pass_changed: Dict[str, bool] = field(default_factory=dict)
-    iterations: int = 1
 
 
 class PassManager:
-    """Runs a sequence of passes, optionally iterating to a fixed point."""
+    """Runs a sequence of passes once, in order."""
 
-    def __init__(self, passes: Sequence[Pass], *, iterate: bool = False, max_iterations: int = 4) -> None:
+    def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes = list(passes)
-        self.iterate = iterate
-        self.max_iterations = max_iterations
 
     def run(self, function: Function, mapper: Optional[MapperLike] = None) -> PipelineResult:
         mapper = mapper if mapper is not None else NullCodeMapper()
-        overall_changed = False
         per_pass: Dict[str, bool] = {p.name: False for p in self.passes}
-        iterations = 0
-        for _ in range(self.max_iterations if self.iterate else 1):
-            iterations += 1
-            round_changed = False
-            for pass_ in self.passes:
-                changed = pass_.run(function, mapper)
-                per_pass[pass_.name] = per_pass[pass_.name] or changed
-                round_changed = round_changed or changed
-            overall_changed = overall_changed or round_changed
-            if not round_changed:
-                break
-        return PipelineResult(function, overall_changed, per_pass, iterations)
+        for pass_ in self.passes:
+            changed = pass_.run(function, mapper)
+            per_pass[pass_.name] = per_pass[pass_.name] or changed
+        return PipelineResult(function, any(per_pass.values()), per_pass)
 
     def __repr__(self) -> str:
         return f"<PassManager [{', '.join(p.name for p in self.passes)}]>"

@@ -32,7 +32,7 @@ class ConstantPropagationPass(Pass):
         changed = False
         ssa = is_ssa(function)
 
-        for _ in range(8):  # iterate: folding can expose new constants
+        for _ in range(8):  # repeat: folding can expose new constants
             round_changed = False
 
             # 1. Fold every expression operand in place.  Guards whose

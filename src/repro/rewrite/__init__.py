@@ -1,4 +1,4 @@
-"""Rewrite rules with CTL side conditions and the transformation engine."""
+"""Rewrite rules with CTL side conditions, the transformation engine and ``OSR_trans``."""
 
 from .rule import RewriteRule, RuleApplication
 from .rules import (
@@ -7,12 +7,8 @@ from .rules import (
     ConstantPropagation,
     DeadCodeElimination,
 )
-from .engine import (
-    TransformationResult,
-    apply_rule,
-    apply_rules,
-    identity_point_mapping,
-)
+from .engine import TransformationResult, apply_rule, apply_rules
+from .osr_trans import FormalOSRTransResult, osr_trans_formal
 
 __all__ = [
     "RewriteRule",
@@ -24,5 +20,6 @@ __all__ = [
     "TransformationResult",
     "apply_rule",
     "apply_rules",
-    "identity_point_mapping",
+    "FormalOSRTransResult",
+    "osr_trans_formal",
 ]

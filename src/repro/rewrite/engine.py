@@ -2,25 +2,21 @@
 
 ``TransformationResult`` is the formal-language analogue of the paper's
 ``apply(p, T) → (p', Δ_pp', Δ_p'p)`` step: it carries the transformed
-program, the (identity) point mappings and the list of rule applications
-performed.  ``OSR_trans`` consumes it to build forward and backward OSR
-mappings.
+program and the list of rule applications performed; the rules rewrite
+in place, so both Δ point mappings are the identity (Theorem 4.6) and are
+not materialized.  ``OSR_trans`` (:mod:`repro.rewrite.osr_trans`)
+consumes it to build forward and backward OSR mappings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..formal.program import FormalProgram
 from .rule import RewriteRule, RuleApplication
 
-__all__ = ["TransformationResult", "apply_rule", "apply_rules", "identity_point_mapping"]
-
-
-def identity_point_mapping(program: FormalProgram) -> Dict[int, int]:
-    """The Δ mapping of Theorem 4.6: every point maps to itself."""
-    return {point: point for point in program.points()}
+__all__ = ["TransformationResult", "apply_rule", "apply_rules"]
 
 
 @dataclass
@@ -31,16 +27,6 @@ class TransformationResult:
     transformed: FormalProgram
     applications: List[RuleApplication] = field(default_factory=list)
 
-    @property
-    def forward_points(self) -> Dict[int, int]:
-        """Δ_pp': original point → transformed point (identity for in-place rules)."""
-        return identity_point_mapping(self.original)
-
-    @property
-    def backward_points(self) -> Dict[int, int]:
-        """Δ_p'p: transformed point → original point (identity for in-place rules)."""
-        return identity_point_mapping(self.transformed)
-
     def changed_points(self) -> List[int]:
         """Program points whose instruction differs between the two versions."""
         return sorted(
@@ -49,12 +35,6 @@ class TransformationResult:
                 for application in self.applications
                 for point in application.points()
             }
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<TransformationResult: {len(self.applications)} applications, "
-            f"{len(self.changed_points())} points changed>"
         )
 
 

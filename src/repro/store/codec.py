@@ -81,7 +81,6 @@ def decode_compensation(data: Mapping[str, object]) -> CompensationCode:
 # ---------------------------------------------------------------------- #
 def encode_mapping(mapping: OSRMapping) -> Dict[str, object]:
     return {
-        "strict": mapping.strict,
         "name": mapping.name,
         "entries": [
             [str(point), str(entry.target), encode_compensation(entry.compensation)]
@@ -95,12 +94,7 @@ def decode_mapping(
     source_view: FunctionView,
     target_view: FunctionView,
 ) -> OSRMapping:
-    mapping = OSRMapping(
-        source_view,
-        target_view,
-        strict=bool(data.get("strict", True)),
-        name=str(data.get("name", "")),
-    )
+    mapping = OSRMapping(source_view, target_view, name=str(data.get("name", "")))
     for source, target, compensation in data.get("entries", []):
         mapping.add(
             ProgramPoint.parse(source),

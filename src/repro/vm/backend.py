@@ -23,8 +23,9 @@ engine.  This module defines the seam between the two:
 
 Backends are registered by name; ``resolve_backend`` accepts a name, an
 instance, or ``None`` (which consults the ``REPRO_BACKEND`` environment
-variable — the switch CI's backend-parity job flips to run the whole
-tier-1 suite on each engine).
+variable and falls back to :data:`DEFAULT_BACKEND`, ``compiled`` — CI's
+backend-parity job sets the variable to run the whole tier-1 suite on
+the other engine).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "BoundEntry",
     "BACKEND_NAMES",
     "BACKEND_ENV_VAR",
+    "DEFAULT_BACKEND",
     "backend_name_from_env",
     "resolve_backend",
 ]
@@ -58,6 +60,9 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Registered backend names, in preference order.
 BACKEND_NAMES = ("compiled", "interp")
+
+#: The backend optimized tiers run on when ``REPRO_BACKEND`` is unset.
+DEFAULT_BACKEND = "compiled"
 
 
 class ExecutionBackend:
@@ -367,8 +372,8 @@ _FACTORIES: Dict[str, Callable[..., ExecutionBackend]] = {
 }
 
 
-def backend_name_from_env(default: str = "compiled") -> str:
-    """The backend name selected by ``REPRO_BACKEND`` (or ``default``).
+def backend_name_from_env() -> str:
+    """The backend name selected by ``REPRO_BACKEND`` (unset: :data:`DEFAULT_BACKEND`).
 
     An invalid value raises immediately, naming the registered backends
     — it must never fall through to some silent default.
@@ -378,7 +383,7 @@ def backend_name_from_env(default: str = "compiled") -> str:
     """
     name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if not name:
-        return default
+        return DEFAULT_BACKEND
     if name not in BACKEND_NAMES:
         raise ValueError(
             f"{BACKEND_ENV_VAR}={name!r} names no backend; "
@@ -391,18 +396,18 @@ def resolve_backend(
     spec: Union[None, str, ExecutionBackend],
     *,
     step_limit: int = 2_000_000,
-    default: str = "compiled",
 ) -> ExecutionBackend:
     """Resolve a backend spec: instance, registry name, or ``None``.
 
     ``None`` consults :data:`BACKEND_ENV_VAR` and falls back to
-    ``default`` — the hook the CI backend-parity job uses to run the
-    entire suite per engine without touching any call site.
+    :data:`DEFAULT_BACKEND` — the hook the CI backend-parity job uses to
+    run the entire suite on the other engine without touching any call
+    site.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:
-        spec = backend_name_from_env(default)
+        spec = backend_name_from_env()
     factory = _FACTORIES.get(spec)
     if factory is None:
         raise ValueError(

@@ -11,14 +11,13 @@ from .programs import (
     STRAIGHT_LINE_SOURCES,
     benchmark_arguments,
     benchmark_function,
-    benchmark_functions,
     benchmark_source,
     call_kernel_arguments,
     call_kernel_module,
     straightline_arguments,
     straightline_function,
 )
-from .generator import random_formal_program, random_minic_function
+from .generator import random_minic_function
 from .polymorphic import (
     POLYMORPHIC_NAMES,
     POLYMORPHIC_SOURCES,
@@ -60,12 +59,10 @@ __all__ = [
     "STRAIGHT_LINE_SOURCES",
     "benchmark_source",
     "benchmark_function",
-    "benchmark_functions",
     "benchmark_arguments",
     "straightline_function",
     "straightline_arguments",
     "random_minic_function",
-    "random_formal_program",
     "SPEC_BENCHMARKS",
     "CorpusFunction",
     "spec_corpus",

@@ -1,41 +1,20 @@
-"""Seeded random program generators.
+"""Seeded random MiniC generator.
 
-Two generators are provided:
-
-* :func:`random_minic_function` — emits MiniC source with nested loops,
-  branches, redundant arithmetic and array traffic.  The Section 7 corpus
-  (:mod:`repro.workloads.spec_corpus`) is built from many such functions
-  per benchmark, standing in for the hundreds of functions of the SPEC C
-  programs the paper analyses.
-* :func:`random_formal_program` — emits linear programs of the formal
-  language, used by property-based tests of Theorem 3.2, the rewrite
-  rules and OSR mapping soundness.
-
-Both are deterministic in their ``seed`` so experiments are reproducible.
+:func:`random_minic_function` emits MiniC source with nested loops,
+branches, redundant arithmetic and array traffic.  The Section 7 corpus
+(:mod:`repro.workloads.spec_corpus`) is built from many such functions
+per benchmark, standing in for the hundreds of functions of the SPEC C
+programs the paper analyses.  It is deterministic in its ``seed`` so
+experiments are reproducible.  (The formal-language counterpart is
+:func:`repro.formal.random_formal_program`.)
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List
 
-from ..formal.program import (
-    FAssign,
-    FCondGoto,
-    FGoto,
-    FIn,
-    FOut,
-    FSkip,
-    FormalProgram,
-)
-from ..ir.expr import BinOp, Const, Expr, Var
-
-__all__ = ["random_minic_function", "random_formal_program"]
-
-
-# ---------------------------------------------------------------------- #
-# MiniC source generator.
-# ---------------------------------------------------------------------- #
+__all__ = ["random_minic_function"]
 
 
 def random_minic_function(
@@ -120,64 +99,3 @@ def random_minic_function(
     lines.append("  return s + a * 2 + b - c;")
     lines.append("}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# Formal-language program generator.
-# ---------------------------------------------------------------------- #
-
-
-def random_formal_program(
-    seed: int,
-    *,
-    length: int = 10,
-    variables: Sequence[str] = ("x", "y", "z", "w"),
-    allow_loops: bool = False,
-) -> FormalProgram:
-    """Generate a random (terminating) formal program.
-
-    With ``allow_loops=False`` all gotos jump forward, so every program
-    terminates on every store — convenient for property-based testing of
-    semantics-level claims.  Inputs are the first two variables; the
-    output is the last one assigned (falling back to an input).
-    """
-    rng = random.Random(seed)
-    variables = list(variables)
-    inputs = variables[:2]
-
-    def expr(defined: Sequence[str]) -> Expr:
-        roll = rng.random()
-        if roll < 0.3 or not defined:
-            return Const(rng.randint(-5, 9))
-        if roll < 0.6:
-            return Var(rng.choice(list(defined)))
-        op = rng.choice(["add", "sub", "mul"])
-        lhs = Var(rng.choice(list(defined))) if defined else Const(rng.randint(0, 5))
-        rhs = Const(rng.randint(1, 4)) if rng.random() < 0.5 else (
-            Var(rng.choice(list(defined))) if defined else Const(1)
-        )
-        return BinOp(op, lhs, rhs)
-
-    body_len = max(3, length)
-    instructions: List = [FIn(tuple(inputs))]
-    defined = list(inputs)
-    last_assigned = inputs[0]
-    for position in range(2, body_len + 2):
-        roll = rng.random()
-        remaining = body_len + 2 - position
-        if roll < 0.15 and remaining > 2:
-            # Forward conditional jump (always to a later point, before out).
-            target = rng.randint(position + 1, body_len + 1)
-            instructions.append(FCondGoto(expr(defined), target))
-        elif roll < 0.2:
-            instructions.append(FSkip())
-        else:
-            dest = rng.choice(variables)
-            instructions.append(FAssign(dest, expr(defined)))
-            if dest not in defined:
-                defined.append(dest)
-            last_assigned = dest
-        if allow_loops and roll >= 0.97 and position > 4:
-            instructions[-1] = FGoto(rng.randint(2, position - 1))
-    instructions.append(FOut((last_assigned,)))
-    return FormalProgram(instructions)

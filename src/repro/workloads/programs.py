@@ -13,7 +13,7 @@ nested control flow, memory traffic and redundant arithmetic so the
 OSR-aware passes have real work to do; the substitution is documented in
 DESIGN.md.
 
-``benchmark_functions()`` compiles every kernel to its f_base form (SSA
+``benchmark_function(name)`` compiles a kernel to its f_base form (SSA
 with debug metadata), and ``benchmark_arguments`` provides input values
 (plus array initialization) so tests and benchmarks can execute them.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "CALL_KERNEL_ENTRIES",
     "benchmark_source",
     "benchmark_function",
-    "benchmark_functions",
     "benchmark_arguments",
     "straightline_function",
     "straightline_arguments",
@@ -558,11 +557,6 @@ def benchmark_source(name: str) -> str:
 def benchmark_function(name: str) -> Function:
     """The f_base (SSA + debug info) form of one named benchmark kernel."""
     return compile_function(benchmark_source(name), name)
-
-
-def benchmark_functions() -> Dict[str, Function]:
-    """All twelve kernels, compiled to f_base."""
-    return {name: benchmark_function(name) for name in BENCHMARK_NAMES}
 
 
 def benchmark_arguments(name: str, *, size: int = 24, seed: int = 7) -> Tuple[List[int], Memory]:

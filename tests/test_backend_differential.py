@@ -119,7 +119,7 @@ def _speculative_pair(name, warm_runs=6):
 def test_guard_failures_are_identical_across_backends(name, backends):
     interp, compiled = backends
     _, pair = _speculative_pair(name)
-    backward, uncovered = pair.guarded_backward_mapping()
+    plans, uncovered = pair.deopt_plans()
     assert not uncovered
 
     args, memory = speculative_arguments(name, violate=True)
@@ -136,20 +136,19 @@ def test_guard_failures_are_identical_across_backends(name, backends):
     # The raw live state at the guard is byte-identical...
     assert compiled_failure.env == interp_failure.env
     # ...and so is the transferred deopt landing state.
-    interp_landing = backward.transfer(interp_failure.point, interp_failure.env)
-    compiled_landing = backward.transfer(compiled_failure.point, compiled_failure.env)
-    assert compiled_landing == interp_landing
+    transfer = plans[interp_failure.point].frames[0].transfer
+    assert transfer(compiled_failure.env) == transfer(interp_failure.env)
 
 
 @pytest.mark.parametrize("name", SPECULATIVE_NAMES)
 def test_guarded_deopt_bisimulation_on_compiled_backend(name, backends):
     _, compiled = backends
     base, pair = _speculative_pair(name)
-    backward, uncovered = pair.guarded_backward_mapping()
+    plans, uncovered = pair.deopt_plans()
     assert not uncovered
     args, memory = speculative_arguments(name, violate=True)
     assert check_guarded_deopt(
-        base, pair.optimized, backward, args, memory=memory, backend=compiled
+        base, pair.optimized, plans, args, memory=memory, backend=compiled
     )
 
 

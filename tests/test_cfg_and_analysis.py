@@ -4,7 +4,6 @@
 from repro.analysis import (
     available_expressions,
     available_values,
-    build_def_use,
     live_variables,
     reaching_definitions,
     sccp_analysis,
@@ -201,12 +200,6 @@ class TestAvailabilityAndDefUse:
 
         key = canonical_expr(parse_expr("n * 4"))
         assert key in table[ProgramPoint("body", 0)]
-
-    def test_def_use_chains(self, sum_loop):
-        chains = build_def_use(sum_loop)
-        assert chains.single_definition("acc3") == ProgramPoint("body", 0)
-        assert ProgramPoint("loop", 1) in chains.use_points("acc3")
-        assert not chains.is_dead("acc3")
 
 
 class TestSCCPAnalysis:

@@ -10,11 +10,17 @@ from repro.ctl import (
     AX,
     BackAU,
     BackAX,
+    BackEU,
+    BackEX,
+    FALSE,
     FormalProgramGraph,
+    Implies,
     ModelChecker,
+    Or,
     TRUE,
     formal_defines,
     formal_lives,
+    formal_uses,
 )
 from repro.formal import (
     FAssign,
@@ -23,27 +29,26 @@ from repro.formal import (
     FormalProgram,
     UndefinedSemantics,
     check_live_store_replacement,
+    check_live_variable_bisimulation,
+    check_mapping_soundness,
     compose,
     formal_live_variables,
     formal_unique_reaching_definition,
     parse_formal_program,
+    random_formal_program,
+    random_stores,
     run_formal,
     semantically_equivalent_on,
     trace_formal,
 )
-from repro.core.bisimulation import (
-    check_live_variable_bisimulation,
-    check_mapping_soundness,
-    random_stores,
-)
-from repro.core import osr_trans_formal, ReconstructionMode
+from repro.core import ReconstructionMode
 from repro.rewrite import (
     CodeHoisting,
     ConstantPropagation,
     DeadCodeElimination,
     apply_rule,
+    osr_trans_formal,
 )
-from repro.workloads import random_formal_program
 
 SUM_PROGRAM = """
 in n
@@ -105,6 +110,20 @@ class TestFormalSemantics:
         second = parse_formal_program("in x\ny := x * 2\nout y")
         composed = compose(first, second)
         assert run_formal(composed, {"a": 3}) == {"y": 8}
+
+    def test_composition_relocates_goto_targets(self):
+        """Definition 3.3 shifts the second program's jump targets by |p| - 2."""
+        first = parse_formal_program("in a\nskip\nn := a + 1\nout n")
+        composed = compose(first, parse_formal_program(SUM_PROGRAM))
+        assert run_formal(composed, {"a": 4}) == {"s": 10}
+        assert run_formal(composed, {"a": -1}) == {"s": 0}
+
+    def test_text_round_trip(self):
+        program = parse_formal_program(
+            "in x\nif (x > 0) goto 4\nabort\ny := x * 2\ngoto 6\nout y"
+        )
+        assert parse_formal_program(str(program)) == program
+        assert parse_formal_program(SUM_PROGRAM) != program
 
     def test_composition_requires_matching_interface(self):
         first = parse_formal_program("in a\nx := a + 1\nout x")
@@ -190,6 +209,16 @@ class TestCTLChecker:
         defined_before = BackAX(BackAU(TRUE, formal_defines(program, "s")))
         assert checker.holds_at(5, defined_before)
         assert not checker.holds_at(2, defined_before)
+
+    def test_formulas_render_in_the_papers_notation(self):
+        program = parse_formal_program(SUM_PROGRAM)
+        d, u = formal_defines(program, "s"), formal_uses(program, "s")
+        assert str(formal_lives(program, "s")) == (
+            "(←AX(←A(true U def(s))) ∧ E(¬(def(s)) U use(s)))"
+        )
+        assert str(Implies(d, Or(u, FALSE))) == "(def(s) ⇒ (use(s) ∨ false))"
+        assert str(AX(EX(AU(TRUE, d)))) == "AX(EX(A(true U def(s))))"
+        assert str(BackEX(BackEU(d, u))) == "←EX(←E(def(s) U use(s)))"
 
     def test_strong_until_requires_goal(self):
         program = parse_formal_program("in x\nskip\nskip\nout x")

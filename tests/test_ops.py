@@ -584,6 +584,10 @@ class TestCli:
             ).output
         )
         assert dry[0]["removed"] is False
+        kept = _invoke(
+            runner, ["store", "gc", clone, "--keep", cloned[0]["fingerprint"], "--format", "json"]
+        )
+        assert json.loads(kept.output) == []  # the only shard is the kept one
         _invoke(runner, ["store", "gc", clone, "--function", "dispatch"])
         assert (
             json.loads(
@@ -668,6 +672,13 @@ class TestCli:
         )
         assert result.exit_code != 0
         assert "StoreFormatError" in result.output
+
+    @pytest.mark.parametrize("command", ["run", "inspect", "lint", "fleet"])
+    def test_backend_help_names_the_real_default(self, runner, monkeypatch, command):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        default = EngineConfig.from_env().opt_backend
+        text = " ".join(_invoke(runner, [command, "--help"]).output.split())
+        assert f"(default: REPRO_BACKEND or {default})" in text
 
     def test_fleet_command_renders_worker_stats(self, runner, tmp_path):
         source = tmp_path / "poly.mc"

@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro.cfg import ControlFlowGraph, find_loops
 from repro.core import (
     ActionKind,
     CompensationCode,
     OSRPointClass,
     OSRTransDriver,
     ReconstructionMode,
-    check_ir_osr_transition,
     clone_for_optimization,
     make_continuation,
     perform_osr,
     split_block,
 )
+from repro.core.bisimulation import check_ir_osr_transition
 from repro.ir import (
     Assign,
     Const,
@@ -137,6 +138,47 @@ class TestIndividualPasses:
         assert mapper.action_counts()[ActionKind.DELETE] >= 1
         texts = [str(i) for _, i in clone.instructions()]
         assert sum("(n * 4)" in t for t in texts) <= 1
+
+    def test_loop_canonicalization_creates_one_preheader(self):
+        """A header with two outside predecessors gets one preheader (with
+        forwarding phis); MiniC never produces this shape, hand-written IR does."""
+        src = """
+        func @f(a, n) {
+        entry:
+          zero = 0
+          c = (a < 0)
+          br c ? neg : pos
+        neg:
+          s0 = (0 - a)
+          jmp loop
+        pos:
+          s1 = (a * 2)
+          jmp loop
+        loop:
+          i = phi [neg: zero, pos: zero, body: i2]
+          s = phi [neg: s0, pos: s1, body: s2]
+          more = (i < n)
+          br more ? body : exit
+        body:
+          s2 = (s + i)
+          i2 = (i + 1)
+          jmp loop
+        exit:
+          ret s
+        }
+        """
+        f = parse_function(src)
+        clone, mapper = _check_pass_preserves_semantics(
+            LoopCanonicalization(), f, [[-3, 4], [5, 4], [7, 0]]
+        )
+        cfg = ControlFlowGraph(clone)
+        (loop,) = find_loops(cfg)
+        assert loop.preheader is not None
+        assert [p for p in cfg.preds("loop") if p not in loop.body] == [loop.preheader]
+        assert set(cfg.preds(loop.preheader)) == {"neg", "pos"}
+        # The preheader's jump, plus one forwarding phi per header phi.
+        assert mapper.action_counts()[ActionKind.ADD] == 3
+        assert not LoopCanonicalization().run(clone)  # already canonical
 
     def test_licm_hoists_invariant_computation(self, redundant_loop):
         pipeline = PassManager([LoopCanonicalization(), LoopInvariantCodeMotion()])

@@ -136,9 +136,7 @@ def with_frame(version: CompiledVersion, point, index, **changes) -> CompiledVer
 
 def copy_forward(version: CompiledVersion) -> OSRMapping:
     original = version.forward_mapping
-    mapping = OSRMapping(
-        original.source_view, original.target_view, strict=original.strict
-    )
+    mapping = OSRMapping(original.source_view, original.target_view)
     for source in original.domain():
         entry = original[source]
         mapping.add(source, entry.target, entry.compensation)

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    OSRTransDriver,
-    check_guarded_deopt,
-    clone_for_optimization,
-)
+from repro.core import OSRTransDriver, clone_for_optimization
+from repro.core.bisimulation import check_guarded_deopt
 from repro.engine import Engine, EngineConfig
 from repro.ir import (
     GuardFailure,
@@ -178,9 +175,9 @@ class TestSpeculativeGuardsPass:
         for name in SPECULATIVE_NAMES:
             function, fp = _profiled(name)
             pair = OSRTransDriver(speculative_pipeline(fp, min_samples=2)).run(function)
-            mapping, uncovered = pair.guarded_backward_mapping()
+            plans, uncovered = pair.deopt_plans()
             assert uncovered == [], name
-            assert len(mapping) >= len(pair.guard_points())
+            assert set(plans) == set(pair.guard_points())
 
     def test_no_profile_no_changes(self):
         function = speculative_function("dispatch")
@@ -196,18 +193,18 @@ class TestGuardedDeoptBisimulation:
     def test_violating_input_round_trips_through_deopt(self, name):
         function, fp = _profiled(name)
         pair = OSRTransDriver(speculative_pipeline(fp, min_samples=2)).run(function)
-        mapping, uncovered = pair.guarded_backward_mapping()
+        plans, uncovered = pair.deopt_plans()
         assert uncovered == []
         args, memory = speculative_arguments(name, violate=True)
-        assert check_guarded_deopt(function, pair.optimized, mapping, args, memory=memory)
+        assert check_guarded_deopt(function, pair.optimized, plans, args, memory=memory)
 
     @pytest.mark.parametrize("name", SPECULATIVE_NAMES)
     def test_warm_input_never_deopts(self, name):
         function, fp = _profiled(name)
         pair = OSRTransDriver(speculative_pipeline(fp, min_samples=2)).run(function)
-        mapping, _ = pair.guarded_backward_mapping()
+        plans, _ = pair.deopt_plans()
         args, memory = speculative_arguments(name)
-        assert check_guarded_deopt(function, pair.optimized, mapping, args, memory=memory)
+        assert check_guarded_deopt(function, pair.optimized, plans, args, memory=memory)
 
 
 def _speculation_engine(function, **overrides):
