@@ -27,9 +27,10 @@ Emits ``BENCH_speculation.json`` with three kinds of metrics:
 * **event-bus overhead** — ``subscribed_vs_plain`` per kernel: wall-clock
   ratio of a steady state with one event subscriber attached versus a
   no-subscriber run (warm inline-heavy calls, plus the ``dispatch``
-  kernel under repeated violations where events actually flow, with both
-  a no-op sink and the full ``repro.ops`` metrics exporter).  The check
-  enforces a hard cap (``--event-overhead-limit``, default 5%):
+  kernel under repeated violations where events actually flow; the
+  engine's own ``StatsCollector`` fold is subscribed on both sides, and
+  nothing else folds events — the ``repro.ops`` exporter only renders
+  it).  The check enforces a hard cap (``--event-overhead-limit``, default 5%):
   structured observability must be close to free.
 
 * **inlining speedups** — ``inline_vs_noinline`` per call-heavy kernel:
@@ -117,7 +118,6 @@ except ModuleNotFoundError:
 from repro.core import OSRTransDriver, perform_osr  # noqa: E402
 from repro.engine import Engine, EngineConfig  # noqa: E402
 from repro.ir import Interpreter  # noqa: E402
-from repro.ops import MetricsExporter  # noqa: E402
 from repro.passes import speculative_pipeline  # noqa: E402
 from repro.vm import (  # noqa: E402
     CompiledBackend,
@@ -528,16 +528,6 @@ def _event_overhead(repeats: int) -> dict:
     overheads["dispatch_violating"] = min_ratio(
         lambda: violating_engine(subscriber=None),
         lambda: violating_engine(subscriber=sink),
-        repeats,
-    )
-
-    # Same deopt-path regime, but the subscriber is the full metrics
-    # exporter (StatsCollector fold + labeled counters + histogram) —
-    # the production observability stack must clear the same cap as the
-    # bare bus.
-    overheads["dispatch_exporter"] = min_ratio(
-        lambda: violating_engine(subscriber=None),
-        lambda: violating_engine(subscriber=MetricsExporter()),
         repeats,
     )
 

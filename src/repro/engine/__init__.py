@@ -45,7 +45,7 @@ from .events import (
     event_from_dict,
 )
 from .policy import AlwaysCompile, HotnessPolicy, NeverCompile, TieringPolicy
-from .stats import EngineStats, StatsCollector
+from .stats import EngineStats, StatsCollector, StatsSnapshot
 
 
 def __getattr__(name):
@@ -72,6 +72,7 @@ __all__ = [
     "NeverCompile",
     "EngineStats",
     "StatsCollector",
+    "StatsSnapshot",
     "RuntimeEvent",
     "TierUp",
     "VersionRestored",

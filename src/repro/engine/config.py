@@ -1,7 +1,8 @@
 """Typed, validated, frozen configuration for the adaptive engine.
 
 Every tuning knob of the runtime is a field of :class:`EngineConfig`:
-hotness and profile thresholds, backends per tier, speculation and
+hotness and profile thresholds, the optimized tier's backend (the base
+tier always interprets — only the interpreter profiles), speculation and
 inlining toggles with their budgets, the backend-independent recursion
 fuel, and the sizes of the two bounded caches (the event ring buffer and
 the per-function continuation cache).  The dataclass is frozen — a config is a value,
@@ -127,8 +128,6 @@ class EngineConfig:
     #: Engine for optimized versions and continuations (name, instance,
     #: or None → the REPRO_BACKEND environment variable).
     opt_backend: Union[str, Any, None] = None
-    #: Engine for the profiled base tier; must support profiling.
-    base_backend: Union[str, Any] = "interp"
     #: Explicit pass pipeline (disables speculation when set).
     passes: Optional[Tuple[Any, ...]] = None
 
@@ -197,22 +196,15 @@ class EngineConfig:
             # Accept any sequence at the call site; store a tuple so the
             # frozen config stays value-like.
             object.__setattr__(self, "passes", tuple(self.passes))
-        self._validate_backend("opt_backend", self.opt_backend, allow_none=True)
-        self._validate_backend("base_backend", self.base_backend, allow_none=False)
-
-    @staticmethod
-    def _validate_backend(label: str, spec: Any, *, allow_none: bool) -> None:
         # Deferred import: repro.vm imports this module at load time.
         from ..vm.backend import BACKEND_NAMES, ExecutionBackend
 
-        if spec is None:
-            _require(allow_none, f"{label} must not be None")
-            return
-        if isinstance(spec, ExecutionBackend):
-            return
+        spec = self.opt_backend
         _require(
-            isinstance(spec, str) and spec in BACKEND_NAMES,
-            f"{label}={spec!r} names no backend; choose from {sorted(BACKEND_NAMES)}",
+            spec is None
+            or isinstance(spec, ExecutionBackend)
+            or (isinstance(spec, str) and spec in BACKEND_NAMES),
+            f"opt_backend={spec!r} names no backend; choose from {sorted(BACKEND_NAMES)}",
         )
 
     # ------------------------------------------------------------------ #

@@ -14,9 +14,13 @@ registration → tiered execution flow:
     unsubscribe = engine.subscribe(print)        # typed RuntimeEvents
 
 An :class:`Engine` owns the event bus (with its bounded ring-buffer
-recorder), a :class:`~repro.engine.stats.StatsCollector` reducing the
-event stream into per-function :class:`~repro.engine.stats.EngineStats`,
-and the :class:`~repro.vm.runtime.AdaptiveRuntime` mechanism configured
+recorder), the one :class:`~repro.engine.stats.StatsCollector` reducing
+the event stream — into per-function
+:class:`~repro.engine.stats.EngineStats` (:meth:`Engine.stats`) and the
+labeled streams a scrape serves (:meth:`Engine.stats_snapshot`; the
+metrics exporter, ``repro top`` and fleet reports render that, they do
+not fold events themselves) — and the
+:class:`~repro.vm.runtime.AdaptiveRuntime` mechanism configured
 by a frozen :class:`~repro.engine.config.EngineConfig` and steered by a
 pluggable :class:`~repro.engine.policy.TieringPolicy`.
 
@@ -52,7 +56,7 @@ from ..vm.runtime import AdaptiveRuntime, TieredFunction
 from .config import EngineConfig
 from .events import EventBus, RingBufferRecorder, RuntimeEvent, Subscriber, Tier
 from .policy import TieringPolicy
-from .stats import EngineStats, StatsCollector
+from .stats import EngineStats, StatsCollector, StatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.artifacts import ArtifactKey
@@ -238,8 +242,10 @@ class Engine:
     ) -> None:
         self.config = config if config is not None else EngineConfig()
         self.bus = EventBus(RingBufferRecorder(self.config.event_buffer_size))
-        self._collector = StatsCollector()
-        self.bus.subscribe(self._collector)
+        #: The engine's one fold of its event stream: read it
+        #: (``function``/``snapshot``), never feed it.
+        self.collector = StatsCollector()
+        self.bus.subscribe(self.collector)
         self.runtime = AdaptiveRuntime(self.config, policy=policy, bus=self.bus)
         self._handles: Dict[str, FunctionHandle] = {}
         #: Names whose compiled tier was re-installed from a store by
@@ -447,8 +453,19 @@ class Engine:
         from dataclasses import replace
 
         state = self.runtime.functions[name]
-        return replace(self._collector.function(name), calls=state.call_count)
+        return replace(self.collector.function(name), calls=state.call_count)
 
     def stats_all(self) -> Dict[str, EngineStats]:
         """Per-function :class:`EngineStats` for every registered function."""
         return {name: self.stats(name) for name in self.runtime.functions}
+
+    def stats_snapshot(self) -> StatsSnapshot:
+        """The collector's whole state — functions *and* labeled streams —
+        read atomically, with every registered function present and its
+        live ``calls`` filled in.  What :mod:`repro.ops.metrics` renders.
+        """
+        snapshot = self.collector.snapshot()
+        for name, state in self.runtime.functions.items():
+            record = snapshot.records.setdefault(name, EngineStats().as_dict())
+            record["calls"] = state.call_count
+        return snapshot

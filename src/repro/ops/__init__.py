@@ -2,13 +2,15 @@
 
 Everything an operator (or CI job) touches without writing Python:
 
-* :mod:`repro.ops.metrics` — :class:`MetricsExporter`, an event-bus
-  subscriber folding typed :class:`~repro.engine.events.RuntimeEvent`
-  streams into named counters, gauges and a compile-latency histogram,
-  in exact agreement with :meth:`Engine.stats`;
+* :mod:`repro.ops.metrics` — :class:`MetricsExporter`, a renderer of
+  the engine's one event fold
+  (:class:`~repro.engine.stats.StatsCollector`) as named counters,
+  gauges and a compile-latency histogram — it subscribes to nothing and
+  counts nothing, so it agrees with :meth:`Engine.stats` by construction;
 * :mod:`repro.ops.export` — the egress transports: a JSON-lines event
-  sink per fleet worker and a stdlib HTTP endpoint serving the
-  Prometheus text format on ``/metrics`` (JSON twin on
+  sink per fleet worker (:func:`observe_from_start` hands a late
+  observer the events it missed) and a stdlib HTTP endpoint serving
+  the Prometheus text format on ``/metrics`` (JSON twin on
   ``/metrics.json``);
 * :mod:`repro.ops.render` — ``--format table|csv|json`` rendering,
   stdlib only;
@@ -17,14 +19,18 @@ Everything an operator (or CI job) touches without writing Python:
   ``top``.
 """
 
-from .export import JsonLinesSink, MetricsServer, read_events, serve_metrics
+from .export import (
+    JsonLinesSink,
+    MetricsServer,
+    observe_from_start,
+    read_events,
+    serve_metrics,
+)
 from .metrics import (
     DEFAULT_BUCKETS,
     STAT_COUNTERS,
     STAT_GAUGES,
-    Counter,
-    Gauge,
-    Histogram,
+    Family,
     MetricsExporter,
     parse_prometheus,
     render_prometheus,
@@ -33,9 +39,7 @@ from .render import FORMATS, format_rows
 
 __all__ = [
     "MetricsExporter",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "Family",
     "DEFAULT_BUCKETS",
     "STAT_COUNTERS",
     "STAT_GAUGES",
@@ -43,6 +47,7 @@ __all__ = [
     "parse_prometheus",
     "JsonLinesSink",
     "read_events",
+    "observe_from_start",
     "MetricsServer",
     "serve_metrics",
     "FORMATS",

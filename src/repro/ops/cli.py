@@ -25,10 +25,11 @@ import click
 
 from .. import __version__
 from ..engine.config import EngineConfig
+from ..engine.stats import StatsCollector
 from ..store.artifacts import FunctionArtifact, StoreError
 from ..store.persist import ArtifactStore
 from ..vm.backend import BACKEND_ENV_VAR, DEFAULT_BACKEND
-from .export import JsonLinesSink, serve_metrics
+from .export import JsonLinesSink, observe_from_start, read_events, serve_metrics
 from .metrics import MetricsExporter
 from .render import FORMATS, format_rows
 
@@ -176,29 +177,35 @@ SUMMARY_COLUMNS = (
     "continuations",
     "entry_dispatches",
 )
+#: ``top``'s nine columns (a replayed stream has no engine to ask the tier of).
+TOP_COLUMNS = tuple(c for c in SUMMARY_COLUMNS if c not in ("tier", "speculative"))
+
+
+def summary_row(name: str, stats: Dict[str, int]) -> Dict[str, object]:
+    """One function's summary columns from its ``EngineStats.as_dict()`` shape."""
+    return {
+        "function": name,
+        "calls": stats.get("calls", 0),
+        "compiled": bool(stats.get("compiled")),
+        "speculative": bool(stats.get("speculative")),
+        "versions": stats.get("versions", 0),
+        "guard_failures": stats.get("guard_failures", 0),
+        "deopts": stats.get("osr_exits", 0),
+        "dispatched_osr": stats.get("dispatch_hits", 0),
+        "continuations": stats.get("continuations", 0),
+        "entry_dispatches": stats.get("entry_dispatches", 0),
+    }
 
 
 def _summary_rows(engine, restored: Sequence[str] = ()) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for name in sorted(engine.function_names()):
-        stats = engine.stats(name)
-        rows.append(
-            {
-                "function": name,
-                "tier": str(engine.function(name).tier),
-                "calls": stats.calls,
-                "compiled": bool(stats.compiled),
-                "speculative": bool(stats.speculative),
-                "versions": stats.versions,
-                "guard_failures": stats.guard_failures,
-                "deopts": stats.osr_exits,
-                "dispatched_osr": stats.dispatch_hits,
-                "continuations": stats.continuations,
-                "entry_dispatches": stats.entry_dispatches,
-                "restored": name in restored,
-            }
-        )
-    return rows
+    return [
+        {
+            **summary_row(name, stats.as_dict()),
+            "tier": str(engine.function(name).tier),
+            "restored": name in restored,
+        }
+        for name, stats in sorted(engine.stats_all().items())
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -265,11 +272,12 @@ def run(
     server = None
     sink: Optional[JsonLinesSink] = None
     try:
+        # A warm start has already published its VersionRestored events.
         if tail:
-            engine.subscribe(_tail_printer)
+            observe_from_start(engine, _tail_printer)
         if events_jsonl is not None:
             sink = JsonLinesSink(events_jsonl)
-            engine.subscribe(sink)
+            observe_from_start(engine, sink)
         if metrics_port is not None:
             exporter = MetricsExporter()
             exporter.attach(engine)
@@ -986,22 +994,17 @@ def top(
     """Live per-function view of the folding metric stream."""
     if (follow_path is None) == (url is None):
         raise click.UsageError("provide exactly one of --follow or --url")
-    exporter = MetricsExporter()
+    collector = StatsCollector()
+    exporter = MetricsExporter(collector)
     offset = 0
     frame = 0
     while True:
         frame += 1
         if follow_path is not None:
-            from .export import read_events
-
             for event in read_events(follow_path, start=offset):
                 offset += 1
-                exporter(event)
-            functions = {
-                name: stats.as_dict()
-                for name, stats in exporter.stats_all().items()
-            }
-            events = exporter.as_dict()["events"]
+                collector(event)
+            payload = exporter.as_dict()
             source = follow_path
         else:
             import urllib.request
@@ -1012,22 +1015,11 @@ def top(
                     payload = json.loads(response.read().decode())
             except OSError as exc:
                 raise click.ClickException(f"scrape failed: {target}: {exc}")
-            functions = payload["functions"]
-            events = payload.get("events", {})
             source = target
+        events = payload.get("events", {})
         rows = [
-            {
-                "function": name,
-                "calls": stats.get("calls", 0),
-                "compiled": bool(stats.get("compiled")),
-                "versions": stats.get("versions", 0),
-                "guard_failures": stats.get("guard_failures", 0),
-                "deopts": stats.get("osr_exits", 0),
-                "dispatched_osr": stats.get("dispatch_hits", 0),
-                "continuations": stats.get("continuations", 0),
-                "entry_dispatches": stats.get("entry_dispatches", 0),
-            }
-            for name, stats in sorted(functions.items())
+            summary_row(name, stats)
+            for name, stats in sorted(payload["functions"].items())
         ]
         if clear and sys.stdout.isatty():
             click.echo("\x1b[2J\x1b[H", nl=False)
@@ -1035,17 +1027,7 @@ def top(
         click.echo(
             format_rows(
                 rows,
-                (
-                    "function",
-                    "calls",
-                    "compiled",
-                    "versions",
-                    "guard_failures",
-                    "deopts",
-                    "dispatched_osr",
-                    "continuations",
-                    "entry_dispatches",
-                ),
+                TOP_COLUMNS,
                 "table",
                 title=f"repro top — {source} (frame {frame}, {total_events} events)",
             )

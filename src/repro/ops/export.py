@@ -5,13 +5,15 @@ Two transports move the typed event stream out of the process:
 * :class:`JsonLinesSink` — a bus subscriber appending one
   :func:`~repro.engine.events.event_as_dict` object per line.  This is
   the fleet-worker transport: each worker writes its own file (no
-  cross-process locking needed) and ``repro top --follow`` or a later
-  :class:`~repro.ops.metrics.MetricsExporter` replays it with
-  :func:`read_events`.
+  cross-process locking needed) and ``repro top --follow`` — or any
+  :class:`~repro.engine.stats.StatsCollector` fed by
+  :func:`read_events` — refolds it to the snapshot the live engine
+  held.  :func:`observe_from_start` subscribes a sink to an engine that
+  has already published (a warm start's ``VersionRestored`` events).
 * :class:`MetricsServer` — a stdlib :class:`ThreadingHTTPServer`
-  serving an attached exporter's Prometheus text format on
-  ``/metrics`` and its JSON twin on ``/metrics.json``.  Scrapes read
-  the exporter's folded state; they never touch the engine's hot path.
+  serving an exporter's Prometheus text format on ``/metrics`` and its
+  JSON twin on ``/metrics.json``.  A scrape renders one snapshot of
+  the engine's own fold; it never touches the engine's hot path.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Callable, Iterator, Optional, Union
 
-from ..engine.events import RuntimeEvent, event_as_dict, event_from_dict
+from ..engine.events import RuntimeEvent, Subscriber, event_as_dict, event_from_dict
 from .metrics import MetricsExporter
 
 __all__ = [
     "JsonLinesSink",
     "read_events",
+    "observe_from_start",
     "MetricsServer",
     "serve_metrics",
 ]
@@ -82,6 +85,20 @@ def read_events(
             if index < start or not line.strip():
                 continue
             yield event_from_dict(json.loads(line))
+
+
+def observe_from_start(engine, subscriber: Subscriber) -> Callable[[], None]:
+    """Subscribe ``subscriber``, first handing it the events ``engine`` retains.
+
+    :meth:`Engine.open` publishes a ``VersionRestored`` per hydrated
+    function before any caller can subscribe; an event sink or tail
+    printer attached the plain way would record a warm start as a cold
+    one.  Call this while no call is in flight (the replay and the
+    subscription are not atomic).  Returns the unsubscriber.
+    """
+    for event in engine.events:
+        subscriber(event)
+    return engine.subscribe(subscriber)
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):

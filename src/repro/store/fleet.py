@@ -60,24 +60,17 @@ def _fleet_worker(
     # importable under spawn without dragging the full engine (and its
     # backend probes) into the parent's import of this module.
     from ..engine.facade import Engine
-    from ..ops.export import JsonLinesSink
+    from ..ops.export import JsonLinesSink, observe_from_start
 
     sink: Optional[JsonLinesSink] = None
     try:
         with Engine.open(source, store=store_root, config=config) as engine:
-            tier_ups = 0
-
-            def _count(event) -> None:
-                nonlocal tier_ups
-                if event.kind == "tier-up":
-                    tier_ups += 1
-
-            engine.subscribe(_count)
             if events_dir is not None:
                 # One file per worker: sinks never contend across
-                # processes, and ``repro top --follow`` tails any of them.
+                # processes, and ``repro top --follow`` tails any of them
+                # (hydration's VersionRestored events included).
                 sink = JsonLinesSink(Path(events_dir) / f"worker-{index}.jsonl")
-                engine.subscribe(sink)
+                observe_from_start(engine, sink)
             restored = tuple(engine.restored_functions)
             results: List[object] = []
             for position, (name, args) in enumerate(calls, start=1):
@@ -85,18 +78,15 @@ def _fleet_worker(
                 if sync_every and position % sync_every == 0:
                     engine.save(store_root)
             engine.save(store_root)
-            stats = {
-                name: engine.stats(name).as_dict()
-                for name in engine.function_names()
-            }
+            snapshot = engine.stats_snapshot()
         queue.put(
             WorkerReport(
                 worker=index,
                 calls=len(calls),
                 restored=restored,
-                tier_ups=tier_ups,
+                tier_ups=sum(snapshot.tier_ups.values()),
                 results=tuple(results),
-                stats=stats,
+                stats=snapshot.records,
             )
         )
     except BaseException as exc:  # surface the failure, don't hang the join

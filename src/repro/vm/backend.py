@@ -7,9 +7,7 @@ engine.  This module defines the seam between the two:
 * :class:`ExecutionBackend` — the protocol every engine implements:
   ``run`` (call from the entry), ``run_from`` (resume at an arbitrary
   :class:`~repro.ir.function.ProgramPoint` with a transferred
-  environment — the landing side of an OSR transition) and a
-  ``supports_profiling`` capability flag (only profiling engines feed
-  the :class:`~repro.vm.profile.ValueProfile` that drives speculation).
+  environment — the landing side of an OSR transition).
 
 * :class:`InterpreterBackend` — the reference tree-walking engine
   (:class:`~repro.ir.interp.Interpreter`).  Slow, observable, and the
@@ -86,12 +84,6 @@ class ExecutionBackend:
 
     #: Registry name of the backend.
     name: str = "abstract"
-
-    #: Whether :meth:`run` honours a ``profiler`` (value/branch profile
-    #: sink).  Compiled code does not profile — removing per-instruction
-    #: observation is precisely its speed advantage — so the runtime
-    #: keeps the profiled base tier on a profiling backend.
-    supports_profiling: bool = False
 
     def run(
         self,
@@ -171,7 +163,6 @@ class InterpreterBackend(ExecutionBackend):
     """The reference interpreter as a backend (tier-0 and fallback engine)."""
 
     name = "interp"
-    supports_profiling = True
 
     def __init__(
         self,
@@ -255,7 +246,6 @@ class CompiledBackend(ExecutionBackend):
     """
 
     name = "compiled"
-    supports_profiling = False
 
     def __init__(
         self,

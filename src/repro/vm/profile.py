@@ -633,14 +633,6 @@ class VersionKey:
                 return False
         return True
 
-    def distance(self, args: Sequence[int]) -> int:
-        """Number of pinned slots ``args`` disagrees with (0 == match)."""
-        mismatches = 0
-        for index, value in self.pinned:
-            if index >= len(args) or args[index] != value:
-                mismatches += 1
-        return mismatches
-
     def as_json(self) -> List[List[int]]:
         return [[int(index), int(value)] for index, value in self.pinned]
 

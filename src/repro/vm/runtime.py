@@ -217,24 +217,20 @@ class AdaptiveRuntime:
         self.opt_backend: ExecutionBackend = resolve_backend(
             self.config.opt_backend, step_limit=self.config.step_limit
         )
+        #: The profiled base tier always interprets: only the
+        #: interpreter feeds a profiler and pauses at a ``break_at`` point.
         self.base_backend: ExecutionBackend = resolve_backend(
-            self.config.base_backend, step_limit=self.config.step_limit
+            "interp", step_limit=self.config.step_limit
         )
-        if not self.base_backend.supports_profiling:
+        # A module-bearing backend resolves callees internally,
+        # bypassing the dispatchers this runtime relies on for
+        # independent tiering and the call-depth fuel.
+        if getattr(self.opt_backend, "module", None) is not None:
             raise ValueError(
-                f"base tier requires a profiling backend, got "
-                f"{self.base_backend.name!r}"
+                "runtime backends must not carry a module; register "
+                "functions with register_module() so calls dispatch "
+                "through the runtime"
             )
-        for backend in (self.opt_backend, self.base_backend):
-            # A module-bearing backend resolves callees internally,
-            # bypassing the dispatchers this runtime relies on for
-            # independent tiering and the call-depth fuel.
-            if getattr(backend, "module", None) is not None:
-                raise ValueError(
-                    "runtime backends must not carry a module; register "
-                    "functions with register_module() so calls dispatch "
-                    "through the runtime"
-                )
         self.functions: Dict[str, TieredFunction] = {}
         #: Host dispatchers routing residual ``call`` instructions (in
         #: any tier, on any engine) back through :meth:`call`.

@@ -243,6 +243,9 @@ class TestEventBusSubscriptions:
         assert recorder.dropped == 0
         # The fold is locked: every event folded exactly once.
         assert collector.function("f").guard_failures == threads * per_thread
+        # ... into the labeled stream too, under the same lock.
+        by_reason = collector.snapshot().guard_failures
+        assert sum(by_reason.values()) == threads * per_thread
 
     def test_concurrent_subscribe_unsubscribe_with_publish(self):
         bus = EventBus(RingBufferRecorder(capacity=1024))

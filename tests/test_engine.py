@@ -84,7 +84,6 @@ class TestEngineConfig:
             ("event_buffer_size", 0),
             ("continuation_cache_size", 0),
             ("opt_backend", "turbo"),
-            ("base_backend", "turbo"),
             ("mode", "avail"),
         ],
     )

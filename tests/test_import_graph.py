@@ -43,3 +43,23 @@ def test_imports_load_nothing_above_them(case):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", ["ops/metrics.py", "store/fleet.py"])
+def test_only_the_stats_fold_dispatches_on_event_types(module):
+    """One fold: the metrics renderer and the fleet see snapshots of
+    ``engine/stats.py``'s reduction, never an event class to switch on."""
+    import ast
+
+    from repro.engine.events import EVENT_TYPES
+
+    classes = {cls.__name__ for cls in EVENT_TYPES.values()}
+    classes |= {"RuntimeEvent", "ContinuationHit", "EVENT_TYPES", "events"}
+    tree = ast.parse((Path(repro.__file__).parent / module).read_text())
+    imported = {
+        alias.name.rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & classes == set()

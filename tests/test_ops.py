@@ -6,7 +6,10 @@ Prometheus text format, as JSON, or re-folded from a JSON-lines event
 sink — must agree with the engine's own :meth:`Engine.stats` fold to the
 last increment, on both backends, after workloads that exercise
 speculation, guard-failure deoptimization, continuation dispatch and the
-version multiverse.  On top sit the serialization round trips
+version multiverse — and a scrape must agree with *itself* whenever the
+exporter was attached, because there is one fold
+(:class:`~repro.engine.stats.StatsCollector`) and the exporter only
+renders it.  On top sit the serialization round trips
 (``EngineStats`` and the typed-event JSON codec, property-tested with
 hypothesis), the stdlib ``table|csv|json`` renderer, the fleet's
 per-worker stats reports, cross-process determinism of the base-IR hash
@@ -23,7 +26,7 @@ import os
 import subprocess
 import sys
 import urllib.request
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from click.testing import CliRunner
@@ -34,6 +37,7 @@ from repro.engine import (
     Engine,
     EngineConfig,
     EngineStats,
+    StatsCollector,
     Tier,
     TierUp,
     event_as_dict,
@@ -46,6 +50,7 @@ from repro.ops import (
     JsonLinesSink,
     MetricsExporter,
     format_rows,
+    observe_from_start,
     parse_prometheus,
     read_events,
     serve_metrics,
@@ -117,8 +122,18 @@ def _drive_multiverse(engine):
     engine.wait_for_compilation(timeout=30.0)
 
 
+def _refold(path):
+    """A fresh collector fed the JSON-lines sink at ``path``."""
+    collector = StatsCollector()
+    for event in read_events(path):
+        collector(event)
+    return collector
+
+
 def _assert_scrape_matches(parsed, name, stats):
-    """Every stats-mirror family equals the EngineStats fold exactly."""
+    """Every stats-mirror family equals the EngineStats fold exactly, and
+    the labeled streams of the same scrape agree with it and each other
+    (``name`` is the engine's only function)."""
     assert parsed["repro_calls"][(name,)] == stats.calls
     for field, metric, _ in STAT_GAUGES:
         assert parsed[metric][(name,)] == getattr(stats, field), metric
@@ -130,43 +145,62 @@ def _assert_scrape_matches(parsed, name, stats):
         sum(count for (fn, _), count in by_reason.items() if fn == name)
         == stats.guard_failures
     )
+    builds = sum(parsed.get("repro_tier_ups_total", {}).values())
+    assert builds == parsed.get("repro_events_total", {}).get(("tier-up",), 0)
+    assert builds == parsed.get("repro_compile_seconds_count", {}).get((name,), 0)
+
+
+#: Attach the exporter before the first event, or after the last: the
+#: scrape is the same, and attaching subscribes nothing.
+ATTACH_CASES = [
+    pytest.param(backend, first, id=backend if first else f"{backend}-attach-after")
+    for first in (True, False)
+    for backend in BACKENDS
+]
+
+
+def _attached(exporter, engine):
+    subscribers = engine.bus.subscriber_count
+    exporter.attach(engine)
+    assert engine.bus.subscriber_count == subscribers
 
 
 # --------------------------------------------------------------------- #
 # Exporter exactness against the engine's own fold.
 # --------------------------------------------------------------------- #
 class TestExporterExactness:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_speculation_and_deopt_fold(self, backend):
+    @pytest.mark.parametrize("backend, attach_first", ATTACH_CASES)
+    def test_speculation_and_deopt_fold(self, backend, attach_first):
         engine = _speculation_engine(backend)
         exporter = MetricsExporter()
-        exporter.attach(engine)
         try:
+            if attach_first:
+                _attached(exporter, engine)
             _drive_speculation(engine)
+            if not attach_first:
+                _attached(exporter, engine)
             stats = engine.stats("dispatch")
             # The scripted workload must actually exercise the machinery
             # the families exist for, or exactness is vacuous.
             assert stats.guard_failures > 0
             assert stats.osr_exits > 0
             parsed = parse_prometheus(exporter.render())
+            assert parsed["repro_events_total"][("tier-up",)] >= 1
             _assert_scrape_matches(parsed, "dispatch", stats)
-            tier_ups = parsed["repro_tier_ups_total"]
-            builds = sum(
-                count for (fn, _), count in tier_ups.items() if fn == "dispatch"
-            )
-            assert builds == parsed["repro_events_total"][("tier-up",)]
-            assert parsed["repro_compile_seconds_count"][("dispatch",)] == builds
         finally:
             exporter.close()
             engine.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_multiverse_fold(self, backend):
+    @pytest.mark.parametrize("backend, attach_first", ATTACH_CASES)
+    def test_multiverse_fold(self, backend, attach_first):
         engine = _multiverse_engine(backend)
         exporter = MetricsExporter()
-        exporter.attach(engine)
         try:
+            if attach_first:
+                _attached(exporter, engine)
             _drive_multiverse(engine)
+            if not attach_first:
+                _attached(exporter, engine)
             stats = engine.stats("modal_sum")
             assert stats.versions_added >= 2
             assert stats.entry_dispatches > 0
@@ -325,15 +359,54 @@ class TestJsonLinesSink:
             engine.close()
         replayed = list(read_events(path))
         assert replayed == engine.events
-        # A replaying exporter reaches the same fold as a live one.
+        # A replay reaches the live fold's whole state — functions *and*
+        # labeled streams — which is what `repro top --follow` and the
+        # fleet sinks rely on.
+        live = engine.collector.snapshot()
+        assert live.guard_failures and live.tier_ups
+        assert _refold(path).snapshot() == live
+        # ... and a bare collector renders like an attached engine, less
+        # the live calls gauge.
+        offline = parse_prometheus(MetricsExporter(_refold(path)).render())
+        assert "repro_calls" not in offline
         exporter = MetricsExporter()
-        for event in replayed:
-            exporter(event)
-        stats = exporter.stats("dispatch")
-        live = engine.stats("dispatch")
-        assert stats.guard_failures == live.guard_failures
-        assert stats.osr_exits == live.osr_exits
+        exporter.attach(engine)
+        served = parse_prometheus(exporter.render())
+        del served["repro_calls"]
+        assert offline == served
         assert list(read_events(path, start=len(replayed) - 1)) == replayed[-1:]
+
+    def test_every_event_type_is_folded(self):
+        # One table, total over EVENT_TYPES: a new event type cannot go
+        # uncounted because one of two chains forgot it.
+        for kind, cls in EVENT_TYPES.items():
+            collector = StatsCollector()
+            collector(cls(function="f"))
+            snapshot = collector.snapshot()
+            assert snapshot.events == {(kind,): 1}
+            assert set(snapshot.records) == {"f"}
+
+    def test_late_observer_of_a_warm_start_sees_the_restore(self, tmp_path):
+        source = speculative_source("dispatch")
+        config = EngineConfig(hotness_threshold=3, min_samples=2)
+        with Engine.from_source(source, config=config) as cold:
+            _drive_speculation(cold, violations=False)
+            cold.save(tmp_path / "store")
+        path = tmp_path / "warm.jsonl"
+        engine = Engine.open(source, tmp_path / "store", config=config)
+        exporter = MetricsExporter()
+        exporter.attach(engine)
+        with JsonLinesSink(path) as sink:
+            observe_from_start(engine, sink)
+            _drive_speculation(engine)
+        engine.close()
+        assert engine.restored_functions == ("dispatch",)
+        refolded = _refold(path)
+        for name, stats in engine.stats_all().items():
+            assert refolded.function(name) == replace(stats, calls=0)
+        parsed = parse_prometheus(exporter.render())
+        assert parsed["repro_versions_restored_total"][("dispatch",)] >= 1
+        assert parsed["repro_compiled"][("dispatch",)] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -357,12 +430,10 @@ class TestFleetStats:
             EngineStats.from_dict(report.stats["poly"])
             sink_path = events_dir / f"worker-{report.worker}.jsonl"
             assert sink_path.is_file()
-            replay = MetricsExporter()
-            for event in read_events(sink_path):
-                replay(event)
-            folded = replay.stats("poly").as_dict()
-            for field_name in ("guard_failures", "osr_exits", "versions_added"):
-                assert folded[field_name] == report.stats["poly"][field_name]
+            replay = _refold(sink_path)
+            for name, stats in report.stats.items():
+                assert replay.function(name).as_dict() == {**stats, "calls": 0}
+            assert sum(replay.snapshot().tier_ups.values()) == report.tier_ups
 
 
 # --------------------------------------------------------------------- #
@@ -645,6 +716,21 @@ class TestCli:
         )
         assert "dispatch" in result.output
         assert "tier-up=" in result.output
+
+    def test_warm_run_sink_replays_as_a_warm_start(self, runner, tmp_path):
+        store, sink = str(tmp_path / "store"), str(tmp_path / "warm.jsonl")
+        run = ["run", "--workload", "dispatch", "--store", store, "--format", "json"]
+        _invoke(runner, run)
+        warm = _invoke(runner, run + ["--no-save", "--events-jsonl", sink, "--tail"])
+        row = json.loads(warm.stdout)[0]
+        assert row["restored"] and row["compiled"]
+        # The restore happened inside Engine.open, before `run` could
+        # subscribe anything: both late observers are handed it anyway.
+        assert "[version-restored] @dispatch" in warm.stderr
+        folded = _refold(sink).function("dispatch")
+        assert (bool(folded.compiled), folded.versions) == (True, row["versions"])
+        top = _invoke(runner, ["top", "--follow", sink, "--frames", "1", "--no-clear"])
+        assert "version-restored=" in top.output and "tier-up=" not in top.output
 
     def test_run_serves_metrics(self, runner):
         result = _invoke(
