@@ -3,10 +3,10 @@
 One binary for the whole operational surface: run a MiniC program (or a
 named workload) on either backend with live event tailing and a scrape
 endpoint, inspect a function's tier state and version multiverse, manage
-the persistent artifact store, drive the benchmark recorder, and watch a
-fleet's event stream fold into metrics in real time.  Every command
-renders through :func:`repro.ops.render.format_rows`, so
-``--format table|csv|json`` behaves identically everywhere.
+the persistent artifact store, and watch a fleet's event stream fold
+into metrics in real time.  Every command renders through
+:func:`repro.ops.render.format_rows`, so ``--format table|csv|json``
+behaves identically everywhere.
 
 Installed as a console script (``[project.scripts]`` in
 ``pyproject.toml``); ``python -m repro.ops.cli`` works too.
@@ -14,7 +14,6 @@ Installed as a console script (``[project.scripts]`` in
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import sys
 import time
@@ -870,7 +869,7 @@ def store_gc(
 
 
 # --------------------------------------------------------------------- #
-# Fleet, benchmarks, live view.
+# Fleet, live view.
 # --------------------------------------------------------------------- #
 @main.command()
 @click.argument("source", type=click.Path(exists=True, dir_okay=False))
@@ -947,35 +946,6 @@ def fleet(
             title=f"repro fleet — {workers} workers × {entry}",
         )
     )
-
-
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.option(
-    "--script",
-    "script_path",
-    default=None,
-    envvar="REPRO_RECORD_SCRIPT",
-    type=click.Path(exists=True, dir_okay=False),
-    help="Path to benchmarks/record.py (default: auto-detect).",
-)
-@click.argument("record_args", nargs=-1, type=click.UNPROCESSED)
-@click.pass_context
-def bench(ctx: click.Context, script_path: Optional[str], record_args: Tuple[str, ...]) -> None:
-    """Forward to the benchmark recorder (benchmarks/record.py)."""
-    candidates = [Path(script_path)] if script_path else [
-        Path.cwd() / "benchmarks" / "record.py",
-        # src/repro/ops/cli.py -> src -> repo root, for editable installs.
-        Path(__file__).resolve().parents[3] / "benchmarks" / "record.py",
-    ]
-    script = next((path for path in candidates if path.is_file()), None)
-    if script is None:
-        raise click.ClickException(
-            "cannot locate benchmarks/record.py; pass --script or set REPRO_RECORD_SCRIPT"
-        )
-    spec = importlib.util.spec_from_file_location("repro_bench_record", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    ctx.exit(module.main(list(record_args)))
 
 
 @main.command()

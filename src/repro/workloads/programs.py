@@ -357,9 +357,9 @@ func vp8(pixels, n) {
 
 
 #: Every Table-2 kernel is dominated by a hot loop — where an
-#: OSR-capable compiled tier earns its keep.  The execution-backend
-#: benchmark (``benchmarks/record.py``) samples a subset of these for
-#: its interpreter-vs-compiled speedup floor.
+#: OSR-capable compiled tier earns its keep.  The end-to-end benchmark
+#: (``benchmarks/e2e``, ``steady_loops``) times each of these against a
+#: native-Python twin.
 LOOP_KERNEL_NAMES: Tuple[str, ...] = BENCHMARK_NAMES
 
 

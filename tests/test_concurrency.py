@@ -1,6 +1,6 @@
 """Thread-safety of the adaptive engine: stress, regressions, semantics.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * **Shared-state regressions** — the bugs that blocked concurrency:
   the runtime-wide recursion-fuel counter (now per execution context),
@@ -22,14 +22,19 @@ Four layers of coverage:
   (every installed guard has a plan), and the event-derived
   ``EngineStats`` fold agrees exactly with the mechanism's counters.
 
+* **Free-threaded scaling** — with the GIL off, 4 threads on one shared
+  engine serve at least twice the calls of one (skipped under the GIL).
+
 * **Profile sharding** — per-thread shards lose no samples and merge
   losslessly.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -51,6 +56,7 @@ from repro.passes.base import Pass
 from repro.vm.profile import GENERIC_KEY, FunctionProfile, ShardedValueProfile
 from repro.workloads import (
     CALL_KERNEL_ENTRIES,
+    CALL_KERNEL_SOURCES,
     call_kernel_arguments,
     call_kernel_module,
 )
@@ -387,6 +393,18 @@ class _ExplodingPass(Pass):
         raise RuntimeError("injected compiler failure")
 
 
+def _tier_up_publishers(engine: Engine) -> list:
+    """The id of the thread that publishes each ``TierUp``, from now on."""
+    publishers = []
+
+    def note(event):
+        if isinstance(event, TierUp):
+            publishers.append(threading.get_ident())
+
+    engine.subscribe(note)
+    return publishers
+
+
 class TestBackgroundCompilation:
     def test_compile_workers_knob_is_validated(self):
         with pytest.raises(ValueError, match="compile_workers"):
@@ -412,11 +430,14 @@ func spin(n) {
                 hotness_threshold=3, min_samples=2, opt_backend="compiled"
             ),
         )
+        publishers = _tier_up_publishers(engine)
         for _ in range(3):
             assert engine.call("spin", [10]).value == 45
         # The third (triggering) call compiled synchronously and entered
         # the fresh version mid-execution.
         assert engine.stats("spin").osr_entries == 1
+        # ... so the caller paid the whole pipeline: it published the TierUp.
+        assert publishers == [threading.get_ident()]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_async_mode_publishes_off_thread(self, backend):
@@ -431,6 +452,7 @@ func spin(n) {
                 compile_workers=2,
             ),
         ) as engine:
+            publishers = _tier_up_publishers(engine)
             args, memory = call_kernel_arguments("helper_loop", size=12)
             oracle = None
             for _ in range(10):
@@ -454,6 +476,9 @@ func spin(n) {
                 if engine.function("helper_loop").tier == "optimized":
                     break
             assert engine.function("helper_loop").tier == "optimized"
+            # No request-path call ever paid a compile stall: every
+            # TierUp was published by a compile worker.
+            assert publishers and threading.get_ident() not in publishers
 
     def test_background_compile_failure_is_sticky_and_loud(self):
         engine = _engine(
@@ -596,6 +621,66 @@ def test_thread_stress_differential(backend, workers, kernel):
         if name == entry
     )
     assert total_calls == STRESS_THREADS * 12
+
+
+# ---------------------------------------------------------------------- #
+# Free-threaded builds: real parallelism must pay off.
+# ---------------------------------------------------------------------- #
+SCALING_BATCH = 40  # calls per thread per round
+
+
+def _throughput(engine, entry, args, memory, threads: int) -> float:
+    """Total calls/sec of ``threads`` workers hammering one shared engine."""
+    barrier = threading.Barrier(threads + 1)
+    errors = []
+
+    def worker():
+        local_memory = memory.copy()
+        barrier.wait()
+        try:
+            for _ in range(SCALING_BATCH):
+                engine.call(entry, args, memory=local_memory)
+        except BaseException as exc:  # noqa: BLE001 - recorded
+            errors.append(repr(exc))
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    for thread in pool:
+        thread.start()
+    barrier.wait()
+    start = time.perf_counter()
+    for thread in pool:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    assert errors == []
+    return threads * SCALING_BATCH / elapsed
+
+
+def test_four_threads_scale_without_the_gil():
+    """4 threads on one shared, warmed engine serve >= 2x the calls of 1.
+
+    Under the GIL pure-Python kernels run at 1.0x whatever the locking,
+    so the test is skipped there — unless the environment asked for a
+    free-threaded run (``PYTHON_GIL=0``, the CI lane) and did not get
+    one: the lane must not pass by silently measuring a GIL build.
+    """
+    if getattr(sys, "_is_gil_enabled", lambda: True)():
+        if os.environ.get("PYTHON_GIL") == "0":
+            pytest.fail("PYTHON_GIL=0 is set but the GIL is on: not a free-threaded run")
+        pytest.skip("the GIL is on: threads cannot scale pure-Python work")
+    for kernel in ("helper_loop", "chain"):
+        entry = CALL_KERNEL_ENTRIES[kernel]
+        args, memory = call_kernel_arguments(kernel, size=96)
+        with _engine(CALL_KERNEL_SOURCES[kernel], inline_min_calls=2, compile_workers=1) as engine:
+            for _ in range(10):
+                engine.call(entry, args, memory=memory)
+            assert engine.wait_for_compilation(timeout=120)
+            assert engine.stats(entry).compiled, f"{kernel} never tiered up"
+            # Best of three rounds: transient scheduler noise cancels.
+            best = {
+                threads: max(_throughput(engine, entry, args, memory, threads) for _ in range(3))
+                for threads in (1, 4)
+            }
+        assert best[4] / best[1] >= 2.0, (kernel, best)
 
 
 # ---------------------------------------------------------------------- #

@@ -766,6 +766,9 @@ class TestCli:
         text = " ".join(_invoke(runner, [command, "--help"]).output.split())
         assert f"(default: REPRO_BACKEND or {default})" in text
 
+    def test_command_set(self):
+        assert set(repro_cli.commands) == {"fleet", "inspect", "lint", "run", "store", "top"}
+
     def test_fleet_command_renders_worker_stats(self, runner, tmp_path):
         source = tmp_path / "poly.mc"
         source.write_text(FLEET_SRC)
