@@ -155,6 +155,9 @@ class CodeMapper:
         #: re-executes the whole call.
         self.splice_anchors: Dict[int, int] = {}
         self.actions: List[PrimitiveAction] = []
+        #: Function → ``{uid: point}``, built on the first correspondence
+        #: query that needs it (see :meth:`_uid_index`).
+        self._uid_indexes: Dict[Function, Dict[int, ProgramPoint]] = {}
 
     # ------------------------------------------------------------------ #
     # Recording interface used by passes (mirrors the paper's OSR_CM).
@@ -229,6 +232,7 @@ class CodeMapper:
         mapper.deleted = self.deleted
         mapper.aliases = self.aliases
         mapper.guard_anchors = self.guard_anchors
+        mapper._uid_indexes = self._uid_indexes
         return mapper
 
     # ------------------------------------------------------------------ #
@@ -244,6 +248,21 @@ class CodeMapper:
     # Point correspondence.
     # ------------------------------------------------------------------ #
     def _uid_index(self, function: Function) -> Dict[int, ProgramPoint]:
+        """``{uid: point}`` for ``function``, built once and then reused.
+
+        Invariant: correspondence is only queried after the passes are
+        done mutating the optimized clone — by ``osr_trans``, ``frames``
+        and ``debug/endangered``, all after ``OSRTransDriver.run``
+        returns — so an index never goes stale.  Frame mappers share the
+        cache, so a function is indexed once per pipeline run.
+        """
+        index = self._uid_indexes.get(function)
+        if index is None:
+            index = self._uid_indexes[function] = self._build_uid_index(function)
+        return index
+
+    @staticmethod
+    def _build_uid_index(function: Function) -> Dict[int, ProgramPoint]:
         return {inst.uid: point for point, inst in function.instructions()}
 
     def corresponding_optimized_point(self, point: ProgramPoint) -> Optional[ProgramPoint]:

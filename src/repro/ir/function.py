@@ -16,7 +16,7 @@ paper's ``apply`` step does for LLVM functions (Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .instructions import Instruction, Phi, Terminator
 
@@ -178,12 +178,30 @@ class Function:
                 return label
 
     def fresh_temp(self, hint: str = "t") -> str:
-        existing = self.defined_variables() | set(self.params)
-        while True:
-            self._temp_counter += 1
-            name = f"%{hint}{self._temp_counter}"
-            if name not in existing:
-                return name
+        return self.temp_namer()(hint)
+
+    def temp_namer(self) -> Callable[[str], str]:
+        """A ``fresh_temp`` for one pass run that collects the taken names once.
+
+        The names are collected on the first call and extended with every
+        name handed out, so the namer gives the same names as repeated
+        ``fresh_temp`` calls as long as the caller neither deletes
+        registers nor defines ones it did not get from the namer.
+        """
+        taken: Optional[set] = None
+
+        def fresh(hint: str = "t") -> str:
+            nonlocal taken
+            if taken is None:
+                taken = self.defined_variables() | set(self.params)
+            while True:
+                self._temp_counter += 1
+                name = f"%{hint}{self._temp_counter}"
+                if name not in taken:
+                    taken.add(name)
+                    return name
+
+        return fresh
 
     # ------------------------------------------------------------------ #
     # Instruction / point queries.

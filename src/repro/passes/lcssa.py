@@ -12,15 +12,15 @@ All insertions are recorded as ``add`` actions; use rewrites as
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_loops
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Var
-from ..ir.function import Function
-from ..ir.instructions import Phi
+from ..ir.function import Function, ProgramPoint
+from ..ir.instructions import Instruction, Phi
 from ..ir.verify import is_ssa
 from .base import MapperLike, Pass
 
@@ -43,6 +43,7 @@ class LoopClosedSSA(Pass):
         domtree = DominatorTree(cfg)
         loops = find_loops(cfg, domtree)
 
+        fresh_temp = function.temp_namer()
         for loop in loops:
             # Registers defined inside the loop.
             defined_in_loop: Dict[str, str] = {}
@@ -54,26 +55,11 @@ class LoopClosedSSA(Pass):
             if not defined_in_loop:
                 continue
 
+            outside_uses = _outside_uses(function, loop.body, defined_in_loop)
             exit_blocks = loop.exit_blocks(cfg)
             for name, def_block in sorted(defined_in_loop.items()):
-                # Find uses outside the loop.
-                outside_uses = []
-                for point, inst in function.instructions():
-                    if point.block in loop.body:
-                        continue
-                    if isinstance(inst, Phi):
-                        # A phi reads its operand at the end of the
-                        # predecessor: an edge from inside the loop is
-                        # an in-loop use.
-                        if any(
-                            isinstance(v, Var) and v.name == name
-                            for pred, v in inst.incoming.items()
-                            if pred not in loop.body
-                        ):
-                            outside_uses.append((point, inst))
-                    elif name in inst.uses():
-                        outside_uses.append((point, inst))
-                if not outside_uses:
+                users = outside_uses.get(name)
+                if not users:
                     continue
 
                 # Insert one LCSSA phi per exit block that the definition
@@ -86,14 +72,14 @@ class LoopClosedSSA(Pass):
                     if not all(domtree.dominates(def_block, p) for p in preds):
                         continue
                     exit_block = function.blocks[exit_label]
-                    lcssa_name = function.fresh_temp(f"{name.strip('%')}.lcssa")
+                    lcssa_name = fresh_temp(f"{name.strip('%')}.lcssa")
                     phi = Phi(lcssa_name, {p: Var(name) for p in preds})
                     exit_block.insert(0, phi)
                     mapper.add_instruction(phi, f"LCSSA phi in {exit_label}")
                     changed = True
 
                     replacement = {name: Var(lcssa_name)}
-                    for point, user in outside_uses:
+                    for point, user in users:
                         if point.block == exit_label and isinstance(user, Phi):
                             # Phis are parallel: a sibling in the exit
                             # block reads the in-loop value on its edge,
@@ -107,3 +93,32 @@ class LoopClosedSSA(Pass):
                             mapper.replace_all_uses_with(name, Var(lcssa_name), user)
                     break  # one LCSSA phi per value is enough for our CFGs
         return changed
+
+
+def _outside_uses(
+    function: Function, body: Set[str], defined_in_loop: Dict[str, str]
+) -> Dict[str, List[Tuple[ProgramPoint, Instruction]]]:
+    """Loop-defined register → its users outside ``body``, in program order.
+
+    One walk serves every register of the loop: closing register *A*
+    only rewrites *A*'s uses, and the phi it inserts reads only *A*, so
+    the lists of the registers closed after it stay current.
+    """
+    users: Dict[str, List[Tuple[ProgramPoint, Instruction]]] = {}
+    for point, inst in function.instructions():
+        if point.block in body:
+            continue
+        if isinstance(inst, Phi):
+            # A phi reads its operand at the end of the predecessor: an
+            # edge from inside the loop is an in-loop use.
+            names = {
+                value.name
+                for pred, value in inst.incoming.items()
+                if pred not in body and isinstance(value, Var)
+            }
+        else:
+            names = inst.uses()
+        for name in names:
+            if name in defined_in_loop:
+                users.setdefault(name, []).append((point, inst))
+    return users

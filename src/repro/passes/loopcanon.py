@@ -13,7 +13,7 @@ from outside the loop now flow through the preheader.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
@@ -35,6 +35,7 @@ class LoopCanonicalization(Pass):
     def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
         mapper = mapper if mapper is not None else NullCodeMapper()
         changed = False
+        fresh_temp = function.temp_namer()
 
         # Loops are re-discovered after each insertion because creating a
         # preheader changes the CFG.
@@ -45,7 +46,9 @@ class LoopCanonicalization(Pass):
             candidate = next((loop for loop in loops if loop.preheader is None), None)
             if candidate is None:
                 break
-            self._create_preheader(function, cfg, candidate.header, candidate.body, mapper)
+            self._create_preheader(
+                function, cfg, candidate.header, candidate.body, mapper, fresh_temp
+            )
             changed = True
         return changed
 
@@ -56,6 +59,7 @@ class LoopCanonicalization(Pass):
         header: str,
         body: set,
         mapper: MapperLike,
+        fresh_temp: Callable[[str], str],
     ) -> None:
         outside_preds = [p for p in cfg.preds(header) if p not in body]
         preheader_label = function.fresh_label(f"{header}.preheader")
@@ -90,7 +94,7 @@ class LoopCanonicalization(Pass):
                 phi.incoming[preheader_label] = next(iter(outside_values.values()))
             elif len(outside_values) > 1:
                 forward = Phi(
-                    function.fresh_temp(f"{phi.dest.strip('%')}.ph"), outside_values
+                    fresh_temp(f"{phi.dest.strip('%')}.ph"), outside_values
                 )
                 preheader.insert(0, forward)
                 mapper.add_instruction(forward, f"forwarding phi in {preheader_label}")

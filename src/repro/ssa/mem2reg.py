@@ -32,33 +32,25 @@ __all__ = ["promote_memory_to_registers", "promotable_allocas"]
 
 
 def promotable_allocas(function: Function) -> List[Alloca]:
-    """The allocas that can safely be promoted to SSA registers."""
-    allocas = [
-        inst
-        for _, inst in function.instructions()
-        if isinstance(inst, Alloca) and inst.size == 1
-    ]
-    result: List[Alloca] = []
-    for alloca in allocas:
-        name = alloca.dest
-        promotable = True
-        for _, inst in function.instructions():
-            if inst is alloca:
-                continue
-            if isinstance(inst, Load) and inst.addr == Var(name):
-                continue
-            if isinstance(inst, Store) and inst.addr == Var(name):
-                # The slot's address must not appear in the stored value.
-                if name in free_vars(inst.value):
-                    promotable = False
-                    break
-                continue
-            if name in inst.uses():
-                promotable = False
-                break
-        if promotable:
-            result.append(alloca)
-    return result
+    """The allocas that can safely be promoted to SSA registers.
+
+    One walk checks every instruction's uses against all candidate slots
+    at once: a load or store may name a slot only as its bare address,
+    and a store may not write a slot's own address.
+    """
+    allocas: List[Alloca] = []
+    escaped: Set[str] = set()
+    for _, inst in function.instructions():
+        if isinstance(inst, Alloca):
+            if inst.size == 1:
+                allocas.append(inst)
+        elif isinstance(inst, Load) and isinstance(inst.addr, Var):
+            continue  # a bare address: the one use promotion allows
+        elif isinstance(inst, Store) and isinstance(inst.addr, Var):
+            escaped.update(free_vars(inst.value))
+        else:
+            escaped.update(inst.uses())
+    return [alloca for alloca in allocas if alloca.dest not in escaped]
 
 
 def promote_memory_to_registers(function: Function) -> int:
@@ -115,9 +107,11 @@ def promote_memory_to_registers(function: Function) -> int:
     load_replacements: Dict[str, Expr] = {}
     current_value: Dict[str, List[Expr]] = {name: [Undef()] for name in slot_names}
 
-    phi_slot: Dict[int, str] = {
-        phi.uid: slot for (slot, _), phi in placed_phis.items()
-    }
+    phi_slot: Dict[int, str] = {}
+    phis_by_block: Dict[str, List[Tuple[str, Phi]]] = {}
+    for (slot, block), phi in placed_phis.items():
+        phi_slot[phi.uid] = slot
+        phis_by_block.setdefault(block, []).append((slot, phi))
 
     debug = function.metadata.get("debug")
 
@@ -164,10 +158,9 @@ def promote_memory_to_registers(function: Function) -> int:
         # reads are undefined behaviour at the source level, so any value
         # will do — we use 0, matching the zero-filled memory model.
         for succ in cfg.succs(label):
-            for (slot, phi_block), phi in placed_phis.items():
-                if phi_block == succ:
-                    value = current_value[slot][-1]
-                    phi.incoming[label] = Const(0) if isinstance(value, Undef) else value
+            for slot, phi in phis_by_block.get(succ, ()):
+                value = current_value[slot][-1]
+                phi.incoming[label] = Const(0) if isinstance(value, Undef) else value
 
         for child in domtree.children.get(label, []):
             rename_block(child)
@@ -193,11 +186,11 @@ def promote_memory_to_registers(function: Function) -> int:
 
     # Record the promotion in debug metadata if the frontend attached any.
     if debug is not None and hasattr(debug, "record_promotion"):
+        ssa_names: Dict[str, List[str]] = {slot: [] for slot in slot_names}
+        for (slot, _), phi in placed_phis.items():
+            ssa_names[slot].append(phi.dest)
         for slot in sorted(slot_names):
-            ssa_names = [
-                phi.dest for (s, _), phi in placed_phis.items() if s == slot
-            ]
-            debug.record_promotion(slot, ssa_names)
+            debug.record_promotion(slot, ssa_names[slot])
 
     return len(slots)
 
