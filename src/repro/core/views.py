@@ -19,16 +19,19 @@ representation".
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
-from ..analysis.availability import AvailableValues, available_values
 from ..analysis.liveness import LivenessInfo, live_variables
-from ..analysis.reaching import ReachingDefinitions, reaching_definitions, PARAM_POINT
+from ..cfg.dominance import DominatorTree
+from ..cfg.graph import ControlFlowGraph
 from ..ir.expr import Expr
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Assign, Phi
 
-__all__ = ["ProgramView", "FunctionView"]
+__all__ = ["ProgramView", "FunctionView", "PARAM_POINT"]
+
+#: Sentinel program point representing "defined as a function parameter".
+PARAM_POINT = ProgramPoint("<params>", 0)
 
 
 class ProgramView:
@@ -65,30 +68,110 @@ class ProgramView:
 
 
 class FunctionView(ProgramView):
-    """Program view over a block-IR function."""
+    """Program view over an SSA block-IR function, answered on demand.
+
+    Construction only maps every register to its single defining point
+    (each parameter to :data:`PARAM_POINT`); a second definition of a name
+    raises ``ValueError``, so a view exists only for SSA IR.  On SSA the
+    queries of Algorithm 1 need no dataflow fixed point except liveness:
+
+    * ``ud(v, p)``: v's definition d reaches p iff d precedes p in the
+      same block, or p's block is reachable from d's block along a
+      non-empty CFG path (d's block itself reachable from the entry).
+      This is reachability, not dominance: a loop body's definition
+      reaches the loop exit through the back edge without dominating it.
+      A parameter reaches p iff p's block is reachable from the entry.
+    * ``avail(p)``: the parameters, the definitions of every block that
+      strictly dominates p's block, and those earlier in p's own block.
+      In a block no path reaches, every register is (vacuously) available.
+    * ``live(p)``: :func:`live_variables`, run on first use.
+
+    Points outside the function (an unknown block, an index out of range)
+    answer ``None`` or the empty set.  Every answer is memoised on first
+    use, which rests on two invariants:
+
+    * the function is not mutated after the view is built: every
+      construction site builds over finished IR;
+    * each lazy fill assigns a finished object in one statement, so
+      concurrent first queries can at worst compute an answer twice;
+      they never see a partial one.
+    """
+
+    single_assignment = True
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self._live: LivenessInfo = live_variables(function)
-        self._reaching: ReachingDefinitions = reaching_definitions(function)
-        self._available: AvailableValues = available_values(function)
-        # Detect SSA lazily at construction: post-mem2reg functions are in
-        # SSA form, which lets reconstruct identify values with their
-        # single definitions.
-        from ..ir.verify import is_ssa
+        definitions: Dict[str, ProgramPoint] = dict.fromkeys(function.params, PARAM_POINT)
+        for point, inst in function.instructions():
+            for name in inst.defs():
+                if name in definitions:
+                    raise ValueError(
+                        f"@{function.name} is not in SSA form: {name} is defined twice"
+                    )
+                definitions[name] = point
+        self._definitions = definitions
+        self._cfg: Optional[ControlFlowGraph] = None
+        self._dominators: Optional[DominatorTree] = None
+        self._liveness: Optional[LivenessInfo] = None
+        #: Block → blocks reachable from it along a non-empty path.
+        self._successor_closure: Dict[str, FrozenSet[str]] = {}
+        #: Block → parameters plus the definitions of its strict dominators.
+        self._dominating: Dict[str, FrozenSet[str]] = {
+            function.entry_label: frozenset(function.params)
+        }
+        self._available: Dict[ProgramPoint, FrozenSet[str]] = {}
 
-        self.single_assignment = is_ssa(function)
+    @property
+    def cfg(self) -> ControlFlowGraph:
+        if self._cfg is None:
+            self._cfg = ControlFlowGraph(self.function)
+        return self._cfg
+
+    @property
+    def dominators(self) -> DominatorTree:
+        if self._dominators is None:
+            self._dominators = DominatorTree(self.cfg)
+        return self._dominators
+
+    @property
+    def liveness(self) -> LivenessInfo:
+        if self._liveness is None:
+            self._liveness = live_variables(self.function, self.cfg)
+        return self._liveness
 
     def live_in(self, point: ProgramPoint) -> FrozenSet[str]:
-        return self._live.live_in(point)
+        return self.liveness.live_in(point)
 
     def available_at(self, point: ProgramPoint) -> FrozenSet[str]:
-        return self._available.available_at(point)
+        available = self._available.get(point)
+        if available is None:
+            if not self._contains(point):
+                return frozenset()
+            if not self.dominators.is_reachable(point.block):
+                available = frozenset(self._definitions)
+            else:
+                earlier = self.function.blocks[point.block].instructions[: point.index]
+                available = self._dominating_definitions(point.block).union(
+                    *(inst.defs() for inst in earlier)
+                )
+            self._available[point] = available
+        return available
 
     def unique_reaching_definition(
         self, var: str, point: ProgramPoint
     ) -> Optional[ProgramPoint]:
-        return self._reaching.unique_reaching_definition(var, point)
+        definition = self._definitions.get(var)
+        if definition is None or not self._contains(point):
+            return None
+        if definition is PARAM_POINT:
+            return definition if self.dominators.is_reachable(point.block) else None
+        if definition.block == point.block and definition.index < point.index:
+            return definition
+        if self.dominators.is_reachable(definition.block) and point.block in (
+            self._reachable_from(definition.block)
+        ):
+            return definition
+        return None
 
     def assignment_at(self, point: ProgramPoint) -> Optional[Tuple[str, Expr]]:
         if point == PARAM_POINT:
@@ -104,6 +187,34 @@ class FunctionView(ProgramView):
                 return inst.dest, values[0]
         return None
 
-    @property
-    def liveness(self) -> LivenessInfo:
-        return self._live
+    def _contains(self, point: ProgramPoint) -> bool:
+        block = self.function.blocks.get(point.block)
+        return block is not None and 0 <= point.index < len(block.instructions)
+
+    def _reachable_from(self, label: str) -> FrozenSet[str]:
+        closure = self._successor_closure.get(label)
+        if closure is None:
+            seen: Set[str] = set()
+            work = list(self.cfg.succs(label))
+            while work:
+                block = work.pop()
+                if block not in seen:
+                    seen.add(block)
+                    work.extend(self.cfg.succs(block))
+            closure = self._successor_closure[label] = frozenset(seen)
+        return closure
+
+    def _dominating_definitions(self, label: str) -> FrozenSet[str]:
+        """Parameters plus the definitions of every block strictly dominating ``label``."""
+        idom = self.dominators.idom
+        chain = []
+        while label not in self._dominating:
+            chain.append(label)
+            label = idom[label]
+        known = self._dominating[label]
+        for block in reversed(chain):
+            parent = self.function.blocks[idom[block]]
+            known = self._dominating[block] = known.union(
+                *(inst.defs() for inst in parent.instructions)
+            )
+        return known
