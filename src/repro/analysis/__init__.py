@@ -3,22 +3,17 @@
 Everything the OSR framework and the optimization passes need:
 
 * :mod:`~repro.analysis.liveness` — live variables (Theorem 3.2, the
-  ``live`` reconstruct variant, LVB checking);
-* :mod:`~repro.analysis.reaching` — reaching definitions and the ``ud``
-  predicate of Algorithm 1;
-* :mod:`~repro.analysis.availability` — available values (the ``avail``
-  reconstruct variant / ``K_avail`` sets) and available expressions;
-* :mod:`~repro.analysis.constants` — the SCCP lattice analysis.
+  ``live`` reconstruct variant, LVB checking), the one fixed point
+  Algorithm 1 needs on SSA IR;
+* :mod:`~repro.analysis.constants` — the SCCP lattice analysis;
+* :mod:`~repro.analysis.fusion` — superinstruction-fusion candidates.
+
+The ``ud`` predicate and the available values of Algorithm 1 are no
+fixed points here: :class:`repro.core.views.FunctionView` answers them on
+demand from SSA definitions, dominators and CFG reachability.
 """
 
 from .liveness import LivenessInfo, live_variables
-from .reaching import (
-    PARAM_POINT,
-    Definition,
-    ReachingDefinitions,
-    reaching_definitions,
-)
-from .availability import AvailableValues, available_expressions, available_values
 from .constants import (
     BOTTOM,
     TOP,
@@ -39,13 +34,6 @@ from .fusion import (
 __all__ = [
     "LivenessInfo",
     "live_variables",
-    "Definition",
-    "ReachingDefinitions",
-    "reaching_definitions",
-    "PARAM_POINT",
-    "AvailableValues",
-    "available_values",
-    "available_expressions",
     "ConstantAnalysis",
     "LatticeValue",
     "TOP",

@@ -50,10 +50,6 @@ class LintFinding:
     detail: str
     point: Optional[str] = None
 
-    def __str__(self) -> str:
-        where = f" at {self.point}" if self.point is not None else ""
-        return f"[{self.rule}] @{self.function}{where}: {self.detail}"
-
 
 def lint_function(function: Function) -> List[LintFinding]:
     """Structural lint on one IR function (no version metadata needed)."""

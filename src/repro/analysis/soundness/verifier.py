@@ -169,9 +169,9 @@ class _Checker:
     # Pack: structure.
     # ------------------------------------------------------------------ #
     def check_structure(self) -> None:
-        require_ssa = bool(getattr(self.pair.opt_view, "single_assignment", False))
+        # The pair's views exist only over SSA IR.
         try:
-            verify_function(self.optimized, require_ssa=require_ssa)
+            verify_function(self.optimized, require_ssa=True)
         except VerificationError as exc:
             for problem in exc.problems:
                 self.fail("structure", "ir-verify", problem)

@@ -3,8 +3,8 @@
 Implements the Cooper–Harvey–Kennedy iterative dominator algorithm, which
 is simple, fast enough for our function sizes and easy to audit.  The
 dominator tree drives SSA construction (phi placement via dominance
-frontiers), the SSA verifier, LICM's safety checks and the unique-reaching
--definition queries used by ``reconstruct``.
+frontiers), the SSA verifier, LICM's safety checks and the availability
+queries ``reconstruct`` asks of a :class:`~repro.core.views.FunctionView`.
 """
 
 from __future__ import annotations

@@ -61,10 +61,13 @@ class RenamedView:
     destination side always uses the callee's pristine view.
     """
 
+    #: The wrapped view is a pair's ``FunctionView``, which exists only
+    #: over SSA IR.
+    single_assignment = True
+
     def __init__(self, inner, inverse_rename: Mapping[str, str]) -> None:
         self.inner = inner
         self.inverse_rename = dict(inverse_rename)
-        self.single_assignment = bool(getattr(inner, "single_assignment", False))
 
     def _translate(self, names) -> FrozenSet[str]:
         return frozenset(

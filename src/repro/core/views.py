@@ -10,7 +10,10 @@ concrete views implement it:
 * :class:`repro.formal.views.FormalView` for the linear language of
   Sections 2–4 (it lives beside that language: nothing here imports
   :mod:`repro.formal`), and
-* :class:`FunctionView` for block-IR functions (Section 5 onwards).
+* :class:`FunctionView` for SSA block-IR functions (Section 5 onwards).
+  It builds no tables up front: each query is answered where a
+  transition asks it, from the definition map, the dominator tree and CFG
+  reachability, with liveness the only fixed point.
 
 Keeping the algorithm independent of the representation mirrors the
 paper's claim that the ideas "do not depend on a specific platform or IR

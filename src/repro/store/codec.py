@@ -195,8 +195,8 @@ def decode_version(
     ``base`` must be the *registered* base function (the hydrated pair
     shares it so OSR lands in the body the engine actually runs), and
     ``resolve`` maps deopt-plan frame names to registered functions.
-    Liveness/availability views are recomputed from the IR; the pair
-    carries no mapper, so the payload's backward mapping and
+    The pair's program views answer liveness, availability and ``ud`` on
+    demand from the parsed IR; the pair carries no mapper, so the payload's backward mapping and
     inlined-frame count ride on the version itself.
     """
     try:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_loops
 from ..core.frames import DeoptPlan, FrameState
@@ -147,7 +146,7 @@ def speculation_holds(
     its entry.
     """
     optimized = version.optimized
-    domtree = DominatorTree(ControlFlowGraph(optimized))
+    domtree = version.pair.opt_view.dominators
     for point, inst in optimized.instructions():
         if not isinstance(inst, Guard):
             continue

@@ -1,14 +1,9 @@
 """Tests for CFG utilities (dominance, loops) and the dataflow analyses."""
 
 
-from repro.analysis import (
-    available_expressions,
-    available_values,
-    live_variables,
-    reaching_definitions,
-    sccp_analysis,
-)
-from repro.analysis.reaching import PARAM_POINT
+import pytest
+
+from repro.analysis import live_variables, sccp_analysis
 from repro.cfg import (
     ControlFlowGraph,
     DominatorTree,
@@ -17,6 +12,7 @@ from repro.cfg import (
     postorder,
     reverse_postorder,
 )
+from repro.core.views import PARAM_POINT, FunctionView
 from repro.ir import ProgramPoint, parse_function
 
 
@@ -143,63 +139,45 @@ class TestLiveness:
 
 class TestReachingDefinitions:
     def test_unique_definition_in_ssa(self, sum_loop):
-        reaching = reaching_definitions(sum_loop)
-        assert reaching.unique_reaching_definition(
+        view = FunctionView(sum_loop)
+        assert view.unique_reaching_definition(
             "acc3", ProgramPoint("exit", 0)
         ) == ProgramPoint("body", 0)
 
     def test_parameter_definitions(self, sum_loop):
-        reaching = reaching_definitions(sum_loop)
-        assert reaching.unique_reaching_definition("n", ProgramPoint("exit", 0)) == PARAM_POINT
+        view = FunctionView(sum_loop)
+        assert view.unique_reaching_definition("n", ProgramPoint("exit", 0)) == PARAM_POINT
 
-    def test_multiple_definitions_yield_none(self):
+    def test_non_ssa_function_is_refused(self):
         src = "func @f(a) {\nentry:\n  x = 1\n  x = 2\n  ret x\n}"
-        f = parse_function(src)
-        reaching = reaching_definitions(f)
-        # At the ret, only the second definition reaches: unique.
-        assert reaching.unique_reaching_definition("x", ProgramPoint("entry", 2)) == ProgramPoint("entry", 1)
-
-    def test_branch_merges_definitions(self):
-        src = """
-        func @f(c) {
-        entry:
-          br c ? a : b
-        a:
-          x = 1
-          jmp join
-        b:
-          x = 2
-          jmp join
-        join:
-          ret x
-        }
-        """
-        f = parse_function(src)
-        reaching = reaching_definitions(f)
-        assert reaching.unique_reaching_definition("x", ProgramPoint("join", 0)) is None
-        assert len(reaching.definitions_of("x", ProgramPoint("join", 0))) == 2
+        with pytest.raises(ValueError, match="x is defined twice"):
+            FunctionView(parse_function(src))
 
 
 class TestAvailabilityAndDefUse:
     def test_available_values_require_all_paths(self, diamond):
-        availability = available_values(diamond)
-        at_merge = availability.available_at(ProgramPoint("merge", 0))
+        at_merge = FunctionView(diamond).available_at(ProgramPoint("merge", 0))
         assert "c" in at_merge and "a" in at_merge
         assert "x" not in at_merge and "x2" not in at_merge
 
     def test_loop_body_defs_not_available_at_exit(self, sum_loop):
-        availability = available_values(sum_loop)
-        at_exit = availability.available_at(ProgramPoint("exit", 0))
+        view = FunctionView(sum_loop)
+        at_exit = view.available_at(ProgramPoint("exit", 0))
         assert "acc3" not in at_exit
         assert "c" in at_exit
+        # ... yet acc3 reaches the exit through the back edge: ud is
+        # reachability, not dominance.
+        assert view.unique_reaching_definition(
+            "acc3", ProgramPoint("exit", 0)
+        ) == ProgramPoint("body", 0)
 
-    def test_available_expressions(self, redundant_loop):
-        table = available_expressions(redundant_loop)
-        from repro.ir import parse_expr
-        from repro.ir.expr import canonical_expr
-
-        key = canonical_expr(parse_expr("n * 4"))
-        assert key in table[ProgramPoint("body", 0)]
+    def test_points_outside_the_function_answer_nothing(self, sum_loop):
+        view = FunctionView(sum_loop)
+        for point in (ProgramPoint("__nowhere", 0), ProgramPoint("exit", 1)):
+            assert view.unique_reaching_definition("n", point) is None
+            assert view.unique_reaching_definition("acc3", point) is None
+            assert view.available_at(point) == frozenset()
+            assert view.live_in(point) == frozenset()
 
 
 class TestSCCPAnalysis:

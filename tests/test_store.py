@@ -317,6 +317,20 @@ class TestVersionCodec:
         decoded = decode_version(payload, state.base, lambda n: runtime.functions[n].base)
         re_encoded = encode_version(decoded, decoded.backward)
         assert re_encoded == payload
+        # The views hydration rebuilds from the parsed IR answer every
+        # Algorithm 1 query exactly as the views of the built version do.
+        for side in ("opt_view", "base_view"):
+            built = getattr(entry.version.pair, side)
+            hydrated = getattr(decoded.pair, side)
+            function = built.function
+            registers = sorted(function.defined_variables() | set(function.params))
+            for point in function.program_points():
+                assert hydrated.live_in(point) == built.live_in(point)
+                assert hydrated.available_at(point) == built.available_at(point)
+                for register in registers:
+                    assert hydrated.unique_reaching_definition(
+                        register, point
+                    ) == built.unique_reaching_definition(register, point)
 
     def test_decode_refuses_uncovered_guards(self):
         engine = warm_poly(Engine.from_source(POLY_SRC))
