@@ -13,8 +13,16 @@ hashes
   compensation text), and
 * the per-guard deoptimization plans,
 
-one SHA-256 per program.  Nothing hashed mentions an instruction uid, so
-the digests do not depend on what ran earlier in the process.
+one SHA-256 per program.  The call-kernel modules run the
+interprocedural pipeline instead and also hash every inlined frame
+(callee, destination, parent, renamings, argument expressions) and the
+block → frame map.  Nothing hashed mentions an instruction uid, so the
+digests do not depend on what ran earlier in the process.
+
+Every build, and a standard-pipeline build of each program, also checks that the mapper's record agrees with the IR it
+describes: the uids recorded as deleted are exactly the cloned ones that
+are gone, and the uids recorded as added exactly the ones that were not
+cloned.
 
 To regenerate after an intentional change to what a pass produces::
 
@@ -35,13 +43,17 @@ from typing import Dict, List, Tuple
 from repro.core import OSRTransDriver
 from repro.frontend import compile_function
 from repro.ir import Interpreter, Memory, print_function
-from repro.passes import speculative_pipeline
+from repro.passes import interprocedural_pipeline, speculative_pipeline, standard_pipeline
 from repro.store.codec import encode_deopt_plan, encode_mapping
 from repro.vm.profile import ValueProfile
 from repro.workloads import (
     BENCHMARK_NAMES,
+    CALL_KERNEL_ENTRIES,
+    CALL_KERNEL_NAMES,
     benchmark_arguments,
     benchmark_function,
+    call_kernel_arguments,
+    call_kernel_module,
     random_minic_function,
 )
 
@@ -78,16 +90,24 @@ def _programs():
         yield _random_program(index)
 
 
-def _content(function, arguments) -> Dict[str, object]:
+def _profile(module, function, arguments) -> ValueProfile:
     profile = ValueProfile()
-    interp = Interpreter(profiler=profile)
+    interp = Interpreter(module, profiler=profile)
     for _ in range(PROFILE_RUNS):
         args, memory = arguments()
         interp.run(function, args, memory=memory)
-    base_ir = print_function(function)
-    pair = OSRTransDriver(
-        speculative_pipeline(profile.function(function.name), min_samples=2)
-    ).run(function)
+    return profile
+
+
+def _assert_record_agrees_with_ir(pair) -> None:
+    cloned = set(pair.mapper.forward_uid.values())
+    present = {inst.uid for _, inst in pair.optimized.instructions()}
+    assert pair.mapper.deleted == cloned - present
+    assert pair.mapper.added == present - cloned
+
+
+def _content(pair, base_ir: str) -> Dict[str, object]:
+    _assert_record_agrees_with_ir(pair)
     plans, uncovered = pair.deopt_plans()
     return {
         "base": base_ir,
@@ -103,10 +123,56 @@ def _content(function, arguments) -> Dict[str, object]:
     }
 
 
+def _program_content(function, arguments) -> Dict[str, object]:
+    profile = _profile(None, function, arguments)
+    base_ir = print_function(function)
+    _assert_record_agrees_with_ir(OSRTransDriver(standard_pipeline()).run(function))
+    pair = OSRTransDriver(
+        speculative_pipeline(profile.function(function.name), min_samples=2)
+    ).run(function)
+    return _content(pair, base_ir)
+
+
+def _module_content(name: str) -> Dict[str, object]:
+    module = call_kernel_module(name)
+    entry = module.get(CALL_KERNEL_ENTRIES[name])
+    profile = _profile(module, entry, lambda: call_kernel_arguments(name))
+    base_ir = "\n".join(print_function(function) for function in module)
+    caller_profile = profile.function(entry.name)
+    pipeline = interprocedural_pipeline(
+        caller_profile,
+        caller_profile.clone(),
+        resolve=lambda callee: module.get(callee) if callee in module else None,
+        callee_profile=profile.function,
+        min_samples=2,
+        min_site_calls=2,
+    )
+    pair = OSRTransDriver(pipeline).run(entry)
+    content = _content(pair, base_ir)
+    content["frames"] = [
+        {
+            "callee": frame.callee.name,
+            "dest": frame.dest,
+            "parent": frame.parent,
+            "rename": frame.rename,
+            "block_map": frame.block_map,
+            "param_args": {param: str(arg) for param, arg in frame.param_args.items()},
+        }
+        for frame in pair.mapper.inlined_frames
+    ]
+    content["block_frames"] = pair.mapper.block_frames
+    return content
+
+
 def _digests() -> List[Tuple[str, str]]:
+    contents = [
+        (name, _program_content(function, arguments))
+        for name, function, arguments in _programs()
+    ]
+    contents += [(name, _module_content(name)) for name in CALL_KERNEL_NAMES]
     out = []
-    for name, function, arguments in _programs():
-        text = json.dumps(_content(function, arguments), sort_keys=True)
+    for name, content in contents:
+        text = json.dumps(content, sort_keys=True)
         out.append((name, hashlib.sha256(text.encode()).hexdigest()))
     return out
 
