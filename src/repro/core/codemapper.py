@@ -4,9 +4,12 @@ Section 5.1 of the paper argues that, for LVE transformations, it is
 enough to instrument optimization passes with five primitive actions —
 ``add``, ``delete``, ``hoist``, ``sink`` and ``replace`` — to be able to
 build the program-point and variable mappings an OSR transition needs.
-The :class:`CodeMapper` is the object every OSR-aware pass updates while
-it mutates the optimized clone of a function (the ``OSR_CM`` object in the
-paper's Figure 6 excerpt).
+The :class:`CodeMapper` is the object every OSR-aware pass edits the
+optimized clone of a function *through* (the ``OSR_CM`` object in the
+paper's Figure 6 excerpt): each primitive action is one method that
+performs the edit and records it, so the record cannot drift from the
+IR.  Its base class :class:`NullCodeMapper` performs the same edits
+without recording.
 
 From the recorded actions and the uid correspondence produced by cloning,
 the CodeMapper answers the two questions the OSR driver asks:
@@ -25,12 +28,16 @@ the CodeMapper answers the two questions the OSR driver asks:
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partialmethod
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..ir.expr import Expr
-from ..ir.function import Function, ProgramPoint
-from ..ir.instructions import Instruction
+from ..cfg.graph import ControlFlowGraph
+from ..ir.expr import Expr, fold_constants, free_vars
+from ..ir.function import BasicBlock, Function, ProgramPoint
+from ..ir.instructions import Assign, Guard, Instruction, Phi
 
 __all__ = [
     "ActionKind",
@@ -105,8 +112,253 @@ class InlinedFrame:
         return {new: old for old, new in self.rename.items()}
 
 
-class CodeMapper:
-    """Tracks IR updates applied to the optimized clone of a function."""
+class NullCodeMapper:
+    """Performs the five primitive actions on one function, recording nothing.
+
+    The passes' one edit API: each method performs one edit and reports
+    it in the same call, so the record cannot drift from the IR.
+    :class:`CodeMapper` overrides the ``_record_*`` hooks to keep the
+    record; here they do nothing (a pass run outside an OSR context).
+    The edits apply to the function bound by :meth:`editing` and keep
+    its register → users *use index* exact; the index is built with one
+    walk on the first query, so ``replace_all_uses`` visits only users,
+    and it is dropped when the editing session ends (one pass run
+    alone, or a whole :class:`~repro.passes.PassManager` pipeline), so
+    no finished version keeps one.
+    """
+
+    def __init__(self) -> None:
+        #: The function the edit methods apply to.
+        self.function: Optional[Function] = None
+        #: register → instructions reading it, or ``None`` until queried.
+        self._users: Optional[Dict[str, Set[Instruction]]] = None
+        #: Open :meth:`editing` sessions (a pipeline's, then its pass's).
+        self._sessions = 0
+
+    @contextmanager
+    def editing(self, function: Function) -> Iterator["NullCodeMapper"]:
+        """Bind the edits to ``function``; the outermost session drops the index."""
+        if not self._sessions:
+            self.function, self._users = function, None
+        self._sessions += 1
+        try:
+            yield self
+        finally:
+            self._sessions -= 1
+            if not self._sessions:
+                self._users = None
+
+    # ------------------------------------------------------------------ #
+    # Record hooks (CodeMapper keeps the record).
+    # ------------------------------------------------------------------ #
+    def _record_add(self, inst: Instruction, why: str) -> None:
+        pass
+
+    def _record_delete(self, inst: Instruction) -> None:
+        pass
+
+    def _record_move(self, kind: str, inst: Instruction, source: str, target: str) -> None:
+        pass
+
+    def _record_replace(self, old: str, new: Expr, at: Optional[Instruction]) -> None:
+        pass
+
+    def record_guard_anchor(self, guard: Instruction, anchor: Instruction) -> None:
+        pass
+
+    def record_inlined_frame(self, frame: InlinedFrame) -> None:
+        pass
+
+    # ------------------------------------------------------------------ #
+    # The use index.
+    # ------------------------------------------------------------------ #
+    def users_of(self, name: str) -> Set[Instruction]:
+        """The instructions that read register ``name`` (do not mutate)."""
+        if self._users is None:
+            self._users = defaultdict(set)
+            for _, inst in self.function.instructions():
+                self._add_reads(inst)
+        return self._users[name]
+
+    def _add_reads(self, inst: Instruction, names: Optional[Iterable[str]] = None) -> None:
+        """Index ``inst`` as a reader of ``names`` (default: all it reads)."""
+        if self._users is not None:
+            for name in inst.uses() if names is None else names:
+                self._users[name].add(inst)
+
+    def _drop_reads(self, inst: Instruction, names: Optional[Iterable[str]] = None) -> None:
+        if self._users is not None:
+            for name in inst.uses() if names is None else names:
+                self._users[name].discard(inst)
+
+    def _forget(self, inst: Instruction) -> None:
+        self._drop_reads(inst)
+        self._record_delete(inst)
+
+    # ------------------------------------------------------------------ #
+    # Primitive actions: each one edits the function and records itself.
+    # ------------------------------------------------------------------ #
+    def insert(self, block: BasicBlock, index: int, inst: Instruction, why: str = "") -> None:
+        """Add ``inst`` at ``block.instructions[index]``."""
+        block.instructions.insert(index, inst)
+        self._add_reads(inst)
+        self._record_add(inst, why)
+
+    def delete(
+        self, block: BasicBlock, inst: Instruction, into: Optional[Instruction] = None
+    ) -> None:
+        """Delete ``inst`` from ``block``.
+
+        With ``into``, the assignment's value is first substituted into
+        its single user ``into`` (superinstruction fusion): the register
+        disappears with its definition, so no replace is recorded.
+        """
+        if into is not None:
+            self._drop_reads(into, (inst.dest,))
+            into.replace_uses({inst.dest: inst.expr})
+            self._add_reads(into, free_vars(inst.expr))
+        block.instructions.remove(inst)
+        self._forget(inst)
+
+    def delete_where(self, predicate: Callable[[Instruction], bool]) -> bool:
+        """Delete every instruction ``predicate`` holds for; True if any."""
+        deleted = False
+        for block in self.function.iter_blocks():
+            kept = []
+            for inst in block.instructions:
+                if predicate(inst):
+                    self._forget(inst)
+                    deleted = True
+                else:
+                    kept.append(inst)
+            block.instructions = kept
+        return deleted
+
+    def _move(
+        self, kind: str, inst: Instruction, source: BasicBlock, target: BasicBlock, index: int
+    ) -> None:
+        """Move ``inst`` from ``source`` to ``target.instructions[index]``."""
+        source.instructions.remove(inst)
+        target.instructions.insert(index, inst)
+        self._record_move(kind, inst, source.label, target.label)
+
+    #: ``hoist(inst, source, target, index)``: move to an earlier point.
+    hoist = partialmethod(_move, ActionKind.HOIST)
+    #: ``sink(inst, source, target, index)``: move to a later point.
+    sink = partialmethod(_move, ActionKind.SINK)
+
+    def replace_all_uses(
+        self,
+        old: str,
+        new: Expr,
+        at: Optional[Instruction] = None,
+        *,
+        skip: Optional[type] = None,
+    ) -> bool:
+        """Replace every read of register ``old`` by ``new``; True if any.
+
+        ``at`` is the instruction the replacement stems from (it goes
+        into the record); users that are instances of ``skip`` keep
+        reading ``old``.
+        """
+        users = self.users_of(old)
+        rewritten = [user for user in users if skip is None or not isinstance(user, skip)]
+        mapping, reads = {old: new}, free_vars(new)
+        for user in rewritten:
+            user.replace_uses(mapping)
+            users.discard(user)
+            self._add_reads(user, reads)
+        self._record_replace(old, new, at)
+        return bool(rewritten)
+
+    def replace_uses_in(self, user: Instruction, old: str, new: Expr) -> bool:
+        """Replace ``user``'s reads of ``old`` by ``new``, recorded if any."""
+        if not user.replace_uses({old: new}):
+            return False
+        self._drop_reads(user, (old,))
+        self._add_reads(user, free_vars(new))
+        self._record_replace(old, new, user)
+        return True
+
+    def replace_terminator(self, block: BasicBlock, new: Instruction, why: str) -> None:
+        """Swap ``block``'s terminator for ``new`` (a delete, then an add)."""
+        self._forget(block.instructions[-1])
+        block.instructions[-1] = new
+        self._add_reads(new)
+        self._record_add(new, why)
+
+    def remove_unreachable_blocks(self) -> bool:
+        """Delete the blocks the entry cannot reach and prune stale phi edges.
+
+        Every instruction of a removed block is a recorded delete.  A phi
+        loses the incoming edges of predecessors that no longer branch to
+        its block (removed blocks, or a branch folded into a jump).
+        Returns True when anything changed.
+        """
+        function = self.function
+        cfg = ControlFlowGraph(function)
+        reachable = cfg.reachable()
+        unreachable = [label for label in function.block_labels() if label not in reachable]
+        for label in unreachable:
+            for inst in function.blocks[label].instructions:
+                self._forget(inst)
+            function.remove_block(label)
+        pruned = False
+        for block in function.iter_blocks():
+            preds = {pred for pred in cfg.preds(block.label) if pred in reachable}
+            for phi in block.phis():
+                kept = {pred: value for pred, value in phi.incoming.items() if pred in preds}
+                if len(kept) < len(phi.incoming):
+                    self.set_incoming(phi, kept)
+                    pruned = True
+        return bool(unreachable) or pruned
+
+    # ------------------------------------------------------------------ #
+    # Unrecorded edits: they keep every value, so no action describes them.
+    # ------------------------------------------------------------------ #
+    def fold(self, inst: Instruction) -> bool:
+        """Constant-fold an assignment or guard operand (it reads the same registers)."""
+        if isinstance(inst, Assign):
+            before, inst.expr = inst.expr, fold_constants(inst.expr)
+            return inst.expr != before
+        if isinstance(inst, Guard):
+            before, inst.cond = inst.cond, fold_constants(inst.cond)
+            return inst.cond != before
+        return False
+
+    def set_incoming(self, phi: Phi, incoming: Dict[str, Expr]) -> None:
+        """Give ``phi`` a new predecessor → value map."""
+        self._drop_reads(phi)
+        phi.incoming = incoming
+        self._add_reads(phi)
+
+    def retarget(self, terminator: Instruction, mapping: Dict[str, str]) -> None:
+        """Rewrite ``terminator``'s successor labels by ``mapping``."""
+        terminator.retarget(mapping)
+
+    def add_block(self, label: str, *, after: Optional[str] = None) -> BasicBlock:
+        """Add an empty block (its instructions arrive through :meth:`insert`)."""
+        return self.function.add_block(label, after=after)
+
+    def split_block(self, block: BasicBlock, index: int, label: str, *, after: str) -> BasicBlock:
+        """Move ``block.instructions[index:]`` into a new block ``label``.
+
+        The tail keeps its instructions and the terminator, so the phis
+        of its successors re-key their edge from ``block`` to ``label``.
+        """
+        tail = self.function.add_block(label, after=after)
+        tail.instructions = block.instructions[index:]
+        block.instructions = block.instructions[:index]
+        for succ_label in tail.successors():
+            succ = self.function.blocks.get(succ_label)
+            if succ is not None:
+                for phi in succ.phis():
+                    phi.rename_predecessor(block.label, label)
+        return tail
+
+
+class CodeMapper(NullCodeMapper):
+    """Performs the passes' edits on the optimized clone and records them."""
 
     def __init__(
         self,
@@ -114,6 +366,7 @@ class CodeMapper:
         optimized: Function,
         uid_map: Dict[int, int],
     ) -> None:
+        super().__init__()
         self.original = original
         self.optimized = optimized
         #: original instruction uid → cloned (optimized) instruction uid.
@@ -160,42 +413,27 @@ class CodeMapper:
         self._uid_indexes: Dict[Function, Dict[int, ProgramPoint]] = {}
 
     # ------------------------------------------------------------------ #
-    # Recording interface used by passes (mirrors the paper's OSR_CM).
+    # The record (the paper's OSR_CM object).
     # ------------------------------------------------------------------ #
-    def add_instruction(self, inst: Instruction, where: str = "") -> None:
-        """Record insertion of a brand new instruction into the optimized code."""
+    def _record_add(self, inst: Instruction, why: str) -> None:
         self.added.add(inst.uid)
-        self.actions.append(PrimitiveAction(ActionKind.ADD, f"{inst} {where}".strip(), inst.uid))
+        self.actions.append(PrimitiveAction(ActionKind.ADD, f"{inst} {why}".strip(), inst.uid))
 
-    def delete_instruction(self, inst: Instruction) -> None:
-        """Record deletion of an instruction from the optimized code."""
+    def _record_delete(self, inst: Instruction) -> None:
         if inst.uid in self.added:
             self.added.discard(inst.uid)
         else:
             self.deleted.add(inst.uid)
         self.actions.append(PrimitiveAction(ActionKind.DELETE, str(inst), inst.uid))
 
-    def hoist_instruction(self, inst: Instruction, from_block: str, to_block: str) -> None:
-        """Record that an instruction moved to an earlier location."""
+    def _record_move(self, kind: str, inst: Instruction, source: str, target: str) -> None:
         self.moved.add(inst.uid)
-        self.actions.append(
-            PrimitiveAction(ActionKind.HOIST, f"{inst}: {from_block} → {to_block}", inst.uid)
-        )
+        self.actions.append(PrimitiveAction(kind, f"{inst}: {source} → {target}", inst.uid))
 
-    def sink_instruction(self, inst: Instruction, from_block: str, to_block: str) -> None:
-        """Record that an instruction moved to a later location."""
-        self.moved.add(inst.uid)
-        self.actions.append(
-            PrimitiveAction(ActionKind.SINK, f"{inst}: {from_block} → {to_block}", inst.uid)
-        )
-
-    def replace_all_uses_with(self, old: str, new: Expr, inst: Optional[Instruction] = None) -> None:
-        """Record that uses of register ``old`` were replaced by operand ``new``."""
+    def _record_replace(self, old: str, new: Expr, at: Optional[Instruction]) -> None:
         self.aliases[old] = new
-        detail = f"{old} → {new}" + (f" (in {inst})" if inst is not None else "")
-        self.actions.append(
-            PrimitiveAction(ActionKind.REPLACE, detail, inst.uid if inst else None)
-        )
+        detail = f"{old} → {new}" + (f" (in {at})" if at is not None else "")
+        self.actions.append(PrimitiveAction(ActionKind.REPLACE, detail, at.uid if at else None))
 
     def record_guard_anchor(self, guard: Instruction, anchor: Instruction) -> None:
         """Pin a guard's deoptimization target to an anchor instruction.
@@ -211,8 +449,10 @@ class CodeMapper:
         self.guard_anchors[guard.uid] = self.splice_anchors.get(anchor.uid, anchor.uid)
 
     def record_inlined_frame(self, frame: "InlinedFrame") -> None:
-        """Register one speculatively inlined call site (see the pass)."""
+        """Register one speculatively inlined call site and its blocks (see the pass)."""
         self.inlined_frames.append(frame)
+        for label in frame.block_map.values():
+            self.block_frames[label] = frame.index
 
     def frame_mapper(self, frame: "InlinedFrame") -> "CodeMapper":
         """A point-correspondence mapper from ``frame``'s callee into this clone.
@@ -342,8 +582,6 @@ class CodeMapper:
         in the middle of the run would re-evaluate them against an edge
         that was never taken.
         """
-        from ..ir.instructions import Phi
-
         block = function.blocks[point.block]
         index = point.index
         while index < len(block.instructions) and isinstance(
@@ -360,37 +598,12 @@ class CodeMapper:
         return f"<CodeMapper @{self.original.name}: {summary}>"
 
 
-class NullCodeMapper:
-    """A no-op recorder, used when a pass runs outside an OSR context."""
-
-    def add_instruction(self, inst: Instruction, where: str = "") -> None:  # noqa: D401
-        pass
-
-    def delete_instruction(self, inst: Instruction) -> None:
-        pass
-
-    def hoist_instruction(self, inst: Instruction, from_block: str, to_block: str) -> None:
-        pass
-
-    def sink_instruction(self, inst: Instruction, from_block: str, to_block: str) -> None:
-        pass
-
-    def replace_all_uses_with(self, old: str, new: Expr, inst: Optional[Instruction] = None) -> None:
-        pass
-
-    def record_guard_anchor(self, guard: Instruction, anchor: Instruction) -> None:
-        pass
-
-    def record_inlined_frame(self, frame: InlinedFrame) -> None:
-        pass
-
-
 def clone_for_optimization(function: Function, suffix: str = ".opt") -> Tuple[Function, CodeMapper]:
     """Clone ``function`` and return the clone plus a CodeMapper linking the two.
 
-    This is the paper's ``apply`` entry point for the IR level: passes run
-    on the clone and report their actions to the returned CodeMapper; the
-    original stays untouched and serves as the deoptimization target.
+    This is the paper's ``apply`` entry point for the IR level: passes edit
+    the clone through the returned CodeMapper, which records every action;
+    the original stays untouched and serves as the deoptimization target.
     """
     clone, uid_map = function.clone(function.name + suffix)
     return clone, CodeMapper(function, clone, uid_map)

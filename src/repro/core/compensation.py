@@ -102,11 +102,3 @@ class CompensationCode:
     def to_ir_instructions(self) -> List[Assign]:
         """Render as IR assignments (for a continuation function's entry block)."""
         return [Assign(dest, expr) for dest, expr in self.assignments]
-
-    def __str__(self) -> str:
-        if not self.assignments:
-            return "⟨⟩"
-        return "; ".join(f"{dest} := {expr}" for dest, expr in self.assignments)
-
-    def __len__(self) -> int:
-        return len(self.assignments)

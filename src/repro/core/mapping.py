@@ -30,11 +30,6 @@ class OSRMappingEntry:
     target: Hashable
     compensation: CompensationCode
 
-    def __iter__(self) -> Iterator:
-        # Allow tuple-style unpacking: ``target, code = entry``.
-        yield self.target
-        yield self.compensation
-
 
 class OSRMapping:
     """A (partial) OSR mapping between two program versions."""

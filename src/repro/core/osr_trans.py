@@ -43,10 +43,6 @@ class PointReport:
     point_class: OSRPointClass
     compensation: Optional[CompensationCode]
 
-    @property
-    def feasible(self) -> bool:
-        return self.point_class is not OSRPointClass.UNSUPPORTED and self.target is not None
-
 
 @dataclass
 class VersionPair:

@@ -79,7 +79,8 @@ class BasicBlock:
         return result
 
     # ------------------------------------------------------------------ #
-    # Mutation helpers used by passes.
+    # Construction helpers (frontend, IR parser, mem2reg); passes edit
+    # through their CodeMapper instead.
     # ------------------------------------------------------------------ #
     def append(self, inst: Instruction) -> Instruction:
         self.instructions.append(inst)
@@ -88,9 +89,6 @@ class BasicBlock:
     def insert(self, index: int, inst: Instruction) -> Instruction:
         self.instructions.insert(index, inst)
         return inst
-
-    def remove(self, inst: Instruction) -> None:
-        self.instructions.remove(inst)
 
     def copy(self) -> Tuple["BasicBlock", Dict[int, int]]:
         """Deep-copy the block; return it plus an old-uid → new-uid map."""

@@ -82,13 +82,15 @@ class Instruction:
     # ------------------------------------------------------------------ #
     # Rewriting support.
     # ------------------------------------------------------------------ #
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
         """Destructively replace variable uses according to ``mapping``.
 
-        Definitions (destination registers) are never rewritten here; use
-        :meth:`rename_def` for that.
+        Returns whether any operand changed (never, for an instruction
+        without expression operands).  Definitions (destination
+        registers) are never rewritten here; use :meth:`rename_def` for
+        that.
         """
-        raise NotImplementedError
+        return False
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         """Destructively rename the destination register, if any."""
@@ -129,8 +131,9 @@ class Assign(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.expr,)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.expr = substitute(self.expr, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before, self.expr = self.expr, substitute(self.expr, mapping)
+        return self.expr is not before
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         self.dest = mapping.get(self.dest, self.dest)
@@ -156,8 +159,9 @@ class Load(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.addr,)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.addr = substitute(self.addr, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before, self.addr = self.addr, substitute(self.addr, mapping)
+        return self.addr is not before
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         self.dest = mapping.get(self.dest, self.dest)
@@ -183,9 +187,11 @@ class Store(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.addr, self.value)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.addr = substitute(self.addr, mapping)
-        self.value = substitute(self.value, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        addr, value = self.addr, self.value
+        self.addr = substitute(addr, mapping)
+        self.value = substitute(value, mapping)
+        return self.addr is not addr or self.value is not value
 
     def copy(self) -> "Store":
         return Store(self.addr, self.value)
@@ -217,9 +223,6 @@ class Alloca(Instruction):
 
     def defs(self) -> Tuple[str, ...]:
         return (self.dest,)
-
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        pass  # no expression operands
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         self.dest = mapping.get(self.dest, self.dest)
@@ -258,8 +261,9 @@ class Call(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return tuple(self.args)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.args = [substitute(a, mapping) for a in self.args]
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before, self.args = self.args, [substitute(a, mapping) for a in self.args]
+        return any(new is not old for new, old in zip(self.args, before))
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         if self.dest is not None:
@@ -301,10 +305,12 @@ class Phi(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return tuple(self.incoming[label] for label in sorted(self.incoming))
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before = self.incoming
         self.incoming = {
-            label: substitute(value, mapping) for label, value in self.incoming.items()
+            label: substitute(value, mapping) for label, value in before.items()
         }
+        return any(self.incoming[label] is not value for label, value in before.items())
 
     def rename_def(self, mapping: Mapping[str, str]) -> None:
         self.dest = mapping.get(self.dest, self.dest)
@@ -355,8 +361,9 @@ class Guard(Instruction):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.cond,)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.cond = substitute(self.cond, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before, self.cond = self.cond, substitute(self.cond, mapping)
+        return self.cond is not before
 
     def copy(self) -> "Guard":
         return Guard(self.cond, reason=self.reason)
@@ -384,9 +391,6 @@ class Nop(Instruction):
     at the destination point; the pass-based pipeline uses genuine
     insertion instead but keeps ``Nop`` for padding and for tests.
     """
-
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        pass
 
     def copy(self) -> "Nop":
         return Nop()
@@ -426,9 +430,6 @@ class Jump(Terminator):
     def retarget(self, mapping: Mapping[str, str]) -> None:
         self.target = mapping.get(self.target, self.target)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        pass
-
     def copy(self) -> "Jump":
         return Jump(self.target)
 
@@ -457,8 +458,9 @@ class Branch(Terminator):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.cond,)
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        self.cond = substitute(self.cond, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        before, self.cond = self.cond, substitute(self.cond, mapping)
+        return self.cond is not before
 
     def copy(self) -> "Branch":
         return Branch(self.cond, self.then_target, self.else_target)
@@ -477,9 +479,11 @@ class Return(Terminator):
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.value,) if self.value is not None else ()
 
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        if self.value is not None:
-            self.value = substitute(self.value, mapping)
+    def replace_uses(self, mapping: Mapping[str, Expr]) -> bool:
+        if self.value is None:
+            return False
+        before, self.value = self.value, substitute(self.value, mapping)
+        return self.value is not before
 
     def copy(self) -> "Return":
         return Return(self.value)
@@ -493,9 +497,6 @@ class Return(Terminator):
 
 class Abort(Terminator):
     """``abort`` — terminate execution abnormally (the paper's ``abort``)."""
-
-    def replace_uses(self, mapping: Mapping[str, Expr]) -> None:
-        pass
 
     def copy(self) -> "Abort":
         return Abort()

@@ -1,9 +1,10 @@
 """OSR-aware optimization passes (Section 5.4).
 
 Each pass re-implements the behaviour of the corresponding LLVM pass the
-paper instruments, and reports every IR manipulation to a
-:class:`~repro.core.codemapper.CodeMapper` using the five primitive
-actions of Section 5.1.  ``standard_pipeline`` mirrors the pipeline the
+paper instruments, and edits the IR only *through* a
+:class:`~repro.core.codemapper.CodeMapper`: each of the five primitive
+actions of Section 5.1 is one mapper call that performs the edit and
+records it.  ``standard_pipeline`` mirrors the pipeline the
 paper applies to produce ``f_opt`` from ``f_base``.
 """
 

@@ -5,20 +5,20 @@ terminators, returns, aborts and allocas — then transitively marks the
 definitions of every register those instructions use.  Everything left
 unmarked computes a value nobody can observe and is deleted.
 
-This is the OSR-aware analogue of LLVM's ADCE: every deletion is reported
-to the CodeMapper so compensation code can re-materialize the deleted
-values if a deoptimizing OSR needs them.
+This is the OSR-aware analogue of LLVM's ADCE: every deletion goes
+through the CodeMapper, which records it so compensation code can
+re-materialize the deleted values if a deoptimizing OSR needs them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Instruction
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["AggressiveDCE"]
 
@@ -29,9 +29,7 @@ class AggressiveDCE(Pass):
     name = "ADCE"
     tracked_action_kinds = (ActionKind.DELETE,)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
-
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         # Seed the liveness worklist with instructions that have effects the
         # outside world can observe.
         live: Set[int] = set()
@@ -53,14 +51,6 @@ class AggressiveDCE(Pass):
                         live.add(producer.uid)
                         worklist.append(producer)
 
-        changed = False
-        for block in function.iter_blocks():
-            survivors = []
-            for inst in block.instructions:
-                if inst.uid in live or inst.is_terminator:
-                    survivors.append(inst)
-                else:
-                    mapper.delete_instruction(inst)
-                    changed = True
-            block.instructions = survivors
-        return changed
+        return mapper.delete_where(
+            lambda inst: inst.uid not in live and not inst.is_terminator
+        )

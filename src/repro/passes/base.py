@@ -1,9 +1,11 @@
 """Pass infrastructure: the base class and the pass manager.
 
-Passes mutate a :class:`~repro.ir.function.Function` in place and report
-every IR manipulation to a CodeMapper (Section 5.1), exactly as the
-paper's edited LLVM passes do.  A pass returns ``True`` when it changed
-the function; the manager reports that per pass.
+Passes mutate a :class:`~repro.ir.function.Function` in place, and only
+through a CodeMapper (Section 5.1): each primitive action is one mapper
+call that performs the edit and records it, so the record the paper's
+edited LLVM passes keep by hand is complete by construction.  A pass
+returns ``True`` when it changed the function; the manager reports that
+per pass.
 
 Each pass also exposes rough self-description metadata (``loc`` — the
 size of its implementation — and ``tracked_action_kinds``), which the
@@ -15,14 +17,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.codemapper import CodeMapper, NullCodeMapper
+from ..core.codemapper import NullCodeMapper
 from ..ir.function import Function
 
 __all__ = ["Pass", "PassManager", "PipelineResult"]
-
-MapperLike = Union[CodeMapper, NullCodeMapper]
 
 
 class Pass:
@@ -33,8 +33,18 @@ class Pass:
     #: Which primitive actions this pass can emit (Table 1's last row).
     tracked_action_kinds: Tuple[str, ...] = ()
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        """Transform ``function`` in place; return True when anything changed."""
+    def run(self, function: Function, mapper: Optional[NullCodeMapper] = None) -> bool:
+        """Transform ``function`` in place; return True when anything changed.
+
+        The edits go through ``mapper`` (a :class:`CodeMapper` records
+        them); without one, through a fresh :class:`NullCodeMapper`.
+        """
+        mapper = mapper if mapper is not None else NullCodeMapper()
+        with mapper.editing(function):
+            return self.transform(function, mapper)
+
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
+        """The pass proper: edit ``function`` through ``mapper``."""
         raise NotImplementedError
 
     @classmethod
@@ -66,12 +76,15 @@ class PassManager:
     def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes = list(passes)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> PipelineResult:
+    def run(self, function: Function, mapper: Optional[NullCodeMapper] = None) -> PipelineResult:
         mapper = mapper if mapper is not None else NullCodeMapper()
         per_pass: Dict[str, bool] = {p.name: False for p in self.passes}
-        for pass_ in self.passes:
-            changed = pass_.run(function, mapper)
-            per_pass[pass_.name] = per_pass[pass_.name] or changed
+        # One editing session for the whole pipeline: the passes share
+        # the mapper's use index, which is dropped when the last one ends.
+        with mapper.editing(function):
+            for pass_ in self.passes:
+                changed = pass_.run(function, mapper)
+                per_pass[pass_.name] = per_pass[pass_.name] or changed
         return PipelineResult(function, any(per_pass.values()), per_pass)
 
     def __repr__(self) -> str:

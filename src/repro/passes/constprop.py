@@ -3,20 +3,21 @@
 A lightweight SSA constant propagator: registers defined by a constant
 expression are substituted into their uses (a ``replace`` action), the
 now-dead constant definitions are deleted, and expressions that become
-fully constant are folded in place.  The heavier, branch-aware variant is
+fully constant are folded in place.  Every edit goes through the
+CodeMapper.  The heavier, branch-aware variant is
 :mod:`repro.passes.sccp`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.codemapper import ActionKind, NullCodeMapper
-from ..ir.expr import Const, Expr, fold_constants
+from ..ir.expr import Const, Expr
 from ..ir.function import Function
-from ..ir.instructions import Assign, Guard
+from ..ir.instructions import Assign, Guard, Instruction
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["ConstantPropagationPass"]
 
@@ -27,41 +28,19 @@ class ConstantPropagationPass(Pass):
     name = "CP"
     tracked_action_kinds = (ActionKind.REPLACE, ActionKind.DELETE)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         changed = False
         ssa = is_ssa(function)
 
         for _ in range(8):  # repeat: folding can expose new constants
             round_changed = False
 
-            # 1. Fold every expression operand in place.  Guards whose
-            #    condition folds to a non-zero constant are provably true
-            #    (speculation collapsed into fact) and are deleted.
+            # 1. Fold assignments and guard conditions in place.  Guards
+            #    whose condition folds to a non-zero constant are provably
+            #    true (speculation collapsed into fact) and are deleted.
             for _, inst in function.instructions():
-                if isinstance(inst, Assign):
-                    folded = fold_constants(inst.expr)
-                    if folded != inst.expr:
-                        inst.expr = folded
-                        round_changed = True
-                elif isinstance(inst, Guard):
-                    folded = fold_constants(inst.cond)
-                    if folded != inst.cond:
-                        inst.cond = folded
-                        round_changed = True
-            for block in function.iter_blocks():
-                survivors = []
-                for inst in block.instructions:
-                    if (
-                        isinstance(inst, Guard)
-                        and isinstance(inst.cond, Const)
-                        and inst.cond.value != 0
-                    ):
-                        mapper.delete_instruction(inst)
-                        round_changed = True
-                    else:
-                        survivors.append(inst)
-                block.instructions = survivors
+                round_changed |= mapper.fold(inst)
+            round_changed |= mapper.delete_where(_proven_guard)
 
             if not ssa:
                 # Without single-assignment guarantees, substituting uses is
@@ -77,35 +56,20 @@ class ConstantPropagationPass(Pass):
                 if isinstance(inst, Assign) and isinstance(inst.expr, Const):
                     constants[inst.dest] = inst.expr
 
+            # 3. Substitute them into all uses, then delete their
+            #    definitions, which nothing reads any more.
             if constants:
-                # 3. Substitute them into all uses.
-                for _, inst in function.instructions():
-                    before = str(inst)
-                    inst.replace_uses(constants)
-                    if str(inst) != before:
-                        round_changed = True
                 for name, value in constants.items():
-                    mapper.replace_all_uses_with(name, value)
-
-                # 4. Delete constant definitions that are now unused.
-                used = set()
-                for _, inst in function.instructions():
-                    used.update(inst.uses())
-                for block in function.iter_blocks():
-                    survivors = []
-                    for inst in block.instructions:
-                        if (
-                            isinstance(inst, Assign)
-                            and inst.dest in constants
-                            and inst.dest not in used
-                        ):
-                            mapper.delete_instruction(inst)
-                            round_changed = True
-                        else:
-                            survivors.append(inst)
-                    block.instructions = survivors
+                    round_changed |= mapper.replace_all_uses(name, value)
+                round_changed |= mapper.delete_where(
+                    lambda inst: isinstance(inst, Assign) and inst.dest in constants
+                )
 
             changed = changed or round_changed
             if not round_changed:
                 break
         return changed
+
+
+def _proven_guard(inst: Instruction) -> bool:
+    return isinstance(inst, Guard) and isinstance(inst.cond, Const) and inst.cond.value != 0

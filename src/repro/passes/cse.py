@@ -5,7 +5,9 @@ Walks the dominator tree with a scoped value-numbering table:
 * pure assignments whose canonicalized right-hand side was already
   computed by a dominating instruction are deleted, and their register is
   replaced everywhere by the earlier one (a ``replace`` + ``delete`` pair
-  of primitive actions — compare the paper's Figure 6 excerpt);
+  of primitive actions — compare the paper's Figure 6 excerpt; the
+  mapper's use index rewrites just the users, so later instructions are
+  already canonical when the walk reaches them);
 * copies (``x = y``) are forwarded the same way;
 * loads are value-numbered by address within a *memory generation*; any
   store or call starts a new generation, which conservatively kills all
@@ -18,16 +20,16 @@ every use of the later one").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
 from ..core.codemapper import ActionKind, NullCodeMapper
-from ..ir.expr import Const, Expr, Var, canonical_expr, free_vars
+from ..ir.expr import Const, Var, canonical_expr, free_vars
 from ..ir.function import Function
 from ..ir.instructions import Assign, Call, Load, Store
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["CommonSubexpressionElimination"]
 
@@ -60,8 +62,7 @@ class CommonSubexpressionElimination(Pass):
     name = "CSE"
     tracked_action_kinds = (ActionKind.REPLACE, ActionKind.DELETE)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         if not is_ssa(function):
             return False
 
@@ -70,57 +71,31 @@ class CommonSubexpressionElimination(Pass):
 
         expr_table = _ScopedTable()   # canonical Expr -> register name
         load_table = _ScopedTable()   # (canonical addr Expr, generation) -> register
-        replacements: Dict[str, Expr] = {}
-        to_delete: List[Tuple[str, object]] = []  # (block label, instruction)
         changed = False
         generation = [0]
 
-        def process_block(label: str) -> int:
-            """Process one dominator-tree node; returns #scopes pushed."""
+        def process_block(label: str) -> None:
+            """Process one dominator-tree node (pushes one scope)."""
+            nonlocal changed
             expr_table.push()
             load_table.push()
             block = function.blocks[label]
             for inst in list(block.instructions):
-                # Apply pending replacements so later value numbering sees
-                # the canonical operands.
-                if replacements:
-                    inst.replace_uses(replacements)
-
+                replacement = None
                 if isinstance(inst, Assign):
                     expr = inst.expr
                     if isinstance(expr, Var):
-                        # Copy propagation: x = y.
-                        replacements[inst.dest] = expr
-                        mapper.replace_all_uses_with(inst.dest, expr, inst)
-                        mapper.delete_instruction(inst)
-                        to_delete.append((label, inst))
-                        continue
-                    if not free_vars(expr) and not isinstance(expr, Const):
-                        # Fully constant non-literal expressions are left to CP.
-                        continue
-                    key = canonical_expr(expr)
-                    if isinstance(key, (Const, Var)):
-                        continue
-                    existing = expr_table.lookup(key)
-                    if existing is not None:
-                        replacement = Var(str(existing))
-                        replacements[inst.dest] = replacement
-                        mapper.replace_all_uses_with(inst.dest, replacement, inst)
-                        mapper.delete_instruction(inst)
-                        to_delete.append((label, inst))
-                        continue
-                    expr_table.insert(key, inst.dest)
+                        replacement = expr  # copy propagation: x = y
+                    elif not free_vars(expr) and not isinstance(expr, Const):
+                        continue  # fully constant non-literal expressions are left to CP
+                    else:
+                        key = canonical_expr(expr)
+                        if isinstance(key, (Const, Var)):
+                            continue
+                        replacement = _lookup_or_insert(expr_table, key, inst.dest)
                 elif isinstance(inst, Load):
                     key = (canonical_expr(inst.addr), generation[0])
-                    existing = load_table.lookup(key)
-                    if existing is not None:
-                        replacement = Var(str(existing))
-                        replacements[inst.dest] = replacement
-                        mapper.replace_all_uses_with(inst.dest, replacement, inst)
-                        mapper.delete_instruction(inst)
-                        to_delete.append((label, inst))
-                        continue
-                    load_table.insert(key, inst.dest)
+                    replacement = _lookup_or_insert(load_table, key, inst.dest)
                 elif isinstance(inst, Call) and not inst.has_side_effects():
                     # A known-pure intrinsic call is an expression: two
                     # calls with the same canonicalized arguments compute
@@ -136,21 +111,16 @@ class CommonSubexpressionElimination(Pass):
                         tuple(canonical_expr(arg) for arg in inst.args),
                         generation[0] if inst.accesses_memory() else None,
                     )
-                    existing = expr_table.lookup(key)
-                    if existing is not None:
-                        replacement = Var(str(existing))
-                        replacements[inst.dest] = replacement
-                        mapper.replace_all_uses_with(inst.dest, replacement, inst)
-                        mapper.delete_instruction(inst)
-                        to_delete.append((label, inst))
-                        continue
-                    expr_table.insert(key, inst.dest)
+                    replacement = _lookup_or_insert(expr_table, key, inst.dest)
                 elif isinstance(inst, Store) or (
                     isinstance(inst, Call) and inst.accesses_memory()
                 ):
                     # Conservatively invalidate remembered loads.
                     generation[0] += 1
-            return 1
+                if replacement is not None:
+                    mapper.replace_all_uses(inst.dest, replacement, inst)
+                    mapper.delete(block, inst)
+                    changed = True
 
         # Dominator-tree DFS with explicit scope management.
         def dfs(label: str) -> None:
@@ -161,33 +131,13 @@ class CommonSubexpressionElimination(Pass):
             load_table.pop()
 
         dfs(function.entry_label)
-
-        # Apply the accumulated use replacements across the whole function
-        # (uses may appear in blocks not dominated by the deleted copy's
-        # block only for phis; SSA dominance makes the substitution sound).
-        if replacements:
-            final = _resolve_chains(replacements)
-            for _, inst in function.instructions():
-                inst.replace_uses(final)
-            changed = True
-
-        for label, inst in to_delete:
-            block = function.blocks[label]
-            if inst in block.instructions:
-                block.remove(inst)
-                changed = True
-
         return changed
 
 
-def _resolve_chains(replacements: Dict[str, Expr]) -> Dict[str, Expr]:
-    """Collapse chains like ``a → b`` and ``b → c`` into ``a → c``."""
-    resolved: Dict[str, Expr] = {}
-    for name in replacements:
-        value = replacements[name]
-        seen = {name}
-        while isinstance(value, Var) and value.name in replacements and value.name not in seen:
-            seen.add(value.name)
-            value = replacements[value.name]
-        resolved[name] = value
-    return resolved
+def _lookup_or_insert(table: _ScopedTable, key: object, dest: str) -> Optional[Var]:
+    """The register already holding ``key``'s value, or None after recording ``dest``."""
+    existing = table.lookup(key)
+    if existing is None:
+        table.insert(key, dest)
+        return None
+    return Var(str(existing))

@@ -13,8 +13,9 @@ single *superinstructions* at the IR level:
 Because the rewrite happens in the IR, the interpreter and the compiled
 backend observe *identical* environments afterwards — the temp simply no
 longer exists in this version — so cross-backend parity is preserved by
-construction.  The deleted definition is reported to the CodeMapper like
-any DCE deletion, keeping deoptimization mappings sound.
+construction.  Each pair is one CodeMapper ``delete`` that forwards the
+value into its consumer; it is recorded like any DCE deletion, keeping
+deoptimization mappings sound.
 
 Guard conditions are never fused into: guards carry their condition
 registers into deopt live state, and shrinking that state is the
@@ -26,13 +27,11 @@ that never went through a pipeline; see
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.fusion import fusible_compare_branches, fusible_stores
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Assign, Branch, Store
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["SuperinstructionFusion"]
 
@@ -43,8 +42,7 @@ class SuperinstructionFusion(Pass):
     name = "Fuse"
     tracked_action_kinds = (ActionKind.DELETE,)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         changed = False
 
         # Add+store fusion: substitute the temp's expression into the
@@ -55,9 +53,7 @@ class SuperinstructionFusion(Pass):
             store = block.instructions[fused.assign_index + 1]
             if not isinstance(assign, Assign) or not isinstance(store, Store):
                 continue  # the block changed shape since analysis
-            store.replace_uses({fused.temp: assign.expr})
-            block.instructions.remove(assign)
-            mapper.delete_instruction(assign)
+            mapper.delete(block, assign, into=store)
             changed = True
 
         # Compare+branch fusion: branch directly on the comparison.
@@ -69,9 +65,7 @@ class SuperinstructionFusion(Pass):
                 continue
             if assign.dest != fused.temp:
                 continue
-            branch.replace_uses({fused.temp: assign.expr})
-            block.instructions.remove(assign)
-            mapper.delete_instruction(assign)
+            mapper.delete(block, assign, into=branch)
             changed = True
 
         return changed

@@ -23,9 +23,9 @@ Mechanics per inlined site ``d = call @g(args)`` in block ``B``:
 * every ``ret v`` in the copy becomes a jump to the continuation; the
   call's destination register is bound via an assignment in the single
   returning block, or a phi over all of them;
-* the call is deleted, every spliced instruction is recorded as an
-  ``add`` primitive action, and the frame record (rename, uid and block
-  maps, parent frame, call uid) is registered with the CodeMapper.
+* the call is deleted and every spliced instruction added through the
+  CodeMapper (``add`` primitive actions), and the frame record (rename,
+  uid and block maps, parent frame, call uid) is registered with it.
 
 Argument-binding glue is registered as a *splice anchor*: a guard later
 inserted between the parameter bindings (a speculated argument value)
@@ -44,12 +44,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..core.codemapper import ActionKind, InlinedFrame, NullCodeMapper
-from ..ir.expr import Const, Var
+from ..ir.expr import Const, Expr, Var
 from ..ir.function import BasicBlock, Function, ProgramPoint
 from ..ir.instructions import Assign, Call, Instruction, Jump, Phi, Return
 from ..ir.intrinsics import is_intrinsic
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["InlineCalls", "rename_register"]
 
@@ -105,8 +105,7 @@ class InlineCalls(Pass):
     # ------------------------------------------------------------------ #
     # Entry point.
     # ------------------------------------------------------------------ #
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         self.frames = []
         if self.resolve is None or not is_ssa(function):
             return False
@@ -160,7 +159,7 @@ class InlineCalls(Pass):
     def _inline_site(
         self,
         function: Function,
-        mapper: MapperLike,
+        mapper: NullCodeMapper,
         call: Call,
         parent: Optional[int],
     ) -> Optional[InlinedFrame]:
@@ -174,103 +173,44 @@ class InlineCalls(Pass):
             return None
 
         tag = f"inl{self._next_tag(function, callee)}"
-        copy, uid_map = callee.clone(callee.name)
-
-        # Injective register renaming: defs, uses and parameters.
-        registers = sorted(copy.defined_variables() | set(copy.params))
-        rename = {reg: rename_register(tag, reg) for reg in registers}
-        var_map = {old: Var(new) for old, new in rename.items()}
-        for _, inst in copy.instructions():
-            inst.replace_uses(var_map)
-            inst.rename_def(rename)
-
-        # Label renaming: terminator targets and phi predecessor keys
-        # (rebuilt atomically so a pathological label can never be
-        # renamed twice).
-        block_map = {label: f"{tag}.{label}" for label in copy.block_labels()}
-        for block in copy.iter_blocks():
-            terminator = block.terminator
-            if terminator is not None:
-                terminator.retarget(block_map)
-            for phi in block.phis():
-                phi.incoming = {
-                    block_map.get(pred, pred): value
-                    for pred, value in phi.incoming.items()
-                }
-
-        # Rewrite every return into a jump to the continuation block.  The
-        # replacing jump inherits the return's uid-map slot so the end of
-        # a returning block stays anchorable: deoptimizing there lands on
-        # the callee's own ``ret``.  The continuation label must dodge
-        # both the caller's blocks and the renamed callee blocks (a
-        # callee block literally named ``cont`` maps to ``{tag}.cont``).
-        taken = set(function.blocks) | {f"{tag}.{label}" for label in copy.block_labels()}
-        cont_label = f"{tag}.cont"
-        suffix = 0
-        while cont_label in taken:
-            suffix += 1
-            cont_label = f"{tag}.cont{suffix}"
-        inverse_uids = {new: old for old, new in uid_map.items()}
-        returns: List[Tuple[str, object]] = []
-        for label in copy.block_labels():
-            block = copy.blocks[label]
-            terminator = block.terminator
-            if isinstance(terminator, Return):
-                value = terminator.value if terminator.value is not None else Const(0)
-                jump = Jump(cont_label)
-                uid_map[inverse_uids[terminator.uid]] = jump.uid
-                block.instructions[-1] = jump
-                returns.append((block_map[label], value))
+        copy, uid_map, rename, block_map, cont_label, returns = _renamed_copy(function, callee, tag)
         if not returns:
             return None  # the callee never returns; leave the call alone
 
         # Splice the renamed blocks after the host block.
         insert_after = host.label
         for label in copy.block_labels():
-            new_block = function.add_block(block_map[label], after=insert_after)
-            new_block.instructions = copy.blocks[label].instructions
-            for inst in new_block.instructions:
-                mapper.add_instruction(inst, f"inlined from @{callee.name}")
+            new_block = mapper.add_block(block_map[label], after=insert_after)
+            for index, inst in enumerate(copy.blocks[label].instructions):
+                mapper.insert(new_block, index, inst, f"inlined from @{callee.name}")
             insert_after = block_map[label]
 
-        # The continuation takes the host tail; phis in the tail's
-        # successors must re-key their incoming edge to the new label.
-        cont = function.add_block(cont_label, after=insert_after)
-        cont.instructions = host.instructions[call_index + 1 :]
-        host.instructions = host.instructions[:call_index]
-        for succ_label in cont.successors():
-            succ = function.blocks.get(succ_label)
-            if succ is not None:
-                for phi in succ.phis():
-                    phi.rename_predecessor(host.label, cont_label)
+        # The continuation takes the host tail after the call.
+        cont = mapper.split_block(host, call_index + 1, cont_label, after=insert_after)
         self._set_block_frame(mapper, cont_label, parent)
 
         # Bind the call's destination from the returned value(s).
+        why = f"return value of @{callee.name}"
         if call.dest is not None:
             if len(returns) == 1:
                 ret_label, value = returns[0]
                 ret_block = function.blocks[ret_label]
                 bind = Assign(call.dest, value)
-                ret_block.insert(len(ret_block.instructions) - 1, bind)
-                mapper.add_instruction(bind, f"return value of @{callee.name}")
+                mapper.insert(ret_block, len(ret_block.instructions) - 1, bind, why)
             else:
                 bind = Phi(call.dest, {label: value for label, value in returns})
-                cont.insert(0, bind)
-                mapper.add_instruction(bind, f"return value of @{callee.name}")
+                mapper.insert(cont, 0, bind, why)
 
-        # Argument binding + entry jump in the host block.  Both are
-        # splice glue: guards landing between them deoptimize to the call.
+        # Argument binding + entry jump in the host block, which replace
+        # the call.  Both are splice glue: guards landing between them
+        # deoptimize to the call.
         glue: List[Instruction] = []
         for param, arg in zip(copy.params, call.args):
-            assign = Assign(rename[param], arg)
-            host.append(assign)
-            mapper.add_instruction(assign, f"argument of @{callee.name}")
-            glue.append(assign)
-        entry_jump = Jump(block_map[copy.entry_label])
-        host.append(entry_jump)
-        mapper.add_instruction(entry_jump, f"enter inlined @{callee.name}")
-        glue.append(entry_jump)
-        mapper.delete_instruction(call)
+            glue.append(Assign(rename[param], arg))
+            mapper.insert(host, len(host.instructions), glue[-1], f"argument of @{callee.name}")
+        glue.append(Jump(block_map[copy.entry_label]))
+        mapper.insert(host, len(host.instructions), glue[-1], f"enter inlined @{callee.name}")
+        mapper.delete(host, call)
 
         frame = InlinedFrame(
             index=len(self.frames),
@@ -286,8 +226,6 @@ class InlineCalls(Pass):
         mapper.record_inlined_frame(frame)
         self.frames.append(frame)
         self._register_glue(mapper, glue, call.uid)
-        # Now that the frame index is final, mark its blocks.
-        self._set_frame_blocks(mapper, frame)
         return frame
 
     # ------------------------------------------------------------------ #
@@ -301,20 +239,13 @@ class InlineCalls(Pass):
         return count
 
     @staticmethod
-    def _set_block_frame(mapper: MapperLike, label: str, frame_index: Optional[int]) -> None:
+    def _set_block_frame(mapper: NullCodeMapper, label: str, frame_index: Optional[int]) -> None:
         block_frames = getattr(mapper, "block_frames", None)
         if block_frames is not None and frame_index is not None:
             block_frames[label] = frame_index
 
-    def _set_frame_blocks(self, mapper: MapperLike, frame: InlinedFrame) -> None:
-        block_frames = getattr(mapper, "block_frames", None)
-        if block_frames is None:
-            return
-        for label in frame.block_map.values():
-            block_frames[label] = frame.index
-
     @staticmethod
-    def _register_glue(mapper: MapperLike, glue: List[Instruction], call_uid: int) -> None:
+    def _register_glue(mapper: NullCodeMapper, glue: List[Instruction], call_uid: int) -> None:
         splice_anchors = getattr(mapper, "splice_anchors", None)
         if splice_anchors is None:
             return
@@ -382,3 +313,62 @@ class InlineCalls(Pass):
             located = function.find_by_uid(copied_uid)
             if located is not None:
                 worklist.append((located[1], depth + 1, frame.index, callee_point))
+
+
+def _renamed_copy(function: Function, callee: Function, tag: str):
+    """A renamed private clone of ``callee``, its returns turned into jumps.
+
+    No mapper sees the clone until its instructions are spliced into
+    ``function`` through one, so it is edited directly.  Returns
+    ``(copy, uid_map, rename, block_map, cont_label, returns)``, where
+    ``returns`` lists ``(renamed block label, returned value)``.
+    """
+    copy, uid_map = callee.clone(callee.name)
+
+    # Injective register renaming: defs, uses and parameters.
+    registers = sorted(copy.defined_variables() | set(copy.params))
+    rename = {reg: rename_register(tag, reg) for reg in registers}
+    var_map = {old: Var(new) for old, new in rename.items()}
+    for _, inst in copy.instructions():
+        inst.replace_uses(var_map)
+        inst.rename_def(rename)
+
+    # Label renaming: terminator targets and phi predecessor keys
+    # (rebuilt atomically so a pathological label can never be
+    # renamed twice).
+    block_map = {label: f"{tag}.{label}" for label in copy.block_labels()}
+    for block in copy.iter_blocks():
+        terminator = block.terminator
+        if terminator is not None:
+            terminator.retarget(block_map)
+        for phi in block.phis():
+            phi.incoming = {
+                block_map.get(pred, pred): value
+                for pred, value in phi.incoming.items()
+            }
+
+    # The continuation label must dodge both the caller's blocks and the
+    # renamed callee blocks (a callee block literally named ``cont``
+    # maps to ``{tag}.cont``).
+    taken = set(function.blocks) | set(block_map.values())
+    cont_label = f"{tag}.cont"
+    suffix = 0
+    while cont_label in taken:
+        suffix += 1
+        cont_label = f"{tag}.cont{suffix}"
+
+    # The replacing jump inherits the return's uid-map slot so the end of
+    # a returning block stays anchorable: deoptimizing there lands on the
+    # callee's own ``ret``.
+    inverse_uids = {new: old for old, new in uid_map.items()}
+    returns: List[Tuple[str, Expr]] = []
+    for label in copy.block_labels():
+        block = copy.blocks[label]
+        terminator = block.terminator
+        if isinstance(terminator, Return):
+            value = terminator.value if terminator.value is not None else Const(0)
+            jump = Jump(cont_label)
+            uid_map[inverse_uids[terminator.uid]] = jump.uid
+            block.instructions[-1] = jump
+            returns.append((block_map[label], value))
+    return copy, uid_map, rename, block_map, cont_label, returns

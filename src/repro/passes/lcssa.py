@@ -6,13 +6,13 @@ that phi.  The inserted phis frequently have a single incoming value — the
 kind of "phi node that always evaluates to the same value" Section 5.4
 singles out, because ``reconstruct`` can treat them as plain copies.
 
-All insertions are recorded as ``add`` actions; use rewrites as
-``replace`` actions.
+Each insertion is a CodeMapper ``add`` action; each use rewrite a
+``replace`` action, recorded for the users it actually changed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
@@ -22,7 +22,7 @@ from ..ir.expr import Var
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Instruction, Phi
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["LoopClosedSSA"]
 
@@ -33,8 +33,7 @@ class LoopClosedSSA(Pass):
     name = "LCSSA"
     tracked_action_kinds = (ActionKind.ADD, ActionKind.REPLACE)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         if not is_ssa(function):
             return False
         changed = False
@@ -71,14 +70,11 @@ class LoopClosedSSA(Pass):
                     preds = cfg.preds(exit_label)
                     if not all(domtree.dominates(def_block, p) for p in preds):
                         continue
-                    exit_block = function.blocks[exit_label]
                     lcssa_name = fresh_temp(f"{name.strip('%')}.lcssa")
                     phi = Phi(lcssa_name, {p: Var(name) for p in preds})
-                    exit_block.insert(0, phi)
-                    mapper.add_instruction(phi, f"LCSSA phi in {exit_label}")
+                    mapper.insert(function.blocks[exit_label], 0, phi, f"LCSSA phi in {exit_label}")
                     changed = True
 
-                    replacement = {name: Var(lcssa_name)}
                     for point, user in users:
                         if point.block == exit_label and isinstance(user, Phi):
                             # Phis are parallel: a sibling in the exit
@@ -87,10 +83,7 @@ class LoopClosedSSA(Pass):
                             continue
                         if not domtree.dominates(exit_label, point.block):
                             continue
-                        before = str(user)
-                        user.replace_uses(replacement)
-                        if str(user) != before:
-                            mapper.replace_all_uses_with(name, Var(lcssa_name), user)
+                        mapper.replace_uses_in(user, name, Var(lcssa_name))
                     break  # one LCSSA phi per value is enough for our CFGs
         return changed
 

@@ -15,15 +15,16 @@ body into the loop's preheader.  Safety conditions:
 * the function is in SSA form, so hoisting cannot change which definition
   reaches the uses.
 
-Every move is recorded as a ``hoist`` primitive action with the source and
-destination blocks, which is exactly the information the CodeMapper needs
-to exclude the instruction from point-correspondence anchoring and let
-``reconstruct`` re-materialize or reuse its value across OSR transitions.
+Every move is one ``hoist`` call on the CodeMapper, which moves the
+instruction and records the source and destination blocks: exactly the
+information the CodeMapper needs to exclude the instruction from
+point-correspondence anchoring and let ``reconstruct`` re-materialize or
+reuse its value across OSR transitions.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
@@ -32,7 +33,7 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Assign, Call, Instruction
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["LoopInvariantCodeMotion"]
 
@@ -56,8 +57,7 @@ class LoopInvariantCodeMotion(Pass):
     name = "LICM"
     tracked_action_kinds = (ActionKind.HOIST,)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         if not is_ssa(function):
             return False
 
@@ -79,7 +79,7 @@ class LoopInvariantCodeMotion(Pass):
         cfg: ControlFlowGraph,
         domtree: DominatorTree,
         loop: NaturalLoop,
-        mapper: MapperLike,
+        mapper: NullCodeMapper,
     ) -> bool:
         assert loop.preheader is not None
         preheader = function.blocks[loop.preheader]
@@ -111,10 +111,7 @@ class LoopInvariantCodeMotion(Pass):
                     # the preheader is equivalent.
                     if not all(domtree.dominates(label, latch) for latch in loop.latches):
                         continue
-                    block.remove(inst)
-                    terminator_index = len(preheader.instructions) - 1
-                    preheader.insert(terminator_index, inst)
-                    mapper.hoist_instruction(inst, label, loop.preheader)
+                    mapper.hoist(inst, block, preheader, len(preheader.instructions) - 1)
                     hoisted.add(inst.dest)
                     changed = True
                     progress = True

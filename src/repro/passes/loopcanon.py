@@ -6,22 +6,24 @@ of the header.  LICM hoists loop-invariant code into the preheader, so the
 canonicalization must run first (the paper augments LLVM's LC and LCSSA
 utility passes for the same reason).
 
-Creating a preheader inserts a new block and a jump, both reported as
-``add`` actions, and re-keys the header's phi nodes so the incoming values
-from outside the loop now flow through the preheader.
+Creating a preheader inserts a new block and a jump (an ``add``
+action), retargets the loop's outside predecessors and re-keys the
+header's phi nodes so the incoming values from outside the loop now flow
+through the preheader; all of it goes through the CodeMapper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_loops
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
+from ..ir.expr import Var
 from ..ir.instructions import Jump, Phi
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["LoopCanonicalization"]
 
@@ -32,8 +34,7 @@ class LoopCanonicalization(Pass):
     name = "LC"
     tracked_action_kinds = (ActionKind.ADD,)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         changed = False
         fresh_temp = function.temp_namer()
 
@@ -58,24 +59,20 @@ class LoopCanonicalization(Pass):
         cfg: ControlFlowGraph,
         header: str,
         body: set,
-        mapper: MapperLike,
+        mapper: NullCodeMapper,
         fresh_temp: Callable[[str], str],
     ) -> None:
         outside_preds = [p for p in cfg.preds(header) if p not in body]
         preheader_label = function.fresh_label(f"{header}.preheader")
-        # Insert the preheader right before the header in layout order so
-        # printed IR stays readable.
-        preheader = function.add_block(preheader_label)
-        jump = Jump(header)
-        preheader.append(jump)
-        mapper.add_instruction(jump, f"in new preheader {preheader_label}")
+        preheader = mapper.add_block(preheader_label)
+        mapper.insert(preheader, 0, Jump(header), f"in new preheader {preheader_label}")
 
         # Retarget all outside predecessors to the preheader.
         retarget = {header: preheader_label}
         for pred_label in outside_preds:
             terminator = function.blocks[pred_label].terminator
             if terminator is not None:
-                terminator.retarget(retarget)
+                mapper.retarget(terminator, retarget)
 
         # Header phis: fold the incoming values from outside predecessors
         # into a single incoming value from the preheader.  With more than
@@ -88,16 +85,15 @@ class LoopCanonicalization(Pass):
                 for pred in outside_preds
                 if pred in phi.incoming
             }
-            for pred in outside_values:
-                del phi.incoming[pred]
+            incoming = {
+                pred: value for pred, value in phi.incoming.items() if pred not in outside_values
+            }
             if len(outside_values) == 1:
-                phi.incoming[preheader_label] = next(iter(outside_values.values()))
+                incoming[preheader_label] = next(iter(outside_values.values()))
             elif len(outside_values) > 1:
                 forward = Phi(
                     fresh_temp(f"{phi.dest.strip('%')}.ph"), outside_values
                 )
-                preheader.insert(0, forward)
-                mapper.add_instruction(forward, f"forwarding phi in {preheader_label}")
-                from ..ir.expr import Var
-
-                phi.incoming[preheader_label] = Var(forward.dest)
+                mapper.insert(preheader, 0, forward, f"forwarding phi in {preheader_label}")
+                incoming[preheader_label] = Var(forward.dest)
+            mapper.set_incoming(phi, incoming)

@@ -1,15 +1,15 @@
 """Sparse conditional constant propagation (SCCP) — the rewriting pass.
 
 Consumes :func:`repro.analysis.constants.sccp_analysis` and performs three
-kinds of rewrites, each reported to the CodeMapper:
+kinds of rewrites, each one a CodeMapper call that edits and records:
 
 * registers proven constant are substituted into their uses (``replace``)
   and their defining instructions deleted (``delete``);
 * conditional branches whose condition is a proven constant are replaced
   by unconditional jumps (``delete`` + ``add``);
 * blocks proven unreachable have all their instructions deleted and are
-  removed from the function (phi inputs from removed predecessors are
-  pruned as well).
+  removed from the function (phi inputs from removed predecessors and
+  folded edges are pruned as well).
 
 This is the pass responsible for the large deletion counts the paper
 reports for ``ffmpeg`` in Table 2.
@@ -17,16 +17,13 @@ reports for ``ffmpeg`` in Table 2.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.constants import sccp_analysis
-from ..cfg.graph import ControlFlowGraph
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Const
 from ..ir.function import Function
 from ..ir.instructions import Assign, Branch, Jump, Phi
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["SparseConditionalConstantPropagation"]
 
@@ -37,8 +34,7 @@ class SparseConditionalConstantPropagation(Pass):
     name = "SCCP"
     tracked_action_kinds = (ActionKind.REPLACE, ActionKind.DELETE, ActionKind.ADD)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         if not is_ssa(function):
             return False
         changed = False
@@ -51,26 +47,11 @@ class SparseConditionalConstantPropagation(Pass):
         # 1. Substitute proven-constant registers into all uses and drop
         #    their definitions.
         if constants:
-            for _, inst in function.instructions():
-                before = str(inst)
-                inst.replace_uses(constants)
-                if str(inst) != before:
-                    changed = True
             for name, value in constants.items():
-                mapper.replace_all_uses_with(name, value)
-            for block in function.iter_blocks():
-                survivors = []
-                for inst in block.instructions:
-                    if (
-                        isinstance(inst, (Assign, Phi))
-                        and inst.defs()
-                        and inst.defs()[0] in constants
-                    ):
-                        mapper.delete_instruction(inst)
-                        changed = True
-                    else:
-                        survivors.append(inst)
-                block.instructions = survivors
+                changed |= mapper.replace_all_uses(name, value)
+            changed |= mapper.delete_where(
+                lambda inst: isinstance(inst, (Assign, Phi)) and inst.dest in constants
+            )
 
         # 2. Fold branches with constant conditions into jumps.
         for block in function.iter_blocks():
@@ -81,32 +62,9 @@ class SparseConditionalConstantPropagation(Pass):
                     if terminator.cond.value != 0
                     else terminator.else_target
                 )
-                jump = Jump(target)
-                mapper.delete_instruction(terminator)
-                mapper.add_instruction(jump, f"folded branch in {block.label}")
-                block.instructions[-1] = jump
+                mapper.replace_terminator(block, Jump(target), f"folded branch in {block.label}")
                 changed = True
 
-        # 3. Remove blocks that are no longer reachable.
-        cfg = ControlFlowGraph(function)
-        reachable = cfg.reachable()
-        unreachable = [label for label in function.block_labels() if label not in reachable]
-        for label in unreachable:
-            for inst in function.blocks[label].instructions:
-                mapper.delete_instruction(inst)
-            changed = True
-        for label in unreachable:
-            function.remove_block(label)
-
-        # Prune phi inputs whose predecessor edge no longer exists (either
-        # the block was removed or a folded branch dropped the edge).
-        cfg = ControlFlowGraph(function)
-        for block in function.iter_blocks():
-            preds = set(cfg.preds(block.label))
-            for phi in block.phis():
-                for pred in list(phi.incoming):
-                    if pred not in preds:
-                        del phi.incoming[pred]
-                        changed = True
-
-        return changed
+        # 3. Remove blocks that are no longer reachable, and phi inputs
+        #    along edges that no longer exist.
+        return mapper.remove_unreachable_blocks() or changed

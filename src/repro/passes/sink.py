@@ -18,12 +18,13 @@ Safety conditions (conservative on purpose):
   every iteration and phi semantics would break);
 * no use inside the defining block itself.
 
-Every move is recorded as a ``sink`` primitive action.
+Every move is one ``sink`` call on the CodeMapper, which moves the
+instruction and records the action.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..cfg.dominance import DominatorTree
 from ..cfg.graph import ControlFlowGraph
@@ -32,7 +33,7 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Assign, Phi
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["CodeSinking"]
 
@@ -43,8 +44,7 @@ class CodeSinking(Pass):
     name = "Sink"
     tracked_action_kinds = (ActionKind.SINK,)
 
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         if not is_ssa(function):
             return False
 
@@ -80,7 +80,6 @@ class CodeSinking(Pass):
                         continue
                     succs = cfg.succs(block.label)
                     # The single successor that contains every use.
-                    candidates = [s for s in succs if uses <= {s} or uses == {s}]
                     target = None
                     if len(uses) == 1:
                         only_use_block = next(iter(uses))
@@ -96,11 +95,8 @@ class CodeSinking(Pass):
                     # dominance is preserved.
                     if cfg.preds(target) != [block.label]:
                         continue
-                    block.remove(inst)
                     target_block = function.blocks[target]
-                    insert_at = len(target_block.phis())
-                    target_block.insert(insert_at, inst)
-                    mapper.sink_instruction(inst, block.label, target)
+                    mapper.sink(inst, block, target_block, len(target_block.phis()))
                     round_changed = True
             changed = changed or round_changed
             if not round_changed:

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..cfg.graph import ControlFlowGraph
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import BinOp, Const, Expr, UnOp, Var
 from ..ir.function import BasicBlock, Function, ProgramPoint
 from ..ir.instructions import Assign, Branch, Guard, Instruction, Jump, Phi
 from ..ir.verify import is_ssa
-from .base import MapperLike, Pass
+from .base import Pass
 
 __all__ = ["SpeculativeGuards"]
 
@@ -77,8 +76,7 @@ class SpeculativeGuards(Pass):
     # ------------------------------------------------------------------ #
     # Entry point.
     # ------------------------------------------------------------------ #
-    def run(self, function: Function, mapper: Optional[MapperLike] = None) -> bool:
-        mapper = mapper if mapper is not None else NullCodeMapper()
+    def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         self.inserted_guards = []
         if self.profile is None or not is_ssa(function):
             return False
@@ -108,23 +106,18 @@ class SpeculativeGuards(Pass):
         for block, branch, direction in branch_plan:
             changed = self._speculate_branch(function, mapper, block, branch, direction) or changed
         if branch_plan:
-            self._remove_unreachable(function, mapper)
+            mapper.remove_unreachable_blocks()
         return changed
 
     # ------------------------------------------------------------------ #
     # Assume-constant speculation.
     # ------------------------------------------------------------------ #
-    def _speculate_values(self, function: Function, mapper: MapperLike) -> bool:
+    def _speculate_values(self, function: Function, mapper: NullCodeMapper) -> bool:
         candidates = self.profile.monomorphic_values(
             min_samples=self.min_samples, min_ratio=self.min_ratio
         )
         if not candidates:
             return False
-
-        use_counts: Dict[str, int] = {}
-        for _, inst in function.instructions():
-            for name in inst.uses():
-                use_counts[name] = use_counts.get(name, 0) + 1
 
         defined_at: Dict[str, Tuple[BasicBlock, int, Instruction]] = {}
         for block in function.iter_blocks():
@@ -139,7 +132,7 @@ class SpeculativeGuards(Pass):
         plan: List[Tuple[BasicBlock, int, Guard, Instruction]] = []
         speculated: Dict[str, Expr] = {}
         for name, value in sorted(candidates.items()):
-            if use_counts.get(name, 0) == 0:
+            if not mapper.users_of(name):
                 continue
             if name in function.params:
                 block = function.entry
@@ -167,19 +160,14 @@ class SpeculativeGuards(Pass):
         for block, insert_at, guard, anchor in sorted(
             plan, key=lambda item: item[1], reverse=True
         ):
-            block.insert(insert_at, guard)
-            mapper.add_instruction(guard, f"speculate in {block.label}")
+            mapper.insert(block, insert_at, guard, f"speculate in {block.label}")
             mapper.record_guard_anchor(guard, anchor)
             self.inserted_guards.append(guard)
 
         # Rewrite every use outside the guards themselves: the guard must
         # keep reading the real register so it stays live for deopt.
-        for _, inst in function.instructions():
-            if isinstance(inst, Guard):
-                continue
-            inst.replace_uses(speculated)
         for name, value in speculated.items():
-            mapper.replace_all_uses_with(name, value)
+            mapper.replace_all_uses(name, value, skip=Guard)
         return True
 
     # ------------------------------------------------------------------ #
@@ -188,7 +176,7 @@ class SpeculativeGuards(Pass):
     def _speculate_branch(
         self,
         function: Function,
-        mapper: MapperLike,
+        mapper: NullCodeMapper,
         block: BasicBlock,
         branch: Branch,
         direction: bool,
@@ -206,40 +194,12 @@ class SpeculativeGuards(Pass):
         guard = Guard(guard_cond, reason=reason)
         jump = Jump(hot)
 
-        block.insert(len(block.instructions) - 1, guard)
-        mapper.add_instruction(guard, f"speculate branch in {block.label}")
+        mapper.insert(
+            block, len(block.instructions) - 1, guard, f"speculate branch in {block.label}"
+        )
         mapper.record_guard_anchor(guard, branch)
         self.inserted_guards.append(guard)
-
-        mapper.delete_instruction(branch)
-        mapper.add_instruction(jump, f"speculated branch in {block.label}")
-        block.instructions[-1] = jump
-
-        # The cold edge is gone: phis in the cold successor must drop this
-        # predecessor (the block may stay reachable along other edges).
-        cold = branch.else_target if direction else branch.then_target
-        cold_block = function.blocks.get(cold)
-        if cold_block is not None:
-            for phi in cold_block.phis():
-                phi.incoming.pop(block.label, None)
+        # The cold edge goes with the branch; ``transform`` prunes it from the
+        # cold successor's phis with the blocks that became unreachable.
+        mapper.replace_terminator(block, jump, f"speculated branch in {block.label}")
         return True
-
-    def _remove_unreachable(self, function: Function, mapper: MapperLike) -> None:
-        cfg = ControlFlowGraph(function)
-        reachable = cfg.reachable()
-        unreachable = [
-            label for label in function.block_labels() if label not in reachable
-        ]
-        for label in unreachable:
-            for inst in function.blocks[label].instructions:
-                mapper.delete_instruction(inst)
-        for label in unreachable:
-            function.remove_block(label)
-        if unreachable:
-            cfg = ControlFlowGraph(function)
-            for block in function.iter_blocks():
-                preds = set(cfg.preds(block.label))
-                for phi in block.phis():
-                    for pred in list(phi.incoming):
-                        if pred not in preds:
-                            del phi.incoming[pred]

@@ -19,10 +19,12 @@ interprocedural pipeline instead and also hash every inlined frame
 block → frame map.  Nothing hashed mentions an instruction uid, so the
 digests do not depend on what ran earlier in the process.
 
-Every build, and a standard-pipeline build of each program, also checks that the mapper's record agrees with the IR it
-describes: the uids recorded as deleted are exactly the cloned ones that
-are gone, and the uids recorded as added exactly the ones that were not
-cloned.
+Every build, and a standard-pipeline build of each program, also checks
+that the mapper's record agrees with the IR it describes: the uids
+recorded as deleted are exactly the cloned ones that are gone, and the
+uids recorded as added exactly the ones that were not cloned.  After
+every pass of those builds, the mapper's use index must equal one
+rebuilt from scratch.
 
 To regenerate after an intentional change to what a pass produces::
 
@@ -41,9 +43,10 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.core import OSRTransDriver
+from repro.core.codemapper import NullCodeMapper
 from repro.frontend import compile_function
 from repro.ir import Interpreter, Memory, print_function
-from repro.passes import interprocedural_pipeline, speculative_pipeline, standard_pipeline
+from repro.passes import Pass, interprocedural_pipeline, speculative_pipeline, standard_pipeline
 from repro.store.codec import encode_deopt_plan, encode_mapping
 from repro.vm.profile import ValueProfile
 from repro.workloads import (
@@ -99,6 +102,43 @@ def _profile(module, function, arguments) -> ValueProfile:
     return profile
 
 
+class _IndexChecked(Pass):
+    """Runs a pass with the mapper's use index built, then checks it.
+
+    The index is built on its first query and dropped when the editing
+    session ends, so the wrapper builds it before the pass and compares
+    it against a rebuild after it: every edit method a pass calls must
+    keep it exact.
+    """
+
+    def __init__(self, inner: Pass) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def run(self, function, mapper=None):
+        with mapper.editing(function):
+            mapper.users_of("")
+            changed = self.inner.transform(function, mapper)
+            assert _nonempty(mapper._users) == _rebuilt(function), f"stale index after {self.name}"
+        return changed
+
+
+def _nonempty(index: Dict[str, set]) -> Dict[str, set]:
+    return {name: users for name, users in index.items() if users}
+
+
+def _rebuilt(function) -> Dict[str, set]:
+    """The use index a fresh mapper builds for ``function``."""
+    fresh = NullCodeMapper()
+    with fresh.editing(function):
+        fresh.users_of("")
+        return _nonempty(fresh._users)
+
+
+def _checked(pipeline) -> List[Pass]:
+    return [_IndexChecked(pass_) for pass_ in pipeline]
+
+
 def _assert_record_agrees_with_ir(pair) -> None:
     cloned = set(pair.mapper.forward_uid.values())
     present = {inst.uid for _, inst in pair.optimized.instructions()}
@@ -126,9 +166,9 @@ def _content(pair, base_ir: str) -> Dict[str, object]:
 def _program_content(function, arguments) -> Dict[str, object]:
     profile = _profile(None, function, arguments)
     base_ir = print_function(function)
-    _assert_record_agrees_with_ir(OSRTransDriver(standard_pipeline()).run(function))
+    _assert_record_agrees_with_ir(OSRTransDriver(_checked(standard_pipeline())).run(function))
     pair = OSRTransDriver(
-        speculative_pipeline(profile.function(function.name), min_samples=2)
+        _checked(speculative_pipeline(profile.function(function.name), min_samples=2))
     ).run(function)
     return _content(pair, base_ir)
 
@@ -147,7 +187,7 @@ def _module_content(name: str) -> Dict[str, object]:
         min_samples=2,
         min_site_calls=2,
     )
-    pair = OSRTransDriver(pipeline).run(entry)
+    pair = OSRTransDriver(_checked(pipeline)).run(entry)
     content = _content(pair, base_ir)
     content["frames"] = [
         {

@@ -2,9 +2,11 @@
 
 LCSSA, ``mem2reg`` and CodeMapper correspondence used to re-walk the
 whole function once per loop-defined register, once per stack slot and
-once per correspondence query.  These tests count the walks with a
-monkeypatch on synthetic functions with 8 and 64 loop-carried variables:
-the count must not grow with the variable count.  Nothing is timed.
+once per correspondence query; CP, SCCP and CSE used to offer every
+replacement to every instruction.  These tests count the walks, and the
+``replace_uses`` calls that change nothing, with a monkeypatch on
+synthetic functions with 8 and 64 loop-carried variables: the counts
+must not grow with the variable count.  Nothing is timed.
 """
 
 from __future__ import annotations
@@ -17,8 +19,12 @@ from repro.core import OSRTransDriver
 from repro.core.codemapper import ActionKind, CodeMapper, clone_for_optimization
 from repro.frontend import compile_function
 from repro.ir.function import Function
+from repro.ir.instructions import Instruction
 from repro.passes import standard_pipeline
+from repro.passes.constprop import ConstantPropagationPass
+from repro.passes.cse import CommonSubexpressionElimination
 from repro.passes.lcssa import LoopClosedSSA
+from repro.passes.sccp import SparseConditionalConstantPropagation
 from repro.ssa.mem2reg import promotable_allocas, promote_memory_to_registers
 
 SIZES = (8, 64)
@@ -28,6 +34,17 @@ def _source(variables: int) -> str:
     """``variables`` accumulators updated in one loop and summed after it."""
     decls = " ".join(f"var a{j} = {j};" for j in range(variables))
     updates = " ".join(f"a{j} = a{j} + i * {j + 1};" for j in range(variables))
+    total = " + ".join(f"a{j}" for j in range(variables))
+    return (
+        f"func f(n) {{ var i = 0; {decls} "
+        f"while (i < n) {{ {updates} i = i + 1; }} return {total}; }}"
+    )
+
+
+def _folding_source(variables: int) -> str:
+    """Like :func:`_source`, plus a constant per accumulator whose product is computed twice."""
+    decls = " ".join(f"var a{j} = 0; var c{j} = {j} + 1;" for j in range(variables))
+    updates = " ".join(f"a{j} = a{j} + c{j} * i + c{j} * i;" for j in range(variables))
     total = " + ".join(f"a{j}" for j in range(variables))
     return (
         f"func f(n) {{ var i = 0; {decls} "
@@ -47,6 +64,28 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(Function, "instructions", counting)
     return counter
+
+
+@pytest.fixture
+def idle_rewrites(monkeypatch, walks):
+    """Also count ``replace_uses`` calls that leave their instruction unchanged."""
+
+    def patch(cls):
+        original = cls.__dict__.get("replace_uses")
+        if original is not None:
+
+            def counting(self, mapping, original=original):
+                before = str(self)
+                result = original(self, mapping)
+                walks["idle_rewrites"] += str(self) == before
+                return result
+
+            monkeypatch.setattr(cls, "replace_uses", counting)
+        for subclass in cls.__subclasses__():
+            patch(subclass)
+
+    patch(Instruction)
+    return walks
 
 
 def _walks_per_size(walks, run):
@@ -88,6 +127,27 @@ def test_mem2reg_walks_do_not_grow_with_slots(walks):
 
     small, large = _walks_per_size(walks, run)
     assert small == large
+
+
+@pytest.mark.parametrize(
+    "pass_class",
+    [ConstantPropagationPass, SparseConditionalConstantPropagation, CommonSubexpressionElimination],
+)
+def test_rewrites_touch_only_users(idle_rewrites, pass_class):
+    replaced = {}
+    idle = []
+
+    def run(size):
+        clone, mapper = clone_for_optimization(compile_function(_folding_source(size)))
+        idle_rewrites.clear()
+        assert pass_class().run(clone, mapper)
+        replaced[size] = mapper.action_counts()[ActionKind.REPLACE]
+        idle.append(idle_rewrites["idle_rewrites"])
+
+    small, large = _walks_per_size(idle_rewrites, run)
+    assert replaced[64] > replaced[8] >= 8  # every accumulator's constant or product
+    assert small == large
+    assert idle == [0, 0]
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import OSRTransDriver
 from repro.core.bisimulation import check_multiframe_deopt
+from repro.core.frames import RenamedView
 from repro.frontend import compile_program
 from repro.ir import Interpreter, parse_function
 from repro.ir.function import ProgramPoint
@@ -215,6 +216,23 @@ class TestInlinePass:
 
 
 class TestDeoptPlans:
+    def test_renamed_view_reads_the_optimized_view_in_callee_names(self):
+        # A frame's plan reads the optimized function through a
+        # RenamedView (callee registers under their own names); AVAIL
+        # reconstruction asks it for availability as well as liveness.
+        module = call_kernel_module("clamp_call")
+        pair = interprocedural_pair(module, "clamp_call", warmed_profile(module, "clamp_call"))
+        frame = pair.mapper.inlined_frames[0]
+        view = RenamedView(pair.opt_view, frame.inverse_rename())
+        callee_registers = frame.callee.defined_variables() | set(frame.callee.params)
+        inlined = set(frame.block_map.values())
+        available = set()
+        for point, _ in pair.optimized.instructions():
+            if point.block in inlined:
+                assert view.live_in(point) <= view.available_at(point) <= callee_registers
+                available |= view.available_at(point)
+        assert available
+
     def test_every_guard_is_covered(self):
         module = call_kernel_module("clamp_call")
         profile = warmed_profile(module, "clamp_call")

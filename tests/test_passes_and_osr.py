@@ -287,11 +287,12 @@ class TestCodeMapper:
     def test_deleting_added_instruction_cancels_out(self, sum_loop):
         clone, mapper = clone_for_optimization(sum_loop)
         inst = Assign(clone.fresh_temp(), Const(1))
-        clone.blocks["entry"].insert(0, inst)
-        mapper.add_instruction(inst)
-        mapper.delete_instruction(inst)
+        entry = clone.blocks["entry"]
+        mapper.insert(entry, 0, inst)
+        mapper.delete(entry, inst)
         assert inst.uid not in mapper.added
         assert inst.uid not in mapper.deleted
+        assert inst not in entry.instructions
 
 
 class TestReconstructAndMappings:

@@ -31,9 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 #: Packages that must have no uncalled function: the paper packages (they
 #: exist only as what tests and tables exercise), and the compile-path
-#: packages and their analyses, so a rewrite that strands a helper there
-#: fails the audit.
-GATED = {"formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis"}
+#: packages, their analyses and the OSR core, so a rewrite that strands a
+#: helper there fails the audit.
+GATED = {"formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core"}
 called = set()
 
 
