@@ -135,9 +135,10 @@ class _UndefinedRegister:
 
     The compiled analogue of the interpreter's ``KeyError`` on unbound
     registers: *any* observation of the sentinel — arithmetic
-    (``TypeError``), comparison, or truthiness — fails loudly instead of
-    silently computing with garbage.  Identity checks (``is``) remain
-    available to the snapshot helper and the OSR prologue.
+    (``TypeError``), comparison, truthiness, or hashing (its use as a
+    memory address) — fails loudly instead of silently computing with
+    garbage.  Identity checks (``is``) remain available to the snapshot
+    helper and the OSR prologue.
     """
 
     __slots__ = ()
@@ -146,8 +147,7 @@ class _UndefinedRegister:
         raise RuntimeError("register read before assignment in compiled code")
 
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
-    __bool__ = _refuse
-    __hash__ = object.__hash__
+    __bool__ = __hash__ = _refuse
 
 
 _UNDEFINED = _UndefinedRegister()

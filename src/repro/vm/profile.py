@@ -423,21 +423,6 @@ class ValueProfile:
         """Forget everything recorded about ``name`` (re-registration)."""
         self.functions.pop(name, None)
 
-    def as_json(self) -> Dict[str, object]:
-        return {
-            "functions": {
-                name: profile.as_json()
-                for name, profile in sorted(self.functions.items())
-            }
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ValueProfile":
-        sink = cls()
-        for name, encoded in dict(data.get("functions", {})).items():
-            sink.functions[name] = FunctionProfile.from_json(encoded)
-        return sink
-
     def __repr__(self) -> str:
         return f"<ValueProfile {len(self.functions)} functions>"
 

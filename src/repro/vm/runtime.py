@@ -269,12 +269,6 @@ class AdaptiveRuntime:
         if executor is not None:
             executor.shutdown(wait=wait)
 
-    def __enter__(self) -> "AdaptiveRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
     def wait_for_compilation(
         self, name: Optional[str] = None, *, timeout: Optional[float] = None
     ) -> bool:

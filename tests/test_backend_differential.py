@@ -18,8 +18,9 @@ from repro.core.bisimulation import (
     check_ir_osr_transition,
     check_multiframe_deopt,
 )
-from repro.ir import Interpreter
-from repro.ir.interp import GuardFailure
+from repro.ir import Interpreter, parse_function
+from repro.ir.function import ProgramPoint
+from repro.ir.interp import GuardFailure, Memory
 from repro.passes import (
     interprocedural_pipeline,
     speculative_pipeline,
@@ -32,6 +33,7 @@ from repro.vm import (
     ValueProfile,
     resolve_backend,
 )
+from repro.vm.closure_compile import compile_ir_function
 from repro.workloads import (
     BENCHMARK_NAMES,
     CALL_KERNEL_ENTRIES,
@@ -357,3 +359,222 @@ def test_runtime_parity_across_opt_backends_interprocedural(name):
     assert compiled_values == interp_values
     assert compiled_stats == interp_stats
     assert compiled_events == interp_events
+
+
+# ---------------------------------------------------------------------- #
+# Undefined reads fail loudly in both tiers.
+# ---------------------------------------------------------------------- #
+
+#: OSR stubs landing with a partial environment: the registers the
+#: landing state lacks stay unbound.  Each case reads one of them in a
+#: way that must raise in both tiers and never hand back a value.
+#: ``(name, source, landing point, environment)``.
+UNDEFINED_READS = [
+    (
+        "stored value",
+        """
+func @f(n) {
+entry:
+  %a = alloca 4
+  %b = (%a + 1)
+  %x = (n + 1)
+  store %b, %x
+  %v = load %b
+  ret %v
+}
+""",
+        ProgramPoint("entry", 3),
+        {"n": 3, "%a": 1, "%b": 2},
+    ),
+    (
+        "store address",
+        """
+func @f(n) {
+entry:
+  %b = (n + 1)
+  store %b, 7
+  %v = load %b
+  ret %v
+}
+""",
+        ProgramPoint("entry", 1),
+        {"n": 3},
+    ),
+    (
+        "load address",
+        """
+func @f(n) {
+entry:
+  %b = (n + 1)
+  %v = load %b
+  ret %v
+}
+""",
+        ProgramPoint("entry", 1),
+        {"n": 3},
+    ),
+    (
+        "undef",
+        """
+func @f(n) {
+entry:
+  %x = (n + 1)
+  %u = undef
+  ret %u
+}
+""",
+        ProgramPoint("entry", 1),
+        {"n": 3},
+    ),
+]
+
+
+def _raised(run):
+    """The exception type ``run`` raised; fails the test if it returned.
+
+    The interpreter raises ``KeyError`` for an unbound register and
+    ``ValueError`` for ``undef``; generated code raises ``TypeError`` or
+    ``RuntimeError`` when it touches the undefined-register sentinel.
+    """
+    try:
+        result = run()
+    except (KeyError, TypeError, RuntimeError, ValueError) as error:
+        return type(error)
+    pytest.fail(f"returned {result.value!r} instead of raising")
+
+
+@pytest.mark.parametrize(
+    "source, point, env",
+    [case[1:] for case in UNDEFINED_READS],
+    ids=[case[0] for case in UNDEFINED_READS],
+)
+def test_stub_with_partial_environment_never_returns(source, point, env):
+    function = parse_function(source)
+    stub = compile_ir_function(function, point)
+    _raised(lambda: Interpreter().resume(function, point, dict(env), memory=Memory()))
+    _raised(lambda: stub(dict(env), Memory(), None))
+
+
+def test_store_of_a_never_assigned_register_raises_at_a_normal_entry():
+    # Not SSA: `x` is assigned on one path only, and the verifier checks
+    # use-before-def for SSA functions alone.
+    function = parse_function(
+        """
+func @f(c) {
+entry:
+  p = alloca 1
+  br c ? set : join
+set:
+  x = 5
+  jmp join
+join:
+  store p, x
+  v = load p
+  ret v
+}
+"""
+    )
+    compiled = compile_ir_function(function)
+    assert compiled.invoke([1]).value == Interpreter().run(function, [1]).value == 5
+    _raised(lambda: Interpreter().run(function, [0], memory=Memory()))
+    _raised(lambda: compiled.invoke([0], Memory()))
+
+
+# ---------------------------------------------------------------------- #
+# Conditions read for their truth: branches and guards.
+# ---------------------------------------------------------------------- #
+
+CONDITIONS = [
+    *(f"(a {op} b)" for op in ("==", "!=", "<", "<=", ">", ">=")),
+    *(f"not((a {op} b))" for op in ("==", "!=", "<", "<=", ">", ">=")),
+    "a",
+    "not(a)",
+    "not(not((a <= b)))",
+]
+
+
+@pytest.mark.parametrize("cond", CONDITIONS)
+def test_conditions_read_for_their_truth_agree_across_tiers(cond):
+    branch = parse_function(
+        f"func @f(a, b) {{\nentry:\n  br {cond} ? yes : no\n"
+        "yes:\n  ret 1\nno:\n  ret 0\n}"
+    )
+    guard = parse_function(f"func @g(a, b) {{\nentry:\n  guard {cond}\n  ret 1\n}}")
+    for a in (-1, 0, 1):
+        args = [a, 0]
+        assert compile_ir_function(branch).invoke(args).value == (
+            Interpreter().run(branch, args).value
+        )
+        outcomes = []
+        for backend in (InterpreterBackend(), CompiledBackend()):
+            try:
+                outcomes.append(backend.run(guard, args).value)
+            except GuardFailure as failure:
+                outcomes.append((failure.point, failure.previous_block))
+        assert outcomes[0] == outcomes[1], (cond, a)
+
+
+# ---------------------------------------------------------------------- #
+# A stub reports the arrival block it was given until it takes an edge.
+# ---------------------------------------------------------------------- #
+
+#: `head` has two predecessors, `body` one; both hold a guard.
+GUARDED_LOOP = """
+func @g(n, k) {
+entry:
+  jmp head
+head:
+  %i.0 = phi [entry: 0, body: %i.1]
+  guard (k != 5)
+  %t0 = (%i.0 < n)
+  br %t0 ? body : exit
+body:
+  guard (k != 3)
+  %i.1 = (%i.0 + 1)
+  jmp head
+exit:
+  ret %i.0
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "point, previous",
+    [
+        (ProgramPoint("body", 0), None),
+        (ProgramPoint("body", 0), "head"),
+        (ProgramPoint("head", 1), None),
+        (ProgramPoint("head", 1), "entry"),
+        (ProgramPoint("head", 1), "body"),
+    ],
+)
+@pytest.mark.parametrize("k", [3, 5])
+def test_stub_guard_failure_reports_the_given_arrival_block(point, previous, k):
+    function = parse_function(GUARDED_LOOP)
+    env = {"n": 4, "k": k, "%i.0": 1}
+    failures = []
+    for backend in (InterpreterBackend(), CompiledBackend()):
+        with pytest.raises(GuardFailure) as excinfo:
+            backend.run_from(
+                function, point, dict(env), memory=Memory(), previous_block=previous
+            )
+        failures.append(excinfo.value)
+    interp_failure, compiled_failure = failures
+    assert compiled_failure.point == interp_failure.point
+    assert compiled_failure.previous_block == interp_failure.previous_block
+    assert compiled_failure.env == interp_failure.env
+
+
+# ---------------------------------------------------------------------- #
+# A standalone compile resolves calls to intrinsics only.
+# ---------------------------------------------------------------------- #
+
+
+def test_standalone_compile_calls_intrinsics_and_refuses_other_callees():
+    function = parse_function(
+        "func @f(x) {\nentry:\n  r = call @gcd(x, 12)\n  ret r\n}"
+    )
+    assert compile_ir_function(function).invoke([18]).value == 6
+    unknown = parse_function("func @f() {\nentry:\n  r = call @missing()\n  ret r\n}")
+    with pytest.raises(KeyError):
+        compile_ir_function(unknown).invoke([])

@@ -26,7 +26,13 @@ uids recorded as added exactly the ones that were not cloned.  After
 every pass of those builds, the mapper's use index must equal one
 rebuilt from scratch.
 
-To regenerate after an intentional change to what a pass produces::
+A second golden, ``emitted_source.sha256``, hashes what the closure
+compiler generates from each program's f_opt: the normal entry and one
+OSR stub landing on each loop header.  An emitter change shows there,
+program by program, while ``compile_path.sha256`` stays byte-identical.
+
+To regenerate after an intentional change to what a pass or the emitter
+produces::
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_compile_path_golden.py
 
@@ -35,6 +41,7 @@ and explain the changed lines in the commit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -42,12 +49,14 @@ import random
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.cfg import ControlFlowGraph, DominatorTree, find_loops
 from repro.core import OSRTransDriver
 from repro.core.codemapper import NullCodeMapper
 from repro.frontend import compile_function
-from repro.ir import Interpreter, Memory, print_function
+from repro.ir import Function, Interpreter, Memory, ProgramPoint, print_function
 from repro.passes import Pass, interprocedural_pipeline, speculative_pipeline, standard_pipeline
 from repro.store.codec import encode_deopt_plan, encode_mapping
+from repro.vm.closure_compile import ClosureCompiler
 from repro.vm.profile import ValueProfile
 from repro.workloads import (
     BENCHMARK_NAMES,
@@ -61,6 +70,7 @@ from repro.workloads import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "compile_path.sha256"
+EMITTED_GOLDEN = GOLDEN.with_name("emitted_source.sha256")
 UPDATE_ENV = "REPRO_UPDATE_GOLDENS"
 
 #: The generated corpus: the shape of ``benchmarks/e2e``'s random programs.
@@ -163,17 +173,17 @@ def _content(pair, base_ir: str) -> Dict[str, object]:
     }
 
 
-def _program_content(function, arguments) -> Dict[str, object]:
+def _program_build(function, arguments) -> Tuple[Dict[str, object], Function]:
     profile = _profile(None, function, arguments)
     base_ir = print_function(function)
     _assert_record_agrees_with_ir(OSRTransDriver(_checked(standard_pipeline())).run(function))
     pair = OSRTransDriver(
         _checked(speculative_pipeline(profile.function(function.name), min_samples=2))
     ).run(function)
-    return _content(pair, base_ir)
+    return _content(pair, base_ir), pair.optimized
 
 
-def _module_content(name: str) -> Dict[str, object]:
+def _module_build(name: str) -> Tuple[Dict[str, object], Function]:
     module = call_kernel_module(name)
     entry = module.get(CALL_KERNEL_ENTRIES[name])
     profile = _profile(module, entry, lambda: call_kernel_arguments(name))
@@ -201,34 +211,57 @@ def _module_content(name: str) -> Dict[str, object]:
         for frame in pair.mapper.inlined_frames
     ]
     content["block_frames"] = pair.mapper.block_frames
-    return content
+    return content, pair.optimized
 
 
-def _digests() -> List[Tuple[str, str]]:
-    contents = [
-        (name, _program_content(function, arguments))
+@functools.lru_cache(maxsize=None)
+def _builds() -> Tuple[Tuple[str, Dict[str, object], Function], ...]:
+    """``(name, content, f_opt)`` per program, built once for both goldens."""
+    builds = [
+        (name, *_program_build(function, arguments))
         for name, function, arguments in _programs()
     ]
-    contents += [(name, _module_content(name)) for name in CALL_KERNEL_NAMES]
-    out = []
-    for name, content in contents:
-        text = json.dumps(content, sort_keys=True)
-        out.append((name, hashlib.sha256(text.encode()).hexdigest()))
-    return out
+    builds += [(name, *_module_build(name)) for name in CALL_KERNEL_NAMES]
+    return tuple(builds)
+
+
+def _emitted_source(optimized: Function) -> Dict[str, str]:
+    """The generated code of ``f_opt`` and of one OSR stub per loop header."""
+    compiler = ClosureCompiler()
+    sources = {"entry": compiler.compile(optimized).source}
+    cfg = ControlFlowGraph(optimized)
+    for header in sorted(loop.header for loop in find_loops(cfg, DominatorTree(cfg))):
+        point = ProgramPoint(header, 0)
+        sources[str(point)] = compiler.compile(optimized, point).source
+    return sources
+
+
+def _hash(content: object) -> str:
+    return hashlib.sha256(json.dumps(content, sort_keys=True).encode()).hexdigest()
 
 
 def _render(digests: List[Tuple[str, str]]) -> str:
     return "".join(f"{digest}  {name}\n" for name, digest in digests)
 
 
-def test_compile_path_content_matches_golden():
-    rendered = _render(_digests())
+def _assert_matches(golden: Path, digests: List[Tuple[str, str]], what: str) -> None:
+    rendered = _render(digests)
     if os.environ.get(UPDATE_ENV):
-        GOLDEN.write_text(rendered)
-    expected = GOLDEN.read_text()
+        golden.write_text(rendered)
+    expected = golden.read_text()
     changed = [
         line.split()[-1]
         for line, want in zip(rendered.splitlines(), expected.splitlines())
         if line != want
     ]
-    assert rendered == expected, f"compile-path content changed for {changed}"
+    assert rendered == expected, f"{what} changed for {changed}"
+
+
+def test_compile_path_content_matches_golden():
+    digests = [(name, _hash(content)) for name, content, _ in _builds()]
+    _assert_matches(GOLDEN, digests, "compile-path content")
+
+
+def test_emitted_source_matches_golden():
+    digests = [(name, _hash(_emitted_source(optimized))) for name, _, optimized in _builds()]
+    _assert_matches(EMITTED_GOLDEN, digests, "emitted source")

@@ -30,10 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 #: Packages that must have no uncalled function: the paper packages (they
-#: exist only as what tests and tables exercise), and the compile-path
-#: packages, their analyses and the OSR core, so a rewrite that strands a
-#: helper there fails the audit.
-GATED = {"formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core"}
+#: exist only as what tests and tables exercise), the compile-path
+#: packages, their analyses, the OSR core and the VM, so a rewrite that
+#: strands a helper there fails the audit.
+GATED = {"formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm"}
 called = set()
 
 
