@@ -112,10 +112,16 @@ class Memory:
     Addresses are allocated by ``alloca`` (and by the host via
     :meth:`allocate`); uninitialized cells read as 0, matching the
     zero-filled arrays the workloads expect.
+
+    :attr:`cells` is the backing ``{address: value}`` dict itself, so
+    generated code reads a cell with ``cells.get(address, 0)`` (exactly
+    :meth:`load`) and writes one by subscript, without a method frame
+    per access.  Every value in it is an ``int``: :meth:`store` coerces,
+    and a writer of ``cells`` must store ``int`` s only.
     """
 
     def __init__(self) -> None:
-        self._cells: Dict[int, int] = {}
+        self.cells: Dict[int, int] = {}
         self._next_address = 1  # address 0 is reserved as a "null" marker
 
     def allocate(self, size: int = 1) -> int:
@@ -127,10 +133,10 @@ class Memory:
         return base
 
     def load(self, address: int) -> int:
-        return self._cells.get(address, 0)
+        return self.cells.get(address, 0)
 
     def store(self, address: int, value: int) -> None:
-        self._cells[address] = int(value)
+        self.cells[address] = int(value)
 
     def write_array(self, address: int, values: Sequence[int]) -> None:
         """Bulk-initialize consecutive cells starting at ``address``."""
@@ -142,11 +148,11 @@ class Memory:
 
     def snapshot(self) -> Dict[int, int]:
         """A copy of all written cells (used by store-invariant checks)."""
-        return dict(self._cells)
+        return dict(self.cells)
 
     def copy(self) -> "Memory":
         clone = Memory()
-        clone._cells = dict(self._cells)
+        clone.cells = dict(self.cells)
         clone._next_address = self._next_address
         return clone
 

@@ -63,13 +63,24 @@ interpreter :class:`~repro.ir.function.ProgramPoint` to a stub and calls
 it with the K_avail-preserving environment produced by the forward
 mapping.
 
-Semantics are identical to the interpreter by construction: the same
-truncating division/remainder helpers, the same ``& 63`` shift masking,
-comparison results coerced back to ``int`` (via unary ``+`` on the
-``bool``), the same ``GuardFailure``/``AbortExecution`` control flow and
-a step budget so miscompiled non-terminating code still fails loudly
-instead of hanging (counted per loop iteration; step totals are
-backend-specific, see :class:`~repro.ir.interp.ExecutionResult`).
+Semantics are identical to the interpreter by construction:
+
+* division and remainder are Python's ``//``/``%`` only where those
+  agree with C truncation (a dividend >= 0 and a divisor > 0, tested
+  inline on a register or literal operand); everything else calls the
+  interpreter's truncating helpers, which also raise on a zero divisor;
+* the same ``& 63`` shift masking;
+* a comparison whose *value* is used (assigned, stored, passed,
+  returned) is coerced back to ``int`` with unary ``+`` on the
+  ``bool``; one read only for its truth (an ``if``, a guard, an
+  unswitching pre-check) is left a ``bool`` (:func:`compile_test`);
+* memory cells are read and written in the :class:`Memory`'s own dict,
+  and a register stored bare is stored as ``+r`` so an undefined one
+  still raises (``Memory.store``'s ``int()`` check, at no call);
+* the same ``GuardFailure``/``AbortExecution`` control flow and a step
+  budget so miscompiled non-terminating code still fails loudly instead
+  of hanging (counted per loop iteration; step totals are
+  backend-specific, see :class:`~repro.ir.interp.ExecutionResult`).
 """
 
 from __future__ import annotations
@@ -127,6 +138,7 @@ __all__ = [
     "compile_ir_function",
     "mangle",
     "compile_expr",
+    "compile_test",
 ]
 
 
@@ -198,9 +210,10 @@ _DIRECT_BINOPS = {
     "xor": "^",
 }
 
-#: Comparison operators: Python yields ``bool``; unary ``+`` coerces the
-#: result back to ``int`` so compiled environments stay integer-typed
-#: like the interpreter's.
+#: Comparison operators: Python yields ``bool``.  As a value, unary
+#: ``+`` coerces it back to ``int`` so compiled environments stay
+#: integer-typed like the interpreter's; read for its truth only
+#: (:func:`compile_test`), it stays a ``bool``.
 _COMPARE_BINOPS = {
     "eq": "==",
     "ne": "!=",
@@ -209,6 +222,14 @@ _COMPARE_BINOPS = {
     "gt": ">",
     "ge": ">=",
 }
+
+#: The comparison that holds exactly when the keyed one does not (ints
+#: are totally ordered).
+_NEGATED = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "le": "gt", "gt": "le"}
+
+#: Division and remainder: Python's operator (exact for a dividend >= 0
+#: and a divisor > 0) and the C-truncating helper for everything else.
+_DIVISION_BINOPS = {"div": ("//", "_idiv"), "rem": ("%", "_irem")}
 
 
 def compile_expr(expr: Expr) -> str:
@@ -236,10 +257,8 @@ def compile_expr(expr: Expr) -> str:
             return f"({lhs} {_DIRECT_BINOPS[op]} {rhs})"
         if op in _COMPARE_BINOPS:
             return f"(+({lhs} {_COMPARE_BINOPS[op]} {rhs}))"
-        if op == "div":
-            return f"_idiv({lhs}, {rhs})"
-        if op == "rem":
-            return f"_irem({lhs}, {rhs})"
+        if op in _DIVISION_BINOPS:
+            return _compile_division(expr, lhs, rhs)
         if op == "shl":
             return f"({lhs} << ({rhs} & 63))"
         if op == "shr":
@@ -250,6 +269,47 @@ def compile_expr(expr: Expr) -> str:
             return f"max({lhs}, {rhs})"
         raise NotImplementedError(f"binary operator {op!r}")
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _compile_division(expr: BinOp, lhs: str, rhs: str) -> str:
+    """``/`` or ``%`` with C truncation, inline where the signs allow.
+
+    Python's ``//`` and ``%`` agree with C when the dividend is >= 0 and
+    the divisor > 0.  With both operands a register or a literal (so
+    nothing is evaluated twice), that test is spelled inline and the
+    helper runs only for a negative operand or a zero divisor, where it
+    applies the sign rule or raises; other operand shapes call it.
+    """
+    native, helper = _DIVISION_BINOPS[expr.op]
+    call = f"{helper}({lhs}, {rhs})"
+    if not isinstance(expr.lhs, (Var, Const)):
+        return call
+    if isinstance(expr.rhs, Const) and expr.rhs.value > 0:
+        return f"({lhs} {native} {rhs} if {lhs} >= 0 else {call})"
+    if isinstance(expr.rhs, Var):
+        return f"({lhs} {native} {rhs} if {lhs} >= 0 < {rhs} else {call})"
+    return call
+
+
+def compile_test(expr: Expr, negate: bool = False) -> str:
+    """Lower an expression read only for its truth (or its falsity).
+
+    The interpreter tests a condition with ``!= 0``; Python's truth test
+    of an ``int`` is the same, and a comparison or ``not`` needs no
+    ``int`` result to be tested, so neither is coerced here.
+    ``negate`` lowers the test for ``== 0`` instead (a guard's failure
+    check), flipping a comparison rather than wrapping it in ``not``.
+    An undefined register still fails loudly: comparing or testing the
+    sentinel raises.
+    """
+    if isinstance(expr, BinOp) and expr.op in _COMPARE_BINOPS:
+        op = _NEGATED[expr.op] if negate else expr.op
+        lhs, rhs = compile_expr(expr.lhs), compile_expr(expr.rhs)
+        return f"{lhs} {_COMPARE_BINOPS[op]} {rhs}"
+    if isinstance(expr, UnOp) and expr.op == "not":
+        return compile_test(expr.operand, not negate)
+    source = compile_expr(expr)
+    return f"not {source}" if negate else source
 
 
 def _expr_is_total(expr: Expr) -> bool:
@@ -563,9 +623,12 @@ class _StructuredEmitter:
     That is per-exit work, never per-iteration.
 
     Phi moves ride the edges (before ``continue``, before ``break``, on
-    arm fall-through); ``_prev`` is maintained on every edge, but only
-    for functions containing guards — it is observable solely through
-    :class:`GuardFailure`.  Fuel is charged once per loop iteration.
+    arm fall-through).  The arrival block is observable solely through
+    :class:`GuardFailure`, so only a guard reads it: a guarded block
+    with one predecessor names that block as a constant, and only the
+    edges into a guarded block with several predecessors (or into the
+    block execution starts in, whose first visit reports the ``_prev``
+    argument) write ``_prev``.  Fuel is charged once per loop iteration.
     """
 
     def __init__(self, function: Function, entry: Optional[ProgramPoint]) -> None:
@@ -590,18 +653,29 @@ class _StructuredEmitter:
         self.path_table: List[Tuple[str, ...]] = []
         self.lines: List[str] = []
         self.info = StructureInfo(function)
-        self.track_prev = any(
-            isinstance(inst, Guard)
+        guarded = [
+            block.label
             for block in function.iter_blocks()
-            for inst in block.instructions
-        )
+            if any(isinstance(inst, Guard) for inst in block.instructions)
+        ]
+        start = function.entry_label if entry is None else entry.block
+        #: The arrival block of each guarded block entered along one edge
+        #: only (never the start block: its first visit reports ``_prev``).
+        self.arrival: Dict[str, str] = {}
+        for label in guarded:
+            preds = set(self.info.cfg.preds(label))
+            if label != start and len(preds) == 1:
+                self.arrival[label] = preds.pop()
+        #: Guarded blocks whose arrival block is dynamic: every edge into
+        #: one writes ``_prev``.
+        self.tracked = frozenset(guarded).difference(self.arrival)
         self.fused: Dict[str, FusedCompareBranch] = fusible_compare_branches(function)
         #: Guard-unswitching plans per loop header.  Disabled in OSR
         #: stubs: a stub enters mid-iteration, where the pre-check's
         #: "guards cannot fail in the fast copy" argument does not cover
         #: the resumed partial iteration.
         self.plans: Dict[str, List[HoistableGuard]] = {}
-        if entry is None and self.track_prev:
+        if entry is None and guarded:
             for header, guards in invariant_guard_plan(function, self.info).items():
                 safe = [g for g in guards if _expr_is_total(g.precheck)]
                 if safe:
@@ -615,7 +689,7 @@ class _StructuredEmitter:
 
     def _emit_prelude(self) -> None:
         self._w(0, "def __compiled__(_in, _memory, _prev):")
-        self._w(1, "_mload = _memory.load; _mstore = _memory.store")
+        self._w(1, "_cells = _memory.cells; _mload = _cells.get")
         self._w(1, "_alloc = _memory.allocate")
         self._w(1, "_fuel = _FUEL")
         # All registers start undefined so the guard-failure snapshot can
@@ -708,12 +782,16 @@ class _StructuredEmitter:
         if isinstance(inst, Assign):
             self._w(indent, f"{mangle(inst.dest)} = {compile_expr(inst.expr)}")
         elif isinstance(inst, Load):
-            self._w(indent, f"{mangle(inst.dest)} = _mload({compile_expr(inst.addr)})")
+            addr = compile_expr(inst.addr)
+            self._w(indent, f"{mangle(inst.dest)} = _mload({addr}, 0)")
         elif isinstance(inst, Store):
-            self._w(
-                indent,
-                f"_mstore({compile_expr(inst.addr)}, {compile_expr(inst.value)})",
-            )
+            # Every other expression yields an int or raises; a bare
+            # register may hold the undefined sentinel, which ``+``
+            # refuses like ``Memory.store``'s ``int()``.
+            value = compile_expr(inst.value)
+            if isinstance(inst.value, Var):
+                value = f"+{value}"
+            self._w(indent, f"_cells[{compile_expr(inst.addr)}] = {value}")
         elif isinstance(inst, Alloca):
             self._w(indent, f"{mangle(inst.dest)} = _alloc({inst.size})")
         elif isinstance(inst, Call):
@@ -730,11 +808,13 @@ class _StructuredEmitter:
             self.reason_table.append(inst.reason)
             paths = self.function.metadata.get("inline_paths", {})
             self.path_table.append(tuple(paths.get(point, ())))
-            self._w(indent, f"if not {compile_expr(inst.cond)}:")
+            arrival = self.arrival.get(label)
+            prev = "_prev" if arrival is None else repr(arrival)
+            self._w(indent, f"if {compile_test(inst.cond, negate=True)}:")
             self._w(
                 indent + 1,
                 f"raise _GF(_FNAME, _PP[{slot}], _snapshot(locals()), _memory, "
-                f"_prev, reason=_REASONS[{slot}], inline_path=_IPATHS[{slot}])",
+                f"{prev}, reason=_REASONS[{slot}], inline_path=_IPATHS[{slot}])",
             )
         elif isinstance(inst, Nop):
             self._w(indent, "pass")
@@ -942,7 +1022,7 @@ class _StructuredEmitter:
         parts = [f"{mangle(name)} is not _U" for name in checks]
         seen = set()
         for g in guards:
-            src = compile_expr(g.precheck)
+            src = compile_test(g.precheck)
             if src not in seen:
                 seen.add(src)
                 parts.append(src)
@@ -993,7 +1073,7 @@ class _StructuredEmitter:
         phis = target.phis()
         if phis:
             self._emit_phi_moves(indent, phis, from_label)
-        if self.track_prev:
+        if to_label in self.tracked:
             self._w(indent, f"_prev = {from_label!r}")
         return self._emit_goto(indent, to_label, ctx)
 
@@ -1024,16 +1104,12 @@ class _StructuredEmitter:
         if then_t == else_t:
             # Degenerate branch: still evaluate the condition (it may
             # observe an unbound register, like the interpreter would).
-            self._w(indent, f"if {compile_expr(inst.cond)}:")
+            self._w(indent, f"if {compile_test(inst.cond)}:")
             self._w(indent + 1, "pass")
             return self._emit_transfer(indent, label, then_t, ctx)
 
         if fused is not None:
-            compare = fused.compare
-            cond_src = (
-                f"{compile_expr(compare.lhs)} "
-                f"{_COMPARE_BINOPS[compare.op]} {compile_expr(compare.rhs)}"
-            )
+            cond_src = compile_test(fused.compare)
             # The fused temp stays environment-observable (snapshots at
             # guards and returns contain every register the interpreter
             # assigned), so re-materialize it as the constant branch
@@ -1041,7 +1117,7 @@ class _StructuredEmitter:
             then_extra: Optional[str] = f"{mangle(fused.temp)} = 1"
             else_extra: Optional[str] = f"{mangle(fused.temp)} = 0"
         else:
-            cond_src = compile_expr(inst.cond)
+            cond_src = compile_test(inst.cond)
             then_extra = else_extra = None
 
         # The arms reconverge at the branch's immediate postdominator;

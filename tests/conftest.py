@@ -67,6 +67,26 @@ merge:
 }
 """
 
+# A guard in a block with two predecessors (`head`) and in one with a
+# single predecessor (`body`).
+GUARDED_LOOP_SRC = """
+func @guarded_loop(n, k) {
+entry:
+  jmp head
+head:
+  %i.0 = phi [entry: 0, body: %i.1]
+  guard (k != 5)
+  %t0 = (%i.0 < n)
+  br %t0 ? body : exit
+body:
+  guard (k != 3)
+  %i.1 = (%i.0 + 1)
+  jmp head
+exit:
+  ret %i.0
+}
+"""
+
 
 @pytest.fixture
 def sum_loop():
@@ -84,3 +104,9 @@ def redundant_loop():
 def diamond():
     """An if/else diamond with a phi join."""
     return parse_function(DIAMOND_SRC)
+
+
+@pytest.fixture
+def guarded_loop():
+    """A loop with guards in a two- and a one-predecessor block."""
+    return parse_function(GUARDED_LOOP_SRC)

@@ -518,25 +518,6 @@ def test_conditions_read_for_their_truth_agree_across_tiers(cond):
 # A stub reports the arrival block it was given until it takes an edge.
 # ---------------------------------------------------------------------- #
 
-#: `head` has two predecessors, `body` one; both hold a guard.
-GUARDED_LOOP = """
-func @g(n, k) {
-entry:
-  jmp head
-head:
-  %i.0 = phi [entry: 0, body: %i.1]
-  guard (k != 5)
-  %t0 = (%i.0 < n)
-  br %t0 ? body : exit
-body:
-  guard (k != 3)
-  %i.1 = (%i.0 + 1)
-  jmp head
-exit:
-  ret %i.0
-}
-"""
-
 
 @pytest.mark.parametrize(
     "point, previous",
@@ -549,14 +530,15 @@ exit:
     ],
 )
 @pytest.mark.parametrize("k", [3, 5])
-def test_stub_guard_failure_reports_the_given_arrival_block(point, previous, k):
-    function = parse_function(GUARDED_LOOP)
+def test_stub_guard_failure_reports_the_given_arrival_block(
+    guarded_loop, point, previous, k
+):
     env = {"n": 4, "k": k, "%i.0": 1}
     failures = []
     for backend in (InterpreterBackend(), CompiledBackend()):
         with pytest.raises(GuardFailure) as excinfo:
             backend.run_from(
-                function, point, dict(env), memory=Memory(), previous_block=previous
+                guarded_loop, point, dict(env), memory=Memory(), previous_block=previous
             )
         failures.append(excinfo.value)
     interp_failure, compiled_failure = failures

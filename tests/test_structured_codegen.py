@@ -32,6 +32,7 @@ generated code, checked in so CI diffs them.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,29 @@ class TestStructuredGoldens:
         assert "if r__pi_d0 < r_n:" in compiled.source
         result = compiled([9], None)
         assert result.value == Interpreter().run(function, [9]).value
+
+    def test_loop_kernel_reads_like_its_native_twin(self):
+        source = compile_ir_function(parse_function(LOOP_SUM)).source
+        # Memory is the Memory's own dict, not its methods.
+        assert "_memory.load" not in source and "_memory.store" not in source
+        assert "_cells = _memory.cells; _mload = _cells.get" in source
+        # `% 2` is Python's behind a sign test; the helper is left only
+        # for a negative dividend.
+        assert "(r__pi_d0 % 2 if r__pi_d0 >= 0 else _irem(r__pi_d0, 2))" in source
+        assert not re.search(r"(?<!else )_irem\(\w+, [1-9][0-9]*\)", source)
+        # No comparison is read for its truth through an int coercion.
+        assert "(+(" not in source
+
+    def test_prev_is_written_only_where_a_guard_reads_it(self, guarded_loop):
+        source = compile_ir_function(guarded_loop).source
+        # `head` has two predecessors: its guard reads `_prev`, which the
+        # edge from `entry` and the back edges of both loop copies write.
+        assert source.count("_prev = 'entry'") == 1
+        assert source.count("_prev = 'body'") == 2
+        assert "_prev = 'head'" not in source
+        # `body` has one: its guard names it.
+        assert "if r_k == 3:" in source
+        assert "_memory, 'head', reason=" in source
 
     def test_nested_if_structured(self):
         function = parse_function(NESTED_IF)
