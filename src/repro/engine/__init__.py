@@ -4,7 +4,7 @@ Three pieces (*OSR à la Carte*'s "OSR as a composable library"
 argument, with *Deoptless*'s policy knobs made first-class):
 
 * :class:`EngineConfig` — every tuning knob as one frozen, validated
-  value; :meth:`EngineConfig.from_env` subsumes ``REPRO_BACKEND``.
+  value.
 * :class:`TieringPolicy` — the strategy protocol deciding *when* to
   compile, where to OSR-enter, whether to cache a continuation and when
   to invalidate; :class:`HotnessPolicy` is the default,

@@ -1,20 +1,15 @@
 """Typed, validated, frozen configuration for the adaptive engine.
 
 Every tuning knob of the runtime is a field of :class:`EngineConfig`:
-hotness and profile thresholds, the optimized tier's backend (the base
-tier always interprets — only the interpreter profiles), speculation and
-inlining toggles with their budgets, the backend-independent recursion
-fuel, and the sizes of the two bounded caches (the event ring buffer and
-the per-function continuation cache).  The dataclass is frozen — a config is a value,
-safely shared between engines — and validates itself on construction,
-so a nonsensical knob fails loudly at the embedding site instead of
-deep inside a tier transition.
-
-:meth:`EngineConfig.from_env` subsumes the ``REPRO_BACKEND`` switch: it
-resolves the optimized-tier backend from the environment *eagerly*, so
-an invalid value raises a clear :class:`ValueError` (listing the
-registered backend names) at startup rather than falling through to
-first use.
+hotness and profile thresholds, speculation and inlining toggles with
+their budgets, the backend-independent recursion fuel, and the sizes of
+the two bounded caches (the event ring buffer and the per-function
+continuation cache).  The base tier always interprets (only the
+interpreter profiles) and optimized code always runs compiled.  The
+dataclass is frozen — a config is a value, safely shared between
+engines — and validates itself on construction, so a nonsensical knob
+fails loudly at the embedding site instead of deep inside a tier
+transition.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.reconstruct import ReconstructionMode
 
@@ -41,9 +36,8 @@ def verify_deopt_from_env() -> str:
     """Resolve the soundness-verifier mode from ``REPRO_VERIFY_DEOPT``.
 
     Empty or unset means ``"off"``; anything else must name a mode.
-    Validated eagerly for the same reason as ``REPRO_BACKEND``: a typo'd
-    CI lane should fail at engine construction, not silently verify
-    nothing.
+    Validated eagerly: a typo'd CI lane should fail at engine
+    construction, not silently verify nothing.
     """
     value = os.environ.get("REPRO_VERIFY_DEOPT", "").strip().lower()
     if not value:
@@ -58,9 +52,9 @@ def verify_deopt_from_env() -> str:
 
 #: Fields that determine *what optimized code the engine produces* — the
 #: semantic identity a persisted artifact is keyed by.  Runtime-only knobs
-#: (worker counts, buffer and cache sizes, execution fuel, backend
-#: selection) change how fast or where code runs, never what is compiled,
-#: so two engines differing only in those can safely share artifacts.
+#: (worker counts, buffer and cache sizes, execution fuel) change how fast
+#: or where code runs, never what is compiled, so two engines differing
+#: only in those can safely share artifacts.
 FINGERPRINT_FIELDS: Tuple[str, ...] = (
     "hotness_threshold",
     "invalidate_after",
@@ -83,14 +77,7 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every knob of the adaptive engine, as one validated value.
-
-    Backends are given by registry name (see
-    :data:`repro.vm.backend.BACKEND_NAMES`) or as an
-    :class:`~repro.vm.backend.ExecutionBackend` instance for tests that
-    inject a custom engine; ``opt_backend=None`` defers to the
-    ``REPRO_BACKEND`` environment variable at engine construction.
-    """
+    """Every knob of the adaptive engine, as one validated value."""
 
     # --- tiering -------------------------------------------------------- #
     #: Calls before a function is compiled (consulted by HotnessPolicy).
@@ -125,9 +112,9 @@ class EngineConfig:
     step_limit: int = 2_000_000
     #: State-reconstruction mode for OSR mappings and deopt plans.
     mode: ReconstructionMode = ReconstructionMode.AVAIL
-    #: Engine for optimized versions and continuations (name, instance,
-    #: or None → the REPRO_BACKEND environment variable).
-    opt_backend: Union[str, Any, None] = None
+    #: Engine for optimized versions and continuations.  Only
+    #: ``"compiled"`` exists; the field stays for callers that name it.
+    opt_backend: str = "compiled"
     #: Explicit pass pipeline (disables speculation when set).
     passes: Optional[Tuple[Any, ...]] = None
 
@@ -196,36 +183,8 @@ class EngineConfig:
             # Accept any sequence at the call site; store a tuple so the
             # frozen config stays value-like.
             object.__setattr__(self, "passes", tuple(self.passes))
-        # Deferred import: repro.vm imports this module at load time.
-        from ..vm.backend import BACKEND_NAMES, ExecutionBackend
-
-        spec = self.opt_backend
-        _require(
-            spec is None
-            or isinstance(spec, ExecutionBackend)
-            or (isinstance(spec, str) and spec in BACKEND_NAMES),
-            f"opt_backend={spec!r} names no backend; choose from {sorted(BACKEND_NAMES)}",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers.
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "EngineConfig":
-        """A config whose optimized-tier backend comes from ``REPRO_BACKEND``.
-
-        The environment variable is read (and validated) *now*: an
-        invalid value raises a :class:`ValueError` naming the registered
-        backends instead of surfacing at first use.  Keyword overrides
-        win over the environment.
-        """
-        from ..vm.backend import backend_name_from_env
-
-        if "opt_backend" not in overrides:
-            overrides["opt_backend"] = backend_name_from_env()
-        if "verify_deopt" not in overrides:
-            overrides["verify_deopt"] = verify_deopt_from_env()
-        return cls(**overrides)
+        _require(self.opt_backend == "compiled",
+                 f"opt_backend must be 'compiled', got {self.opt_backend!r}")
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with ``changes`` applied (re-validated)."""
@@ -264,9 +223,9 @@ class EngineConfig:
         artifact compiled under one speculation/inlining regime can never
         hydrate into an engine configured for another.  Only
         :data:`FINGERPRINT_FIELDS` participate: runtime-only knobs
-        (``compile_workers``, buffer sizes, fuel, backend choice) are
-        deliberately excluded so a 4-worker server can reuse what a
-        single-threaded recorder compiled.  Pass pipelines hash by class
+        (``compile_workers``, buffer sizes, fuel) are deliberately excluded
+        so a 4-worker server can reuse what a single-threaded recorder
+        compiled.  Pass pipelines hash by class
         name — the store cannot hash code objects, and a renamed pass
         *should* invalidate old artifacts.
         """

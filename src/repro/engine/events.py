@@ -456,11 +456,6 @@ class RingBufferRecorder:
             self.total += 1
             self._events.append(event)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self.total = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)

@@ -305,11 +305,6 @@ class StatsCollector:
         with self._lock:
             return EngineStats(**self._state.records.get(name, _ZEROS))
 
-    def functions(self) -> Dict[str, EngineStats]:
-        with self._lock:
-            records = self._state.records.items()
-            return {name: EngineStats(**record) for name, record in records}
-
     def snapshot(self) -> StatsSnapshot:
         """Per-function records and every labeled stream, read atomically."""
         with self._lock:

@@ -1,10 +1,10 @@
 """``repro`` — the operator command line over the adaptive engine.
 
 One binary for the whole operational surface: run a MiniC program (or a
-named workload) on either backend with live event tailing and a scrape
-endpoint, inspect a function's tier state and version multiverse, manage
-the persistent artifact store, and watch a fleet's event stream fold
-into metrics in real time.  Every command renders through
+named workload) with live event tailing and a scrape endpoint, inspect a
+function's tier state and version multiverse, manage the persistent
+artifact store, and watch a fleet's event stream fold into metrics in
+real time.  Every command renders through
 :func:`repro.ops.render.format_rows`, so ``--format table|csv|json``
 behaves identically everywhere.
 
@@ -27,7 +27,6 @@ from ..engine.config import EngineConfig
 from ..engine.stats import StatsCollector
 from ..store.artifacts import FunctionArtifact, StoreError
 from ..store.persist import ArtifactStore
-from ..vm.backend import BACKEND_ENV_VAR, DEFAULT_BACKEND
 from .export import JsonLinesSink, observe_from_start, read_events, serve_metrics
 from .metrics import MetricsExporter
 from .render import FORMATS, format_rows
@@ -50,13 +49,7 @@ def format_option(command):
 
 
 def config_options(command):
-    command = click.option(
-        "--backend",
-        type=click.Choice(["interp", "compiled"]),
-        default=None,
-        help=f"Optimized-tier backend (default: {BACKEND_ENV_VAR} or {DEFAULT_BACKEND}).",
-    )(command)
-    command = click.option(
+    return click.option(
         "--set",
         "overrides",
         multiple=True,
@@ -64,10 +57,9 @@ def config_options(command):
         help="Override any EngineConfig field (repeatable), e.g. "
         "--set hotness_threshold=2 --set max_versions=1.",
     )(command)
-    return command
 
 
-def _build_config(backend: Optional[str], overrides: Sequence[str]) -> EngineConfig:
+def _build_config(overrides: Sequence[str]) -> EngineConfig:
     kwargs: Dict[str, object] = {}
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -77,10 +69,8 @@ def _build_config(backend: Optional[str], overrides: Sequence[str]) -> EngineCon
             kwargs[key] = json.loads(raw)
         except ValueError:
             kwargs[key] = raw
-    if backend is not None:
-        kwargs["opt_backend"] = backend
     try:
-        return EngineConfig.from_env(**kwargs)
+        return EngineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise click.ClickException(f"invalid engine config: {exc}")
 
@@ -257,14 +247,13 @@ def run(
     metrics_port: Optional[int],
     hold: float,
     events_jsonl: Optional[str],
-    backend: Optional[str],
     overrides: Sequence[str],
     fmt: str,
 ) -> None:
     """Execute a MiniC SOURCE file (or --workload kernel) on the engine."""
     if (source is None) == (workload is None):
         raise click.UsageError("provide exactly one of SOURCE or --workload")
-    config = _build_config(backend, overrides)
+    config = _build_config(overrides)
     text = Path(source).read_text() if source else _workload_source(workload)
     engine = _open_engine(text, store_path, config, on_stale)
     exporter: Optional[MetricsExporter] = None
@@ -362,14 +351,13 @@ def inspect(
     args_text: Optional[str],
     calls: int,
     show: str,
-    backend: Optional[str],
     overrides: Sequence[str],
     fmt: str,
 ) -> None:
     """Per-function tier state, version tables and profiles."""
     if (source is None) == (workload is None):
         raise click.UsageError("provide exactly one of SOURCE or --workload")
-    config = _build_config(backend, overrides)
+    config = _build_config(overrides)
     text = Path(source).read_text() if source else _workload_source(workload)
     engine = _open_engine(text, store_path, config, on_stale)
     try:
@@ -659,7 +647,6 @@ def lint(
     workloads: Sequence[str],
     benchmarks: bool,
     calls: int,
-    backend: Optional[str],
     overrides: Sequence[str],
     fmt: str,
 ) -> None:
@@ -679,7 +666,7 @@ def lint(
     for raw in paths:
         rows.extend(_lint_path(Path(raw)))
     if workloads or benchmarks:
-        config = _build_config(backend, overrides)
+        config = _build_config(overrides)
         for name in workloads:
             rows.extend(_lint_workload(name, calls, config))
         if benchmarks:
@@ -891,14 +878,13 @@ def fleet(
     workers: int,
     sync_every: int,
     events_dir: Optional[str],
-    backend: Optional[str],
     overrides: Sequence[str],
     fmt: str,
 ) -> None:
     """Serve a call stream across warm-started workers sharing one store."""
     from ..store.fleet import run_fleet
 
-    config = _build_config(backend, overrides)
+    config = _build_config(overrides)
     text = Path(source).read_text()
     call_args = _parse_args(args_text)
     try:

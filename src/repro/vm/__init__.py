@@ -10,15 +10,7 @@ wires a typed :class:`~repro.engine.EngineConfig`, a pluggable
 around this runtime.
 """
 
-from .backend import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    CompiledBackend,
-    ExecutionBackend,
-    InterpreterBackend,
-    backend_name_from_env,
-    resolve_backend,
-)
+from .backend import CompiledBackend, ExecutionBackend, InterpreterBackend
 from .closure_compile import ClosureCompiler, CompiledFunction, compile_ir_function
 from .profile import (
     GENERIC_KEY,
@@ -64,8 +56,4 @@ __all__ = [
     "ClosureCompiler",
     "CompiledFunction",
     "compile_ir_function",
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
-    "backend_name_from_env",
-    "resolve_backend",
 ]

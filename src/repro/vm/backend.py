@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the adaptive runtime.
+"""The two execution backends of the adaptive runtime.
 
 The OSR framework is backend-agnostic: a *tier* is a policy decision
 (profile here, speculate there), while a *backend* is an execution
@@ -19,17 +19,14 @@ engine.  This module defines the seam between the two:
   an *OSR entry stub* per landing point, so an optimizing OSR lands
   directly in compiled code mid-loop.
 
-Backends are registered by name; ``resolve_backend`` accepts a name, an
-instance, or ``None`` (which consults the ``REPRO_BACKEND`` environment
-variable and falls back to :data:`DEFAULT_BACKEND`, ``compiled`` — CI's
-backend-parity job sets the variable to run the whole tier-1 suite on
-the other engine).
+The runtime builds one of each: the base tier on the interpreter, the
+optimized tier on the compiled engine.  :class:`ExecutionBackend` is
+their shared internal protocol, not an extension point.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..cfg.structure import UnstructurableCFG
 from ..ir.function import Function, Module, ProgramPoint
@@ -42,25 +39,11 @@ __all__ = [
     "InterpreterBackend",
     "CompiledBackend",
     "BoundEntry",
-    "BACKEND_NAMES",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "backend_name_from_env",
-    "resolve_backend",
 ]
 
-#: What :meth:`ExecutionBackend.prepare` returns: one function's entry,
+#: What :meth:`CompiledBackend.prepare` returns: one function's entry,
 #: ``(args, memory) -> ExecutionResult``.
 BoundEntry = Callable[..., ExecutionResult]
-
-#: Environment variable selecting the backend optimized tiers run on.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Registered backend names, in preference order.
-BACKEND_NAMES = ("compiled", "interp")
-
-#: The backend optimized tiers run on when ``REPRO_BACKEND`` is unset.
-DEFAULT_BACKEND = "compiled"
 
 
 class ExecutionBackend:
@@ -81,9 +64,6 @@ class ExecutionBackend:
     while other threads are executing is allowed but new names become
     visible to in-flight activations at an unspecified point.
     """
-
-    #: Registry name of the backend.
-    name: str = "abstract"
 
     def run(
         self,
@@ -128,41 +108,9 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def prepare(self, function: Function) -> BoundEntry:
-        """Build what running ``function`` needs; return its bound entry.
-
-        The runtime calls this once per version, before publishing it,
-        and stores the result on the table entry: the *request path*
-        then pays neither first-run setup (for the closure backend:
-        lowering to Python and ``compile()``) nor a per-call artifact
-        lookup.  The bound entry ``(args, memory) -> ExecutionResult``
-        behaves exactly like ``run(function, args, memory=memory)``.
-        Default: nothing to build, a closure over :meth:`run`.
-        """
-
-        def entry(
-            args: Sequence[int], memory: Optional[Memory] = None
-        ) -> ExecutionResult:
-            return self.run(function, args, memory=memory)
-
-        return entry
-
-    def discard(self, function: Function) -> None:
-        """Forget whatever was built for ``function``.
-
-        The runtime calls this for every version that leaves the table
-        (retired, invalidated, replaced), so a backend that caches
-        per-function artifacts is bounded by the live table.  A later
-        :meth:`run`/:meth:`run_from` of a discarded function must still
-        work — it rebuilds.  Default: nothing kept, nothing to forget.
-        """
-        return None
-
 
 class InterpreterBackend(ExecutionBackend):
     """The reference interpreter as a backend (tier-0 and fallback engine)."""
-
-    name = "interp"
 
     def __init__(
         self,
@@ -245,8 +193,6 @@ class CompiledBackend(ExecutionBackend):
     trees is looser than the interpreter's accounting.
     """
 
-    name = "compiled"
-
     def __init__(
         self,
         *,
@@ -291,7 +237,15 @@ class CompiledBackend(ExecutionBackend):
         )
 
     def prepare(self, function: Function) -> BoundEntry:
-        """Lower (and cache) the entry artifact; return its checked entry."""
+        """Lower (and cache) the entry artifact; return its checked entry.
+
+        The runtime calls this once per version, before publishing it,
+        and stores the result on the table entry: the *request path*
+        then pays neither lowering to Python and ``compile()`` nor a
+        per-call artifact lookup.  The bound entry ``(args, memory) ->
+        ExecutionResult`` behaves exactly like ``run(function, args,
+        memory=memory)``.
+        """
         try:
             return self.compiler.compile(function).invoke
         except UnstructurableCFG:
@@ -302,6 +256,13 @@ class CompiledBackend(ExecutionBackend):
             return interpreted
 
     def discard(self, function: Function) -> None:
+        """Forget the artifacts built for ``function``.
+
+        The runtime calls this for every version that leaves the table
+        (retired, invalidated, replaced), so the artifact cache is
+        bounded by the live table.  A later :meth:`run`/:meth:`run_from`
+        of a discarded function still works — it rebuilds.
+        """
         self.compiler.discard(function)
 
     def compiled_artifact(
@@ -354,53 +315,3 @@ class CompiledBackend(ExecutionBackend):
             )
         return stub(dict(env), memory, previous_block)
 
-
-#: Backend constructors by registry name.
-_FACTORIES: Dict[str, Callable[..., ExecutionBackend]] = {
-    "interp": InterpreterBackend,
-    "compiled": CompiledBackend,
-}
-
-
-def backend_name_from_env() -> str:
-    """The backend name selected by ``REPRO_BACKEND`` (unset: :data:`DEFAULT_BACKEND`).
-
-    An invalid value raises immediately, naming the registered backends
-    — it must never fall through to some silent default.
-    :meth:`repro.engine.EngineConfig.from_env` calls this eagerly so a
-    typo in ``REPRO_BACKEND`` fails at engine construction, not at the
-    first tier-up.
-    """
-    name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not name:
-        return DEFAULT_BACKEND
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR}={name!r} names no backend; "
-            f"choose from {sorted(BACKEND_NAMES)}"
-        )
-    return name
-
-
-def resolve_backend(
-    spec: Union[None, str, ExecutionBackend],
-    *,
-    step_limit: int = 2_000_000,
-) -> ExecutionBackend:
-    """Resolve a backend spec: instance, registry name, or ``None``.
-
-    ``None`` consults :data:`BACKEND_ENV_VAR` and falls back to
-    :data:`DEFAULT_BACKEND` — the hook the CI backend-parity job uses to
-    run the entire suite on the other engine without touching any call
-    site.
-    """
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if spec is None:
-        spec = backend_name_from_env()
-    factory = _FACTORIES.get(spec)
-    if factory is None:
-        raise ValueError(
-            f"unknown backend {spec!r}; choose from {sorted(BACKEND_NAMES)}"
-        )
-    return factory(step_limit=step_limit)

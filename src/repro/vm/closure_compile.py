@@ -628,7 +628,9 @@ class _StructuredEmitter:
     with one predecessor names that block as a constant, and only the
     edges into a guarded block with several predecessors (or into the
     block execution starts in, whose first visit reports the ``_prev``
-    argument) write ``_prev``.  Fuel is charged once per loop iteration.
+    argument) write ``_prev``, and not in a loop copy whose guards in the
+    target block were all unswitched out.  Fuel is charged once per loop
+    iteration.
     """
 
     def __init__(self, function: Function, entry: Optional[ProgramPoint]) -> None:
@@ -653,22 +655,32 @@ class _StructuredEmitter:
         self.path_table: List[Tuple[str, ...]] = []
         self.lines: List[str] = []
         self.info = StructureInfo(function)
-        guarded = [
-            block.label
-            for block in function.iter_blocks()
-            if any(isinstance(inst, Guard) for inst in block.instructions)
-        ]
-        start = function.entry_label if entry is None else entry.block
+        guarded: Dict[str, FrozenSet[ProgramPoint]] = {}
+        for block in function.iter_blocks():
+            points = frozenset(
+                ProgramPoint(block.label, index)
+                for index, inst in enumerate(block.instructions)
+                if isinstance(inst, Guard)
+            )
+            if points:
+                guarded[block.label] = points
+        #: The block execution starts in.
+        self.start = function.entry_label if entry is None else entry.block
         #: The arrival block of each guarded block entered along one edge
         #: only (never the start block: its first visit reports ``_prev``).
         self.arrival: Dict[str, str] = {}
         for label in guarded:
             preds = set(self.info.cfg.preds(label))
-            if label != start and len(preds) == 1:
+            if label != self.start and len(preds) == 1:
                 self.arrival[label] = preds.pop()
-        #: Guarded blocks whose arrival block is dynamic: every edge into
-        #: one writes ``_prev``.
-        self.tracked = frozenset(guarded).difference(self.arrival)
+        #: Guarded blocks whose arrival block is dynamic, with their guard
+        #: points: an edge into one writes ``_prev`` unless the copy being
+        #: emitted omits all of those guards.
+        self.tracked: Dict[str, FrozenSet[ProgramPoint]] = {
+            label: points
+            for label, points in guarded.items()
+            if label not in self.arrival
+        }
         self.fused: Dict[str, FusedCompareBranch] = fusible_compare_branches(function)
         #: Guard-unswitching plans per loop header.  Disabled in OSR
         #: stubs: a stub enters mid-iteration, where the pre-check's
@@ -1055,14 +1067,19 @@ class _StructuredEmitter:
             self._emit_simple(indent, block, index)
         term = insts[last]
         if isinstance(term, Jump):
-            return self._emit_transfer(indent, label, term.target, ctx)
+            return self._emit_transfer(indent, label, term.target, ctx, omitted)
         if isinstance(term, Branch):
             return self._emit_branch(block, term, ctx, indent, omitted, fused)
         self._emit_simple(indent, block, last)  # Return / Abort
         return None
 
     def _emit_transfer(
-        self, indent: int, from_label: str, to_label: str, ctx: Tuple[_Frame, ...]
+        self,
+        indent: int,
+        from_label: str,
+        to_label: str,
+        ctx: Tuple[_Frame, ...],
+        omitted: FrozenSet[ProgramPoint],
     ) -> Optional[str]:
         """Emit one CFG edge: its phi moves, then the spelled transfer."""
         target = self.function.blocks.get(to_label)
@@ -1073,7 +1090,8 @@ class _StructuredEmitter:
         phis = target.phis()
         if phis:
             self._emit_phi_moves(indent, phis, from_label)
-        if to_label in self.tracked:
+        points = self.tracked.get(to_label)
+        if points is not None and (to_label == self.start or not points <= omitted):
             self._w(indent, f"_prev = {from_label!r}")
         return self._emit_goto(indent, to_label, ctx)
 
@@ -1087,7 +1105,10 @@ class _StructuredEmitter:
     ) -> bool:
         """One branch arm: the edge, then whatever it leads to inline."""
         return self._emit_chain(
-            self._emit_transfer(indent, from_label, to_label, ctx), ctx, indent, omitted
+            self._emit_transfer(indent, from_label, to_label, ctx, omitted),
+            ctx,
+            indent,
+            omitted,
         )
 
     def _emit_branch(
@@ -1106,7 +1127,7 @@ class _StructuredEmitter:
             # observe an unbound register, like the interpreter would).
             self._w(indent, f"if {compile_test(inst.cond)}:")
             self._w(indent + 1, "pass")
-            return self._emit_transfer(indent, label, then_t, ctx)
+            return self._emit_transfer(indent, label, then_t, ctx, omitted)
 
         if fused is not None:
             cond_src = compile_test(fused.compare)
@@ -1150,7 +1171,7 @@ class _StructuredEmitter:
             if else_extra:
                 self._w(indent, else_extra)
             if join is None:
-                return self._emit_transfer(indent, label, else_t, ctx)
+                return self._emit_transfer(indent, label, else_t, ctx, omitted)
             else_falls = self._emit_arm(indent, label, else_t, arm_ctx, omitted)
 
         if not (then_falls or else_falls):

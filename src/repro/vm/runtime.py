@@ -59,7 +59,7 @@ from ..ir.interp import (
     NativeFunction,
     StepLimitExceeded,
 )
-from .backend import ExecutionBackend, resolve_backend
+from .backend import CompiledBackend, InterpreterBackend
 from .profile import GENERIC_KEY, EntryClusterer, ShardedValueProfile, VersionKey
 from .transitions import (
     CachedContinuation,
@@ -214,23 +214,15 @@ class AdaptiveRuntime:
         #: Resolved soundness-verifier mode: ``config.verify_deopt`` when
         #: set, otherwise ``REPRO_VERIFY_DEOPT`` (validated eagerly).
         self.verify_deopt: str = self.config.verify_deopt or verify_deopt_from_env()
-        self.opt_backend: ExecutionBackend = resolve_backend(
-            self.config.opt_backend, step_limit=self.config.step_limit
-        )
-        #: The profiled base tier always interprets: only the
-        #: interpreter feeds a profiler and pauses at a ``break_at`` point.
-        self.base_backend: ExecutionBackend = resolve_backend(
-            "interp", step_limit=self.config.step_limit
-        )
-        # A module-bearing backend resolves callees internally,
-        # bypassing the dispatchers this runtime relies on for
-        # independent tiering and the call-depth fuel.
-        if getattr(self.opt_backend, "module", None) is not None:
-            raise ValueError(
-                "runtime backends must not carry a module; register "
-                "functions with register_module() so calls dispatch "
-                "through the runtime"
-            )
+        step_limit = self.config.step_limit
+        #: The profiled base tier interprets: only the interpreter feeds a
+        #: profiler and pauses at a ``break_at`` point.
+        self.base_backend = InterpreterBackend(step_limit=step_limit)
+        #: Optimized versions and continuations run as generated Python.
+        #: Neither backend carries a module: calls resolve through the
+        #: dispatchers :meth:`register` installs, so every callee tiers
+        #: independently and the call-depth fuel holds.
+        self.opt_backend = CompiledBackend(step_limit=step_limit)
         self.functions: Dict[str, TieredFunction] = {}
         #: Host dispatchers routing residual ``call`` instructions (in
         #: any tier, on any engine) back through :meth:`call`.
@@ -335,8 +327,7 @@ class AdaptiveRuntime:
             dispatcher = self._make_dispatcher(function.name)
             self._dispatchers[function.name] = dispatcher
             self.opt_backend.register_native(function.name, dispatcher)
-            if self.base_backend is not self.opt_backend:
-                self.base_backend.register_native(function.name, dispatcher)
+            self.base_backend.register_native(function.name, dispatcher)
         return state
 
     def register_module(

@@ -283,9 +283,8 @@ class Transitions:
             state.osr_entries += 1
         self.publish(OptimizingOSR(base.name, osr_point))
         try:
-            # The backend's OSR entry stub maps the landing ProgramPoint
-            # into its own dispatch (a resume for the interpreter, a
-            # compiled stub entering mid-loop for the closure backend).
+            # The compiled OSR entry stub for the landing ProgramPoint
+            # enters the optimized code mid-loop.
             return self.opt_backend.run_from(
                 version.optimized,
                 landing.target,

@@ -340,7 +340,7 @@ class SpecializedVersion:
     verify_report: Optional[VerifyReport] = None
     #: The optimized tier's bound entry for ``version.optimized``,
     #: ``(args, memory) -> ExecutionResult``, resolved once at publish
-    #: (:meth:`repro.vm.backend.ExecutionBackend.prepare`); ``None``
+    #: (:meth:`repro.vm.backend.CompiledBackend.prepare`); ``None``
     #: only on entries built outside the runtime.
     run: Optional["BoundEntry"] = None
 

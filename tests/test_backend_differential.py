@@ -27,12 +27,7 @@ from repro.passes import (
     standard_pipeline,
 )
 from repro.engine import Engine, EngineConfig
-from repro.vm import (
-    CompiledBackend,
-    InterpreterBackend,
-    ValueProfile,
-    resolve_backend,
-)
+from repro.vm import CompiledBackend, InterpreterBackend, ValueProfile
 from repro.vm.closure_compile import compile_ir_function
 from repro.workloads import (
     BENCHMARK_NAMES,
@@ -189,48 +184,20 @@ def test_osr_entry_stubs_are_bisimilar(name, backends):
 
 @pytest.mark.parametrize("name", SPECULATIVE_NAMES)
 def test_runtime_parity_across_opt_backends(name):
-    results = {}
-    for backend_name in ("interp", "compiled"):
-        function = speculative_function(name)
-        engine = Engine.from_functions(
-            function,
-            config=EngineConfig(
-                hotness_threshold=3, min_samples=2, opt_backend=backend_name
-            ),
-        )
-        values = []
-        for _ in range(5):
-            args, memory = speculative_arguments(name)
-            values.append(engine.call(name, args, memory=memory).value)
-        for _ in range(4):
-            args, memory = speculative_arguments(name, violate=True)
-            values.append(engine.call(name, args, memory=memory).value)
-        results[backend_name] = (
-            values,
-            engine.stats(name),
-            [event.kind for event in engine.events],
-        )
-
-    interp_values, interp_stats, interp_events = results["interp"]
-    compiled_values, compiled_stats, compiled_events = results["compiled"]
-    assert compiled_values == interp_values
-    # Identical tiering decisions: same compile/speculate outcome, same
-    # OSR entries/exits, same guard failures, same continuation-cache
-    # behaviour — the engines differ in speed only.
-    assert compiled_stats == interp_stats
-    assert compiled_events == interp_events
-
-
-def test_resolve_backend_respects_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "interp")
-    assert resolve_backend(None).name == "interp"
-    monkeypatch.setenv("REPRO_BACKEND", "compiled")
-    assert resolve_backend(None).name == "compiled"
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert resolve_backend(None).name == "compiled"  # the default tier engine
-    monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-    with pytest.raises(ValueError):
-        resolve_backend(None)
+    """Through tier-up, guard failure and deopt the engine answers what
+    the interpreter answers on the base function."""
+    base = speculative_function(name)
+    engine = Engine.from_functions(
+        speculative_function(name),
+        config=EngineConfig(hotness_threshold=3, min_samples=2),
+    )
+    for violate in (False,) * 5 + (True,) * 4:
+        args, memory = speculative_arguments(name, violate=violate)
+        expected = Interpreter().run(base, args, memory=memory.copy()).value
+        assert engine.call(name, args, memory=memory).value == expected
+    stats = engine.stats(name)
+    assert stats.compiled >= 1 and stats.osr_entries >= 1
+    assert stats.guard_failures >= 1
 
 
 # ---------------------------------------------------------------------- #
@@ -327,38 +294,21 @@ def test_multiframe_deopt_bisimulation_per_backend(backend_name):
 
 @pytest.mark.parametrize("name", CALL_KERNEL_NAMES)
 def test_runtime_parity_across_opt_backends_interprocedural(name):
-    """Same values, same tiering decisions, same multi-frame deopts."""
-    results = {}
-    for backend_name in ("interp", "compiled"):
-        module = call_kernel_module(name)
-        entry = CALL_KERNEL_ENTRIES[name]
-        engine = Engine.from_module(
-            module,
-            config=EngineConfig(
-                hotness_threshold=3,
-                min_samples=2,
-                inline_min_calls=2,
-                opt_backend=backend_name,
-            ),
-        )
-        values = []
-        for _ in range(6):
-            args, memory = call_kernel_arguments(name)
-            values.append(engine.call(entry, args, memory=memory).value)
-        for _ in range(3):
-            args, memory = call_kernel_arguments(name, violate=True)
-            values.append(engine.call(entry, args, memory=memory).value)
-        results[backend_name] = (
-            values,
-            engine.stats(entry),
-            [event.kind for event in engine.events],
-        )
-
-    interp_values, interp_stats, interp_events = results["interp"]
-    compiled_values, compiled_stats, compiled_events = results["compiled"]
-    assert compiled_values == interp_values
-    assert compiled_stats == interp_stats
-    assert compiled_events == interp_events
+    """Same values as the interpreter, through inlining and multi-frame deopt."""
+    entry = CALL_KERNEL_ENTRIES[name]
+    oracle = call_kernel_module(name)
+    engine = Engine.from_module(
+        call_kernel_module(name),
+        config=EngineConfig(hotness_threshold=3, min_samples=2, inline_min_calls=2),
+    )
+    for violate in (False,) * 6 + (True,) * 3:
+        args, memory = call_kernel_arguments(name, violate=violate)
+        expected = Interpreter(oracle).run(
+            oracle.get(entry), args, memory=memory.copy()
+        ).value
+        assert engine.call(entry, args, memory=memory).value == expected
+    stats = engine.stats(entry)
+    assert stats.compiled >= 1 and stats.osr_entries >= 1
 
 
 # ---------------------------------------------------------------------- #

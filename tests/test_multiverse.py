@@ -1,6 +1,6 @@
 """The version multiverse: per-profile versions with entry dispatch.
 
-Differential coverage of the multi-version runtime on both backends:
+Differential coverage of the multi-version runtime:
 
 * **Growth + dispatch** — a phase-alternating caller grows one
   arm-pruned specialized version per entry-profile cluster; every call
@@ -57,7 +57,7 @@ from repro.workloads import (
     polymorphic_phases,
 )
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 KERNEL = "modal_sum"
 

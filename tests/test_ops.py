@@ -4,7 +4,7 @@ The load-bearing property is *exactness*: every counter the
 :class:`~repro.ops.metrics.MetricsExporter` serves — over HTTP in the
 Prometheus text format, as JSON, or re-folded from a JSON-lines event
 sink — must agree with the engine's own :meth:`Engine.stats` fold to the
-last increment, on both backends, after workloads that exercise
+last increment, after workloads that exercise
 speculation, guard-failure deoptimization, continuation dispatch and the
 version multiverse — and a scrape must agree with *itself* whenever the
 exporter was attached, because there is one fold
@@ -66,7 +66,7 @@ from repro.workloads import (
     speculative_source,
 )
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 FLEET_SRC = """
 func scale(x, k) {
@@ -85,7 +85,7 @@ func poly(mode, n) {
 """
 
 
-def _speculation_engine(backend):
+def _speculation_engine(backend="compiled"):
     return Engine.from_functions(
         speculative_function("dispatch"),
         config=EngineConfig(hotness_threshold=3, min_samples=2, opt_backend=backend),
@@ -212,7 +212,7 @@ class TestExporterExactness:
             engine.close()
 
     def test_exporter_attaches_once(self):
-        engine = _speculation_engine("interp")
+        engine = _speculation_engine()
         exporter = MetricsExporter()
         exporter.attach(engine)
         try:
@@ -349,7 +349,7 @@ class TestRender:
 class TestJsonLinesSink:
     def test_sink_replay_matches_bus(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        engine = _speculation_engine("interp")
+        engine = _speculation_engine()
         sink = JsonLinesSink(path)
         engine.subscribe(sink)
         try:
@@ -482,10 +482,7 @@ def _invoke(runner, args, **kwargs):
 
 
 class TestCli:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_populates_store_and_inspect_restores(
-        self, runner, tmp_path, backend
-    ):
+    def test_run_populates_store_and_inspect_restores(self, runner, tmp_path):
         store = str(tmp_path / "store")
         result = _invoke(
             runner,
@@ -497,8 +494,6 @@ class TestCli:
                 "12",
                 "--violate-every",
                 "4",
-                "--backend",
-                backend,
                 "--store",
                 store,
                 "--format",
@@ -519,8 +514,6 @@ class TestCli:
                 "dispatch",
                 "--store",
                 store,
-                "--backend",
-                backend,
                 "--format",
                 "json",
             ],
@@ -758,13 +751,6 @@ class TestCli:
         )
         assert result.exit_code != 0
         assert "StoreFormatError" in result.output
-
-    @pytest.mark.parametrize("command", ["run", "inspect", "lint", "fleet"])
-    def test_backend_help_names_the_real_default(self, runner, monkeypatch, command):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        default = EngineConfig.from_env().opt_backend
-        text = " ".join(_invoke(runner, [command, "--help"]).output.split())
-        assert f"(default: REPRO_BACKEND or {default})" in text
 
     def test_command_set(self):
         assert set(repro_cli.commands) == {"fleet", "inspect", "lint", "run", "store", "top"}

@@ -12,8 +12,8 @@ The load-bearing properties, in order:
   missing/phantom plans, out-of-range mapping entries, phantom dispatch
   pins) is rejected with the *named* obligation that owns it;
 
-* **Gating** — ``verify_deopt=strict`` blocks publication end to end on
-  both backends and refuses tampered persisted artifacts at hydration;
+* **Gating** — ``verify_deopt=strict`` blocks publication end to end
+  and refuses tampered persisted artifacts at hydration;
   ``warn`` publishes but emits :class:`SoundnessViolation` events whose
   fold agrees with the mechanism counter; ``off`` skips verification and
   reports guards as unchecked.
@@ -71,7 +71,7 @@ from repro.workloads import (
     speculative_function,
 )
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 POLY_SRC = """
 func add(a, b) { return a + b; }
@@ -462,7 +462,7 @@ class TestConfigAndEvents:
 
 
 # --------------------------------------------------------------------- #
-# Runtime gating: off / warn / strict, both backends, end to end.
+# Runtime gating: off / warn / strict, end to end.
 # --------------------------------------------------------------------- #
 def _sabotage_build(monkeypatch):
     """Make every built version declare a ghost live variable."""
@@ -549,7 +549,7 @@ class TestRuntimeGating:
         )
 
     def test_off_skips_verification(self):
-        engine = _dispatch_engine("interp", "off")
+        engine = _dispatch_engine("compiled", "off")
         _warm_dispatch(engine)
         state = engine.runtime.functions["dispatch"]
         with state.lock:
@@ -564,7 +564,7 @@ class TestRuntimeGating:
         monkeypatch.setenv("REPRO_VERIFY_DEOPT", "strict")
         engine = Engine.from_functions(
             speculative_function("dispatch"),
-            config=EngineConfig.from_env(),
+            config=EngineConfig(),
         )
         assert engine.runtime.verify_deopt == "strict"
 

@@ -53,7 +53,7 @@ from repro.workloads import (
 )
 from repro.workloads.polymorphic import POLYMORPHIC_SOURCES
 
-BACKENDS = ("interp", "compiled")
+BACKENDS = ("compiled",)
 
 POLY_SRC = """
 func add(a, b) { return a + b; }
@@ -189,7 +189,6 @@ class TestConfigRoundTrip:
             {"continuation_cache_size": 2},
             {"step_limit": 10},
             {"max_call_depth": 4},
-            {"opt_backend": "compiled"},
         ):
             assert base.replace(**changes).fingerprint() == base.fingerprint(), changes
 
@@ -393,19 +392,6 @@ class TestWarmStart:
         warm_poly(Engine.from_source(POLY_SRC)).save(store)
         warm = Engine.open(POLY_SRC, store)
         assert "poly" in warm.restored_functions
-
-    def test_artifacts_are_backend_neutral(self, tmp_path):
-        # The fingerprint excludes backend choice on purpose: the tier
-        # payload is IR, prepared by whichever backend installs it.
-        cold = warm_poly(
-            Engine.from_source(POLY_SRC, config=EngineConfig(opt_backend="interp"))
-        )
-        cold.save(tmp_path / "store")
-        warm = Engine.open(
-            POLY_SRC, tmp_path / "store", config=EngineConfig(opt_backend="compiled")
-        )
-        assert "poly" in warm.restored_functions
-        assert warm.call("poly", [3, 20]).value == cold.call("poly", [3, 20]).value
 
     def test_one_slot_engine_restores_only_the_generic_version(self, tmp_path):
         # Regression: a persisted multiverse opened with max_versions=1

@@ -313,31 +313,16 @@ def test_one_slot_table_regrows_a_generic_version_when_nothing_matches():
 # ---------------------------------------------------------------------- #
 # The bound entry: resolved at publish, whichever way a version came in.
 # ---------------------------------------------------------------------- #
-def _function_run_by(backend, entry, args, memory, monkeypatch):
+def _function_run_by(backend, entry, args, memory):
     """Call ``entry.run``; return the function it executed and the result."""
-    if backend.name == "compiled":
-        # The closure backend binds the cached artifact's checked entry.
-        artifact = backend.compiled_artifact(entry.version.optimized)
-        assert entry.run is artifact.invoke
-        return artifact.function, entry.run(args, memory)
-    ran = []
-    interpret = Interpreter.run
-
-    def spy(self, function, *rest, **kwargs):
-        ran.append(function)
-        return interpret(self, function, *rest, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Interpreter, "run", spy)
-        result = entry.run(args, memory)
-    assert len(ran) == 1
-    return ran[0], result
+    # The closure backend binds the cached artifact's checked entry.
+    artifact = backend.compiled_artifact(entry.version.optimized)
+    assert entry.run is artifact.invoke
+    return artifact.function, entry.run(args, memory)
 
 
-@pytest.mark.parametrize("backend_name", ("compiled", "interp"))
-def test_every_way_into_the_table_binds_the_entrys_own_code(
-    backend_name, tmp_path, monkeypatch
-):
+@pytest.mark.parametrize("backend_name", ("compiled",))
+def test_every_way_into_the_table_binds_the_entrys_own_code(backend_name, tmp_path):
     config = EngineConfig(
         hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend_name
     )
@@ -368,9 +353,7 @@ def test_every_way_into_the_table_binds_the_entrys_own_code(
         for entry in entries:
             mode = next(m for m, (args, _) in phases.items() if entry.key.matches(args))
             args, memory = phases[mode]
-            function, result = _function_run_by(
-                backend, entry, args, memory.copy(), monkeypatch
-            )
+            function, result = _function_run_by(backend, entry, args, memory.copy())
             assert function is entry.version.optimized
             assert result.value == oracle[mode].value
             assert result.backend == backend_name

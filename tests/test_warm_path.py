@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine import Engine, EngineConfig, OptimizingOSR, VersionRetired
 from repro.ir.interp import Interpreter
-from repro.vm import closure_compile
+from repro.vm import CompiledBackend, closure_compile
 from repro.workloads import (
     CALL_KERNEL_NAMES,
     CALL_KERNEL_SOURCES,
@@ -108,20 +108,30 @@ def test_registers_undefined_on_the_taken_path_stay_absent():
     engine.close()
 
 
-def test_osr_stub_entry_reports_the_interpreters_env():
+def test_osr_stub_entry_reports_the_interpreters_env(monkeypatch):
     # The call that triggers the (synchronous) compile enters the
-    # optimized loop mid-flight through a compiled OSR entry stub.
-    envs = {}
-    for backend in ("compiled", "interp"):
-        engine, (args, memory) = _steady_engine(
-            "bzip2", CONFIG.replace(opt_backend=backend)
+    # optimized loop mid-flight through a compiled OSR entry stub; the
+    # interpreter resumed at the same landing reports the same outcome.
+    landings = []
+    run_from = CompiledBackend.run_from
+
+    def spy(self, function, point, env, *, memory=None, previous_block=None):
+        landings.append((function, point, dict(env), _fresh(memory), previous_block))
+        return run_from(
+            self, function, point, env, memory=memory, previous_block=previous_block
         )
-        results = [engine.call("bzip2", args, memory=_fresh(memory)) for _ in range(3)]
-        assert any(isinstance(event, OptimizingOSR) for event in engine.events)
-        assert results[-1].backend == backend
-        envs[backend] = (results[-1].value, results[-1].env)
-        engine.close()
-    assert envs["compiled"] == envs["interp"]
+
+    monkeypatch.setattr(CompiledBackend, "run_from", spy)
+    engine, (args, memory) = _steady_engine("bzip2")
+    results = [engine.call("bzip2", args, memory=_fresh(memory)) for _ in range(3)]
+    assert any(isinstance(event, OptimizingOSR) for event in engine.events)
+    assert results[-1].backend == "compiled"
+    [(function, point, env, landing_memory, previous_block)] = landings
+    reference = engine.runtime.base_backend.run_from(
+        function, point, env, memory=landing_memory, previous_block=previous_block
+    )
+    assert (results[-1].value, results[-1].env) == (reference.value, reference.env)
+    engine.close()
 
 
 def test_warm_calls_never_walk_the_name_table(monkeypatch):

@@ -7,9 +7,9 @@ under ``examples/`` in this process with a ``sys.settrace`` hook that
 records ``(file, firstlineno)`` on ``call`` events, then diffs that
 against the function list of each file's AST.  Child processes (the
 fleet worker, CLI subprocesses) are not traced.  Two kinds of function
-are meant to go uncalled and are not listed: abstract stubs (a body that
-only raises ``NotImplementedError``) and ``__repr__`` (read in a failure
-message or a debugger).  Exits 1 when a ``GATED`` package has an uncalled
+are meant to go uncalled and are not listed: declarations (a body that
+only raises ``NotImplementedError`` or is only ``...``, as in a Protocol)
+and ``__repr__`` (read in a failure message or a debugger).  Exits 1 when a ``GATED`` package has an uncalled
 function, and 2 when pytest could not run the suite (interrupted,
 internal, usage or collection error), because the list then means
 nothing.  A test that fails under the hook (tracing slows the
@@ -31,9 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 #: Packages that must have no uncalled function: the paper packages (they
 #: exist only as what tests and tables exercise), the compile-path
-#: packages, their analyses, the OSR core and the VM, so a rewrite that
-#: strands a helper there fails the audit.
-GATED = {"formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm"}
+#: packages, their analyses, the OSR core, the VM and the engine facade,
+#: so a rewrite that strands a helper there fails the audit.
+GATED = {
+    "formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm",
+    "engine",
+}
 called = set()
 
 
@@ -45,8 +48,11 @@ def meant_to_go_uncalled(node):
     body = node.body
     if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
         body = body[1:]  # docstring
-    stub = len(body) == 1 and ast.unparse(body[0]).startswith("raise NotImplementedError")
-    return stub or node.name == "__repr__"
+    declaration = len(body) == 1 and (
+        ast.unparse(body[0]).startswith("raise NotImplementedError")
+        or ast.unparse(body[0]) == "..."
+    )
+    return declaration or node.name == "__repr__"
 
 
 def main():
