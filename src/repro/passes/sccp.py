@@ -1,10 +1,15 @@
 """Sparse conditional constant propagation (SCCP) — the rewriting pass.
 
-Consumes :func:`repro.analysis.constants.sccp_analysis` and performs three
+Consumes :func:`repro.analysis.constants.sccp_analysis` and performs four
 kinds of rewrites, each one a CodeMapper call that edits and records:
 
 * registers proven constant are substituted into their uses (``replace``)
   and their defining instructions deleted (``delete``);
+* assignments and guard conditions are folded in place (``%t * 1``
+  becomes ``%t``), and guards whose condition folds to a non-zero
+  constant are proven true and deleted (``delete``).  This is sound
+  because the analysis never reads a guard, so it never assumes a
+  guard's own condition: ``guard (a == 2)`` on a parameter ``a`` stays;
 * conditional branches whose condition is a proven constant are replaced
   by unconditional jumps (``delete`` + ``add``);
 * blocks proven unreachable have all their instructions deleted and are
@@ -24,6 +29,7 @@ from ..ir.function import Function
 from ..ir.instructions import Assign, Branch, Jump, Phi
 from ..ir.verify import is_ssa
 from .base import Pass
+from .constprop import _proven_guard
 
 __all__ = ["SparseConditionalConstantPropagation"]
 
@@ -53,7 +59,13 @@ class SparseConditionalConstantPropagation(Pass):
                 lambda inst: isinstance(inst, (Assign, Phi)) and inst.dest in constants
             )
 
-        # 2. Fold branches with constant conditions into jumps.
+        # 2. Fold what the substitution left constant, and delete the
+        #    guards it proved true.
+        for _, inst in function.instructions():
+            changed |= mapper.fold(inst)
+        changed |= mapper.delete_where(_proven_guard)
+
+        # 3. Fold branches with constant conditions into jumps.
         for block in function.iter_blocks():
             terminator = block.terminator
             if isinstance(terminator, Branch) and isinstance(terminator.cond, Const):
@@ -65,6 +77,6 @@ class SparseConditionalConstantPropagation(Pass):
                 mapper.replace_terminator(block, Jump(target), f"folded branch in {block.label}")
                 changed = True
 
-        # 3. Remove blocks that are no longer reachable, and phi inputs
+        # 4. Remove blocks that are no longer reachable, and phi inputs
         #    along edges that no longer exist.
         return mapper.remove_unreachable_blocks() or changed

@@ -15,7 +15,12 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.instructions import Branch, Guard, Jump
-from repro.passes import SpeculativeGuards, speculative_pipeline
+from repro.passes import (
+    ConstantPropagationPass,
+    SparseConditionalConstantPropagation,
+    SpeculativeGuards,
+    speculative_pipeline,
+)
 from repro.vm import ValueProfile
 from repro.workloads import (
     SPECULATIVE_NAMES,
@@ -72,14 +77,25 @@ class TestGuardInstruction:
         PassManager(standard_pipeline()).run(f)
         assert any(isinstance(i, Guard) for _, i in f.instructions())
 
-    def test_provably_true_guard_is_deleted(self):
-        from repro.passes import ConstantPropagationPass
-
+    @pytest.mark.parametrize(
+        "constant_pass",
+        [ConstantPropagationPass, SparseConditionalConstantPropagation],
+    )
+    def test_provably_true_guard_is_deleted(self, constant_pass):
         src = "func @t(a) {\nentry:\n  c = 7\n  guard (c == 7)\n  ret (a + c)\n}"
         f = parse_function(src)
-        ConstantPropagationPass().run(f)
+        constant_pass().run(f)
         assert not any(isinstance(i, Guard) for _, i in f.instructions())
         assert run_function(f, [3]).value == 10
+
+    def test_sccp_keeps_a_guard_on_its_own_assumption(self):
+        # ``a`` is 7 only where the guard holds; SCCP must neither delete
+        # the guard nor fold the later read of ``a`` into a constant.
+        f = parse_function(GUARDED_SRC)
+        SparseConditionalConstantPropagation().run(f)
+        assert print_function(f) == print_function(parse_function(GUARDED_SRC))
+        with pytest.raises(GuardFailure):
+            run_function(f, [5])
 
 
 class TestValueProfile:
