@@ -66,7 +66,6 @@ FINGERPRINT_FIELDS: Tuple[str, ...] = (
     "max_callee_size",
     "max_inline_depth",
     "mode",
-    "passes",
 )
 
 
@@ -115,8 +114,6 @@ class EngineConfig:
     #: Engine for optimized versions and continuations.  Only
     #: ``"compiled"`` exists; the field stays for callers that name it.
     opt_backend: str = "compiled"
-    #: Explicit pass pipeline (disables speculation when set).
-    passes: Optional[Tuple[Any, ...]] = None
 
     # --- background compilation ----------------------------------------- #
     #: Worker threads for off-thread optimization.  ``0`` (the default)
@@ -179,10 +176,6 @@ class EngineConfig:
         _require(self.verify_deopt in (None, "off", "warn", "strict"),
                  f"verify_deopt must be one of 'off', 'warn', 'strict' "
                  f"(or None for REPRO_VERIFY_DEOPT), got {self.verify_deopt!r}")
-        if self.passes is not None and not isinstance(self.passes, tuple):
-            # Accept any sequence at the call site; store a tuple so the
-            # frozen config stays value-like.
-            object.__setattr__(self, "passes", tuple(self.passes))
         _require(self.opt_backend == "compiled",
                  f"opt_backend must be 'compiled', got {self.opt_backend!r}")
 
@@ -198,8 +191,8 @@ class EngineConfig:
         """Inverse of :meth:`as_dict` — ``from_dict(c.as_dict()) == c``.
 
         Accepts JSON-shaped input too: ``mode`` may be a mode name or
-        value string, and ``passes`` any sequence.  Unknown keys raise
-        (a config dict from a newer engine must not load silently).
+        value string.  Unknown keys raise (a config dict from a newer
+        engine must not load silently).
         """
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -225,27 +218,19 @@ class EngineConfig:
         :data:`FINGERPRINT_FIELDS` participate: runtime-only knobs
         (``compile_workers``, buffer sizes, fuel) are deliberately excluded
         so a 4-worker server can reuse what a single-threaded recorder
-        compiled.  Pass pipelines hash by class
-        name — the store cannot hash code objects, and a renamed pass
-        *should* invalidate old artifacts.
+        compiled.  The pass pipeline is fixed
+        (:func:`~repro.passes.standard_pipeline`), so it is not hashed.
         """
         payload: Dict[str, Any] = {}
         for name in FINGERPRINT_FIELDS:
             value = getattr(self, name)
             if name == "mode":
                 value = value.value
-            elif name == "passes" and value is not None:
-                value = [getattr(p, "__name__", None) or type(p).__name__ for p in value]
             payload[name] = value
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    # Derived, not stored: an explicit pipeline overrides speculation,
-    # and inlining only exists inside the speculative tier.
-    @property
-    def effective_speculate(self) -> bool:
-        return self.speculate and self.passes is None
-
+    # Derived, not stored: inlining only exists inside the speculative tier.
     @property
     def effective_inline(self) -> bool:
-        return self.inline and self.effective_speculate
+        return self.inline and self.speculate

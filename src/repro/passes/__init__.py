@@ -62,14 +62,14 @@ def standard_pipeline() -> List[Pass]:
 
     Loop canonicalization and LCSSA run first (they are prerequisites for
     LICM, as in LLVM), followed by the scalar optimizations; ADCE runs
-    last to clean up.
+    last to clean up.  SCCP is the one constant pass; CP would only
+    repeat its work.
     """
     return [
         LoopCanonicalization(),
         LoopClosedSSA(),
         LoopInvariantCodeMotion(),
         CommonSubexpressionElimination(),
-        ConstantPropagationPass(),
         SparseConditionalConstantPropagation(),
         CodeSinking(),
         AggressiveDCE(),
@@ -89,7 +89,7 @@ def speculative_pipeline(
     ``SpeculativeGuards`` must run first, while the clone's registers and
     program points still coincide with the profiled f_base; the standard
     passes then exploit the speculated constants and pruned cold paths
-    (``constprop``/``sccp`` fold them through, ``adce`` deletes what died).
+    (``sccp`` folds them through, ``adce`` deletes what died).
     """
     return [
         SpeculativeGuards(

@@ -4,8 +4,9 @@ A lightweight SSA constant propagator: registers defined by a constant
 expression are substituted into their uses (a ``replace`` action), the
 now-dead constant definitions are deleted, and expressions that become
 fully constant are folded in place.  Every edit goes through the
-CodeMapper.  The heavier, branch-aware variant is
-:mod:`repro.passes.sccp`.
+CodeMapper.  The engine runs its branch-aware superset,
+:mod:`repro.passes.sccp`, instead; this pass serves Table 1's ``CP`` row
+and the non-SSA deopt continuations, where only folding is sound.
 """
 
 from __future__ import annotations

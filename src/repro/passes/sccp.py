@@ -5,11 +5,9 @@ kinds of rewrites, each one a CodeMapper call that edits and records:
 
 * registers proven constant are substituted into their uses (``replace``)
   and their defining instructions deleted (``delete``);
-* assignments and guard conditions are folded in place (``%t * 1``
-  becomes ``%t``), and guards whose condition folds to a non-zero
-  constant are proven true and deleted (``delete``).  This is sound
-  because the analysis never reads a guard, so it never assumes a
-  guard's own condition: ``guard (a == 2)`` on a parameter ``a`` stays;
+* assignments and guards are folded in place, and guards that fold to a
+  non-zero constant are deleted (``delete``): sound, since the analysis
+  never assumes a guard's own condition;
 * conditional branches whose condition is a proven constant are replaced
   by unconditional jumps (``delete`` + ``add``);
 * blocks proven unreachable have all their instructions deleted and are
@@ -59,8 +57,7 @@ class SparseConditionalConstantPropagation(Pass):
                 lambda inst: isinstance(inst, (Assign, Phi)) and inst.dest in constants
             )
 
-        # 2. Fold what the substitution left constant, and delete the
-        #    guards it proved true.
+        # 2. Fold what substitution left, and delete the guards it proved.
         for _, inst in function.instructions():
             changed |= mapper.fold(inst)
         changed |= mapper.delete_where(_proven_guard)

@@ -9,7 +9,7 @@ engine that produced it:
   changes the hash; and
 * the **config fingerprint** (:meth:`repro.engine.EngineConfig.fingerprint`)
   — the semantic compilation regime (speculation thresholds, inlining
-  budgets, reconstruction mode, pass pipeline).
+  budgets, reconstruction mode).
 
 :class:`ArtifactKey` bundles both with the function name; the store lays
 entries out by fingerprint and validates both halves on every load.  A

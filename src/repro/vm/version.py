@@ -242,7 +242,7 @@ def build_version(
     """
     mode = config.mode
     rejected: Optional[ProgramPoint] = None
-    if config.effective_speculate:
+    if config.speculate:
         caller_profile = profile_snapshot.function(base.name)
         if not key.generic:
             caller_profile = pin_profile(base, caller_profile, key, config.min_samples)
@@ -271,7 +271,9 @@ def build_version(
         if not uncovered:
             return _assemble(pair, plans, mode, speculate=True), None
         rejected = uncovered[0]
-    pipeline = list(config.passes) if config.passes is not None else standard_pipeline()
+    # Rebinding ``pipeline`` frees the rejected speculative passes, and
+    # all they hold, before the fallback build runs.
+    pipeline = standard_pipeline()
     pair = OSRTransDriver(pipeline).run(base)
     plans, _ = pair.deopt_plans(mode)
     return _assemble(pair, plans, mode, speculate=False), rejected

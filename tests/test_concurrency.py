@@ -57,6 +57,7 @@ from repro.frontend import compile_program
 from repro.ir.function import ProgramPoint
 from repro.ir.interp import Interpreter, StepLimitExceeded
 from repro.passes.base import Pass
+from repro.vm import version as version_module
 from repro.vm.profile import GENERIC_KEY, FunctionProfile, ShardedValueProfile
 from repro.workloads import (
     CALL_KERNEL_ENTRIES,
@@ -396,6 +397,11 @@ class _ExplodingPass(Pass):
         raise RuntimeError("injected compiler failure")
 
 
+def _explode_pipeline(monkeypatch) -> None:
+    """Make every non-speculative build run :class:`_ExplodingPass`."""
+    monkeypatch.setattr(version_module, "standard_pipeline", lambda: [_ExplodingPass()])
+
+
 def _tier_up_publishers(engine: Engine) -> list:
     """The id of the thread that publishes each ``TierUp``, from now on."""
     publishers = []
@@ -487,13 +493,9 @@ func spin(n) {
             # TierUp was published by a compile worker.
             assert publishers and threading.get_ident() not in publishers
 
-    def test_background_compile_failure_is_sticky_and_loud(self):
-        engine = _engine(
-            ADD_V1,
-            hotness_threshold=2,
-            compile_workers=1,
-            passes=(_ExplodingPass(),),
-        )
+    def test_background_compile_failure_is_sticky_and_loud(self, monkeypatch):
+        _explode_pipeline(monkeypatch)
+        engine = _engine(ADD_V1, hotness_threshold=2, compile_workers=1, speculate=False)
         with engine:
             assert engine.call("probe", [1]).value == 2
             assert engine.call("probe", [1]).value == 2  # claims the compile
@@ -505,13 +507,9 @@ func spin(n) {
             with pytest.raises(RuntimeError, match="injected compiler failure"):
                 engine.call("probe", [1])
 
-    def test_sync_compile_failure_propagates_on_triggering_call(self):
-        engine = _engine(
-            ADD_V1,
-            hotness_threshold=2,
-            compile_workers=0,
-            passes=(_ExplodingPass(),),
-        )
+    def test_sync_compile_failure_propagates_on_triggering_call(self, monkeypatch):
+        _explode_pipeline(monkeypatch)
+        engine = _engine(ADD_V1, hotness_threshold=2, compile_workers=0, speculate=False)
         assert engine.call("probe", [1]).value == 2
         with pytest.raises(RuntimeError, match="injected compiler failure"):
             engine.call("probe", [1])

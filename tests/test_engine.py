@@ -108,15 +108,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             config.replace(hotness_threshold=-1)
 
-    def test_passes_sequence_becomes_tuple(self):
-        from repro.passes import standard_pipeline
-
-        pipeline = standard_pipeline()
-        config = EngineConfig(passes=pipeline)
-        assert isinstance(config.passes, tuple)
-        assert not config.effective_speculate  # explicit pipeline wins
-        assert not config.effective_inline
-
 
 # ---------------------------------------------------------------------- #
 # Policy injection.

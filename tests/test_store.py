@@ -178,8 +178,9 @@ class TestConfigRoundTrip:
         assert EngineConfig.from_dict({"mode": "AVAIL"}).mode is ReconstructionMode.AVAIL
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown EngineConfig field"):
-            EngineConfig.from_dict({"hotness": 3})
+        for data in ({"hotness": 3}, {"passes": []}):
+            with pytest.raises(ValueError, match="unknown EngineConfig field"):
+                EngineConfig.from_dict(data)
 
     def test_fingerprint_ignores_runtime_only_knobs(self):
         base = EngineConfig()
