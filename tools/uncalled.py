@@ -31,11 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 #: Packages that must have no uncalled function: the paper packages (they
 #: exist only as what tests and tables exercise), the compile-path
-#: packages, their analyses, the OSR core, the VM and the engine facade,
-#: so a rewrite that strands a helper there fails the audit.
+#: packages, their analyses, the OSR core, the VM, the engine facade, the
+#: CFG utilities, the frontend and the workload generators, so a rewrite
+#: that strands a helper there fails the audit.
 GATED = {
     "formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm",
-    "engine",
+    "engine", "cfg", "frontend", "workloads",
 }
 called = set()
 
