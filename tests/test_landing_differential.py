@@ -31,13 +31,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cfg import UnstructurableCFG
-from repro.core import OSRTransDriver
+from repro.core import OSRTransDriver, ReconstructionMode
 from repro.engine import Engine, EngineConfig
 from repro.frontend import compile_program
 from repro.ir import Interpreter
 from repro.ir.expr import evaluate
 from repro.ir.function import ProgramPoint
-from repro.ir.instructions import Branch, Jump, Phi
+from repro.ir.instructions import Branch, Guard, Jump, Phi
 from repro.ir.interp import GuardFailure, Memory
 from repro.passes import (
     interprocedural_pipeline,
@@ -145,8 +145,57 @@ def assert_landings_agree(function, inputs, module=None):
     return checked
 
 
+def assert_guard_landings_agree(pair, inputs, module=None):
+    """Resume f_base from every reached guard of a single-frame plan.
+
+    Deoptimizing at a guard is sound whether or not its condition
+    holds, so the paused state at each reached guard stands in for a
+    failure there: the plan's transfer lands it at ``frame.target`` in
+    f_base, on both backends, exactly as the runtime lands a failure.
+    """
+    plans, _ = pair.deopt_plans(ReconstructionMode.AVAIL)
+    interp = Interpreter(module)
+    compiled = CompiledBackend(module=module)
+    checked = 0
+    for args, memory in inputs:
+        for point, env, paused_memory, previous in _landings(
+            pair.optimized, args, memory, module
+        ):
+            plan = plans.get(point)
+            if plan is None or plan.is_multiframe:
+                continue
+            assert isinstance(pair.optimized.instruction_at(point), Guard)
+            frame = plan.frames[0]
+            base = frame.function
+            landing_env = frame.transfer(env)
+            arrival = previous if previous in base.blocks else None
+            reference, actual = (
+                _outcome(
+                    lambda: resume(
+                        base,
+                        frame.target,
+                        dict(landing_env),
+                        memory=paused_memory.copy(),
+                        previous_block=arrival,
+                    )
+                )
+                for resume in (interp.resume, compiled.run_from)
+            )
+            assert actual == reference, (
+                f"@{base.name} diverges landing from guard {point} at {frame.target}"
+            )
+            checked += 1
+    single = [plan for plan in plans.values() if not plan.is_multiframe]
+    assert checked > 0 or not single, f"no single-frame guard of @{pair.base.name} reached"
+    return checked
+
+
+def _pair(function, pipeline=None):
+    return OSRTransDriver(pipeline or standard_pipeline()).run(function)
+
+
 def _optimized(function, pipeline=None):
-    return OSRTransDriver(pipeline or standard_pipeline()).run(function).optimized
+    return _pair(function, pipeline).optimized
 
 
 # ---------------------------------------------------------------------- #
@@ -155,7 +204,7 @@ def _optimized(function, pipeline=None):
 
 
 def _speculated(function, inputs, module=None, inline=False):
-    """The guarded version a profile warmed on ``inputs`` produces;
+    """The guarded version pair a profile warmed on ``inputs`` produces;
     with ``inline``, module callees are spliced in first."""
     profile = ValueProfile()
     interpreter = Interpreter(module, profiler=profile)
@@ -164,8 +213,8 @@ def _speculated(function, inputs, module=None, inline=False):
             interpreter.run(function, args, memory=memory.copy())
     facts = profile.function(function.name)
     if not inline:
-        return _optimized(function, speculative_pipeline(facts, min_samples=2))
-    return _optimized(
+        return _pair(function, speculative_pipeline(facts, min_samples=2))
+    return _pair(
         function,
         interprocedural_pipeline(
             facts,
@@ -179,7 +228,7 @@ def _speculated(function, inputs, module=None, inline=False):
 
 
 def _kernel(name):
-    """``(base, optimized, inputs, module)`` of one workload kernel."""
+    """``(base, optimized pair, inputs, module)`` of one workload kernel."""
     if name in BENCHMARK_NAMES:
         function, inputs = benchmark_function(name), [benchmark_arguments(name)]
     elif name in STRAIGHT_LINE_NAMES:
@@ -190,15 +239,15 @@ def _kernel(name):
     elif name in SPECULATIVE_NAMES:
         function = speculative_function(name)
         warm = [speculative_arguments(name)]
-        optimized = _speculated(function, warm)
-        return function, optimized, warm + [speculative_arguments(name, violate=True)], None
+        pair = _speculated(function, warm)
+        return function, pair, warm + [speculative_arguments(name, violate=True)], None
     else:
         module = call_kernel_module(name)
         function = module.get(CALL_KERNEL_ENTRIES[name])
         warm = [call_kernel_arguments(name)]
-        optimized = _speculated(function, warm, module, inline=True)
-        return function, optimized, warm + [call_kernel_arguments(name, violate=True)], module
-    return function, _optimized(function), inputs, None
+        pair = _speculated(function, warm, module, inline=True)
+        return function, pair, warm + [call_kernel_arguments(name, violate=True)], module
+    return function, _pair(function), inputs, None
 
 
 KERNELS = (
@@ -212,9 +261,34 @@ KERNELS = (
 
 @pytest.mark.parametrize("name", KERNELS)
 def test_every_reached_point_of_every_kernel_lands_identically(name):
-    base, optimized, inputs, module = _kernel(name)
+    base, pair, inputs, module = _kernel(name)
     assert_landings_agree(base, inputs, module)
-    assert_landings_agree(optimized, inputs, module)
+    assert_landings_agree(pair.optimized, inputs, module)
+
+
+@pytest.mark.parametrize("name", (*SPECULATIVE_NAMES, *CALL_KERNEL_NAMES))
+def test_every_reached_guard_lands_in_base_identically(name):
+    _, pair, inputs, module = _kernel(name)
+    assert_guard_landings_agree(pair, inputs, module)
+
+
+def test_reregistration_discards_every_artifact_of_the_old_base():
+    """Guard failures may land in the old f_base's compiled code; a
+    ``register(replace=True)`` must leave none of it cached."""
+    engine = Engine.from_functions(
+        speculative_function("dispatch"),
+        config=EngineConfig(hotness_threshold=3, min_samples=2),
+    )
+    for violate in (False,) * 5 + (True,) * 3:
+        args, memory = speculative_arguments("dispatch", violate=violate)
+        engine.call("dispatch", args, memory=memory)
+    runtime = engine.runtime
+    old = runtime.functions["dispatch"]
+    assert old.dispatch_hits >= 1
+    runtime.register(speculative_function("dispatch"), replace=True)
+    dead = {id(old.base)} | {id(entry.version.optimized) for entry in old.versions}
+    cache = runtime.opt_backend.compiler._cache
+    assert not [artifact for artifact in cache.values() if id(artifact.function) in dead]
 
 
 # ---------------------------------------------------------------------- #
@@ -332,25 +406,28 @@ def test_control_flow_corpus_lands_identically(name):
     versions = [
         base,
         _optimized(base),
-        _speculated(base, CORPUS_INPUTS[name][:1], module),
     ]
+    pairs = [_speculated(base, CORPUS_INPUTS[name][:1], module)]
     if name == "driver":
         # The caller's loop with the callee's nested loop spliced in.
-        inlined = _speculated(base, CORPUS_INPUTS[name], module, inline=True)
+        pairs.append(_speculated(base, CORPUS_INPUTS[name], module, inline=True))
+        inlined = pairs[-1].optimized
         assert not any("scan" in str(inst) for _, inst in inlined.instructions())
-        versions.append(inlined)
+    versions += [pair.optimized for pair in pairs]
     compiled = CompiledBackend(module=module)
     for version in versions:
         for point in _static_points(version):
             compiled.compiled_artifact(version, point)  # never unstructurable
         assert_landings_agree(version, CORPUS_INPUTS[name], module)
+    for pair in pairs:
+        assert_guard_landings_agree(pair, CORPUS_INPUTS[name], module)
 
 
 def test_early_return_through_two_loops_uses_the_exit_tag():
     module = compile_program(CONTROL_FLOW)
     inlined = _speculated(
         module.get("driver"), CORPUS_INPUTS["driver"], module, inline=True
-    )
+    ).optimized
     source = CompiledBackend(module=module).compiled_artifact(inlined).source
     # Set on the exit edge, tested once after the inner `while`: per-exit
     # work only.
