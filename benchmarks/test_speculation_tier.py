@@ -1,13 +1,14 @@
-"""Extra experiment — the speculative tier and dispatched-OSR continuations.
+"""Extra experiment — the speculative tier and dispatched OSR.
 
 The Deoptless argument (PAPERS.md): a guard failure need not abandon
-optimized execution wholesale — repeated failures with the same
-live-state shape can dispatch to a cached continuation specialized for
-the deopt point.  This benchmark builds the full tier journey on the
-``dispatch`` kernel, times the three failure-handling paths and asserts
-the qualitative shape: the speculative version is smaller than the plain
-optimized one, every violation is answered correctly, and repeated
-violations hit the continuation cache instead of re-deoptimizing.
+optimized execution wholesale — a repeated failure can dispatch to code
+that already exists.  Here a guard's first failure in a version deopts
+into the profiled base tier; its repeats land in f_base's compiled OSR
+entry stub for the deopt point.  This benchmark builds the full tier
+journey on the ``dispatch`` kernel, times the failure-handling paths and
+asserts the qualitative shape: the speculative version is smaller than
+the plain optimized one, every violation is answered correctly, and
+repeated violations dispatch instead of re-deoptimizing.
 """
 
 import pytest
@@ -28,7 +29,7 @@ def warmed_engine():
     for _ in range(5):
         args, memory = speculative_arguments(KERNEL)
         engine.call(KERNEL, args, memory=memory)
-    # Prime the continuation cache with one slow deopt.
+    # One slow deopt: the guard's first failure in this version.
     args, memory = speculative_arguments(KERNEL, violate=True)
     engine.call(KERNEL, args, memory=memory)
     return function, engine
@@ -56,14 +57,13 @@ def test_dispatched_osr_on_repeated_guard_failure(benchmark, warmed_engine):
     args, memory = speculative_arguments(KERNEL, violate=True)
     expected = run_function(function, args, memory=memory.copy()).value
     before = engine.stats(KERNEL)
-    assert before.continuations == 1  # primed by the fixture
+    assert before.dispatch_misses == 1  # primed by the fixture
 
     result = benchmark(lambda: engine.call(KERNEL, args, memory=memory.copy()).value)
     assert result == expected
 
     after = engine.stats(KERNEL)
     assert after.dispatch_hits > before.dispatch_hits
-    # Every benchmarked violation was a cache hit: no new deoptimizing
-    # OSR, no new continuation build.
+    # Every benchmarked violation dispatched: no new deoptimizing OSR.
     assert after.osr_exits == before.osr_exits
-    assert after.continuations == before.continuations
+    assert after.dispatch_misses == before.dispatch_misses

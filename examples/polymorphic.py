@@ -6,8 +6,8 @@ assumes, the next phase violates.  The pre-multiverse engine
 (``max_versions=1``) settles on a compromise; with ``max_versions > 1``
 the engine clusters entry profiles, keeps one arm-pruned specialized
 version per hot cluster, and dispatches every call to the best-matching
-live version — the dispatched *entries* generalization of the paper's
-dispatched continuations.
+live version — the dispatched *entries* generalization of Deoptless's
+dispatched deopt targets.
 
 The example drives the ``modal_sum`` kernel (an 8-arm ``mode`` dispatch
 loop) through three phases, with an event-bus subscriber printing every

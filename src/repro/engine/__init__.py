@@ -6,8 +6,8 @@ argument, with *Deoptless*'s policy knobs made first-class):
 * :class:`EngineConfig` — every tuning knob as one frozen, validated
   value.
 * :class:`TieringPolicy` — the strategy protocol deciding *when* to
-  compile, where to OSR-enter, whether to cache a continuation and when
-  to invalidate; :class:`HotnessPolicy` is the default,
+  compile, where to OSR-enter, whether to add a version and when to
+  invalidate; :class:`HotnessPolicy` is the default,
   :class:`AlwaysCompile`/:class:`NeverCompile` pin tiers for tests.
 * :class:`Engine` — the facade: :meth:`Engine.from_source` runs
   frontend → lowering → mem2reg → registration in one call,
@@ -20,9 +20,6 @@ from .config import EngineConfig
 from .events import (
     EVENT_TYPES,
     REREGISTERED,
-    ContinuationCached,
-    ContinuationEvicted,
-    ContinuationHit,
     DeoptimizingOSR,
     DispatchedOSR,
     EntryDispatched,
@@ -85,9 +82,6 @@ __all__ = [
     "GuardFailed",
     "DeoptimizingOSR",
     "DispatchedOSR",
-    "ContinuationHit",
-    "ContinuationCached",
-    "ContinuationEvicted",
     "MultiFrameDeopt",
     "SoundnessViolation",
     "Invalidated",

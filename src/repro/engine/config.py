@@ -2,9 +2,8 @@
 
 Every tuning knob of the runtime is a field of :class:`EngineConfig`:
 hotness and profile thresholds, speculation and inlining toggles with
-their budgets, the backend-independent recursion fuel, and the sizes of
-the two bounded caches (the event ring buffer and the per-function
-continuation cache).  The base tier always interprets (only the
+their budgets, the backend-independent recursion fuel, and the size of
+the bounded event ring buffer.  The base tier always interprets (only the
 interpreter profiles) and optimized code always runs compiled.  The
 dataclass is frozen — a config is a value, safely shared between
 engines — and validates itself on construction, so a nonsensical knob
@@ -111,8 +110,9 @@ class EngineConfig:
     step_limit: int = 2_000_000
     #: State-reconstruction mode for OSR mappings and deopt plans.
     mode: ReconstructionMode = ReconstructionMode.AVAIL
-    #: Engine for optimized versions and continuations.  Only
-    #: ``"compiled"`` exists; the field stays for callers that name it.
+    #: Engine for optimized versions and for the f_base landings of
+    #: repeated guard failures.  Only ``"compiled"`` exists; the field
+    #: stays for callers that name it.
     opt_backend: str = "compiled"
 
     # --- background compilation ----------------------------------------- #
@@ -127,8 +127,6 @@ class EngineConfig:
     # --- bounded observability ------------------------------------------ #
     #: Capacity of the event ring buffer (the bounded transition log).
     event_buffer_size: int = 4096
-    #: Per-function cap on cached dispatched-OSR continuations.
-    continuation_cache_size: int = 32
 
     # --- static soundness verification ----------------------------------- #
     #: Publication gate for the static OSR-soundness verifier
@@ -168,9 +166,6 @@ class EngineConfig:
                  f"compile_workers must be >= 0, got {self.compile_workers}")
         _require(self.event_buffer_size >= 1,
                  f"event_buffer_size must be >= 1, got {self.event_buffer_size}")
-        _require(self.continuation_cache_size >= 1,
-                 f"continuation_cache_size must be >= 1, "
-                 f"got {self.continuation_cache_size}")
         _require(isinstance(self.mode, ReconstructionMode),
                  f"mode must be a ReconstructionMode, got {self.mode!r}")
         _require(self.verify_deopt in (None, "off", "warn", "strict"),

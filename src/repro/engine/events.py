@@ -4,7 +4,7 @@ The adaptive runtime narrates its life through
 
 * a :class:`RuntimeEvent` dataclass hierarchy — one class per tier
   transition, each carrying the structured facts a client actually
-  wants (the guard reason, the continuation hit count, the number of
+  wants (the guard reason, the dispatched-OSR hit count, the number of
   reconstructed frames, ...);
 
 * an :class:`EventBus` with subscriber registration — embedders observe
@@ -66,9 +66,6 @@ __all__ = [
     "GuardFailed",
     "DeoptimizingOSR",
     "DispatchedOSR",
-    "ContinuationHit",
-    "ContinuationCached",
-    "ContinuationEvicted",
     "MultiFrameDeopt",
     "SoundnessViolation",
     "Invalidated",
@@ -189,9 +186,6 @@ class VersionRetired(RuntimeEvent):
     speculative: bool = False
     guards: int = 0
     inlined_frames: int = 0
-    #: Cached continuations surviving the eviction (the retired
-    #: version's continuations die with it).
-    continuations: int = 0
 
     kind: ClassVar[str] = "version-retired"
 
@@ -248,9 +242,10 @@ class GuardFailed(RuntimeEvent):
 class DeoptimizingOSR(RuntimeEvent):
     """Execution transferred back to f_base through a deopt mapping.
 
-    ``from_guard`` distinguishes a guard-failure deopt (the dispatched-
-    continuation miss path) from an external :meth:`deoptimize_at`
-    invalidation.
+    ``from_guard`` distinguishes a guard-failure deopt (a guard's first
+    failure in a version, which lands in the profiled base tier; its
+    repeats are :class:`DispatchedOSR`) from an external
+    :meth:`deoptimize_at` invalidation.
     """
 
     from_guard: bool = True
@@ -260,29 +255,17 @@ class DeoptimizingOSR(RuntimeEvent):
 
 @dataclass(frozen=True)
 class DispatchedOSR(RuntimeEvent):
-    """A repeated guard failure jumped straight to a cached continuation."""
+    """A repeated guard failure landed in f_base's compiled code.
+
+    The guard already failed in this version, so instead of a second
+    deopt into the profiled base tier the transferred state enters the
+    compiled backend's OSR entry stub for f_base at the plan's landing
+    point.  ``hits`` counts this guard's dispatches in the version.
+    """
 
     hits: int = 0
 
     kind: ClassVar[str] = "dispatched-osr"
-
-
-#: A dispatched OSR *is* a continuation-cache hit; both names are public.
-ContinuationHit = DispatchedOSR
-
-
-@dataclass(frozen=True)
-class ContinuationCached(RuntimeEvent):
-    """A specialized deopt continuation was built and cached."""
-
-    kind: ClassVar[str] = "continuation-cached"
-
-
-@dataclass(frozen=True)
-class ContinuationEvicted(RuntimeEvent):
-    """The bounded continuation cache evicted its oldest entry."""
-
-    kind: ClassVar[str] = "continuation-evicted"
 
 
 @dataclass(frozen=True)
@@ -315,7 +298,7 @@ class SoundnessViolation(RuntimeEvent):
 
 
 #: ``Invalidated.reason`` used when a name is re-registered with a new
-#: function body: the old version, its continuations, its profile and
+#: function body: the old version, its compiled code, its profile and
 #: its statistics are all discarded, not just the installed code.
 REREGISTERED = "re-registered"
 
@@ -343,8 +326,6 @@ class Invalidated(RuntimeEvent):
     speculative: bool = False
     guards: int = 0
     inlined_frames: int = 0
-    #: Cached continuations surviving the discard.
-    continuations: int = 0
 
     kind: ClassVar[str] = "invalidated"
 
@@ -367,8 +348,6 @@ EVENT_TYPES: Dict[str, Type[RuntimeEvent]] = {
         GuardFailed,
         DeoptimizingOSR,
         DispatchedOSR,
-        ContinuationCached,
-        ContinuationEvicted,
         MultiFrameDeopt,
         SoundnessViolation,
         Invalidated,

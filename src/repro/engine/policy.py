@@ -2,23 +2,25 @@
 
 The adaptive runtime is a mechanism — it knows how to compile, how to
 enter optimized code mid-flight, how to unwind a failing guard, how to
-cache a continuation.  A :class:`TieringPolicy` decides *whether* each
+grow the version multiverse.  A :class:`TieringPolicy` decides *whether* each
 of those is worth doing (the knobs Deoptless identifies as exactly what
 a client wants to vary):
 
 * :meth:`~TieringPolicy.should_compile` — tier a function up now?
 * :meth:`~TieringPolicy.select_osr_point` — where (if anywhere) should
   the triggering call hop into the fresh version mid-execution?
-* :meth:`~TieringPolicy.should_cache_continuation` — build a
-  Deoptless-style dispatched continuation for this guard's deopt?
 * :meth:`~TieringPolicy.should_invalidate` — do repeated failures
   refute the speculation, forcing a recompile without it?
+* :meth:`~TieringPolicy.should_add_version` — grow the multiverse with
+  a version specialized to a hot entry-profile cluster?
 
 Policies are stateless strategies over the runtime's per-function
 :class:`~repro.vm.runtime.TieredFunction` state and the engine's
 :class:`~repro.engine.config.EngineConfig`; correctness constraints
-(deopt-plan coverage, version identity, seeded-plan exclusions) stay in
-the mechanism and cannot be overridden from here.
+(deopt-plan coverage, version identity) and the landing of a guard
+failure (the first one in the profiled base tier, repeats in f_base's
+compiled OSR entry stub) stay in the mechanism and cannot be overridden
+from here.
 
 Concurrency contract: the runtime may consult a policy from any request
 thread, and :meth:`~TieringPolicy.should_compile` is evaluated *inside*
@@ -39,7 +41,6 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 from ..ir.function import ProgramPoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.frames import DeoptPlan
     from ..vm.profile import VersionKey
     from ..vm.runtime import TieredFunction
     from .config import EngineConfig
@@ -78,16 +79,6 @@ class TieringPolicy(Protocol):
         """
         ...
 
-    def should_cache_continuation(
-        self,
-        state: "TieredFunction",
-        point: ProgramPoint,
-        plan: "DeoptPlan",
-        config: "EngineConfig",
-    ) -> bool:
-        """Cache a dispatched continuation for the guard at ``point``?"""
-        ...
-
     def should_invalidate(
         self,
         state: "TieredFunction",
@@ -122,8 +113,8 @@ class HotnessPolicy:
 
     Compiles at ``hotness_threshold`` calls, prefers an OSR entry inside
     a loop (a long-running iteration is where an optimizing OSR pays),
-    always caches continuations, and refutes a speculation after
-    ``invalidate_after`` failures at one guard.
+    refutes a speculation after ``invalidate_after`` failures at one
+    guard, and always lets the multiverse grow.
     """
 
     def should_compile(
@@ -141,15 +132,6 @@ class HotnessPolicy:
         if loop_points:
             return loop_points[0]
         return candidates[0] if candidates else None
-
-    def should_cache_continuation(
-        self,
-        state: "TieredFunction",
-        point: ProgramPoint,
-        plan: "DeoptPlan",
-        config: "EngineConfig",
-    ) -> bool:
-        return True
 
     def should_invalidate(
         self,

@@ -33,8 +33,6 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from .events import (
     REREGISTERED,
-    ContinuationCached,
-    ContinuationEvicted,
     DeoptimizingOSR,
     DispatchedOSR,
     EntryDispatched,
@@ -95,7 +93,6 @@ class EngineStats:
     invalidations: int = 0
     dispatch_hits: int = 0
     dispatch_misses: int = 0
-    continuations: int = 0
     #: Live versions in the function's multiverse (gauge).
     versions: int = 0
     versions_added: int = 0
@@ -170,12 +167,12 @@ def _bump(stream: Dict[LabelValues, int], labels: LabelValues) -> None:
     stream[labels] = stream.get(labels, 0) + 1
 
 
-def _counts(*names: str, amount: int = 1) -> Updater:
-    """An updater that only moves record fields."""
+def _counts(*names: str) -> Updater:
+    """An updater that only increments record fields."""
 
     def update(state, record, event) -> None:
         for name in names:
-            record[name] += amount
+            record[name] += 1
 
     return update
 
@@ -217,7 +214,6 @@ def _version_added(state, record, event) -> None:
 
 def _version_retired(state, record, event) -> None:
     _version_gauges(record, event)
-    record["continuations"] = event.continuations  # the evicted one's died with it
     record["versions_retired"] += 1
 
 
@@ -232,7 +228,6 @@ def _invalidated(state, record, event) -> None:
         record.update(_ZEROS)
         return
     _version_gauges(record, event)
-    record["continuations"] = event.continuations  # the discarded one's died with it
     record["invalidations"] += 1
 
 
@@ -266,8 +261,6 @@ _UPDATERS: Dict[type, Updater] = {
     GuardFailed: _guard_failed,
     DeoptimizingOSR: _deoptimizing_osr,
     DispatchedOSR: _counts("dispatch_hits"),
-    ContinuationCached: _counts("continuations"),
-    ContinuationEvicted: _counts("continuations", amount=-1),
     MultiFrameDeopt: _counts("osr_exits", "multiframe_deopts"),
     SoundnessViolation: _counts("soundness_violations"),
     Invalidated: _invalidated,

@@ -340,8 +340,9 @@ class Guard(Instruction):
     condition evaluates to zero does not continue in the current
     version: the interpreter raises
     :class:`~repro.ir.interp.GuardFailure` carrying the live state, and
-    the runtime answers with a deoptimizing OSR (or a dispatched
-    continuation) at the guard's program point.
+    the runtime answers with a deoptimizing OSR (or, on a repeat, a
+    dispatched OSR into f_base's compiled code) at the guard's program
+    point.
 
     Guards are side-effecting so no pass removes, moves or merges them:
     the deoptimization they trigger is an observable effect.

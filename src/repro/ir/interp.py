@@ -69,7 +69,7 @@ class GuardFailure(RuntimeError):
     deoptimizing OSR transfers: the function, the guard's program point,
     the environment, the memory and the block execution arrived from.
     The speculative runtime catches this and lands in the unoptimized
-    code (or a cached continuation) instead of crashing.
+    code instead of crashing.
     """
 
     def __init__(

@@ -163,10 +163,9 @@ SUMMARY_COLUMNS = (
     "guard_failures",
     "deopts",
     "dispatched_osr",
-    "continuations",
     "entry_dispatches",
 )
-#: ``top``'s nine columns (a replayed stream has no engine to ask the tier of).
+#: ``top``'s eight columns (a replayed stream has no engine to ask the tier of).
 TOP_COLUMNS = tuple(c for c in SUMMARY_COLUMNS if c not in ("tier", "speculative"))
 
 
@@ -181,7 +180,6 @@ def summary_row(name: str, stats: Dict[str, int]) -> Dict[str, object]:
         "guard_failures": stats.get("guard_failures", 0),
         "deopts": stats.get("osr_exits", 0),
         "dispatched_osr": stats.get("dispatch_hits", 0),
-        "continuations": stats.get("continuations", 0),
         "entry_dispatches": stats.get("entry_dispatches", 0),
     }
 
@@ -333,9 +331,7 @@ def run(
 @click.option("--calls", default=0, show_default=True, help="Warm-up calls before inspecting.")
 @click.option(
     "--show",
-    type=click.Choice(
-        ["summary", "versions", "guards", "continuations", "stats", "profile"]
-    ),
+    type=click.Choice(["summary", "versions", "guards", "stats", "profile"]),
     default="summary",
     show_default=True,
     help="Which section of the engine state to render.",
@@ -378,7 +374,7 @@ def inspect(
         details = {
             name: engine.runtime.introspect(name)
             for name in sorted(engine.function_names())
-            if show in ("versions", "guards", "continuations")
+            if show in ("versions", "guards")
         }
         if show == "summary":
             columns = SUMMARY_COLUMNS + ("restored",)
@@ -430,18 +426,6 @@ def inspect(
                                 "obligations": ",".join(failed) or None,
                             }
                         )
-        elif show == "continuations":
-            columns = ("function", "key", "point", "live", "hits", "capacity")
-            rows = [
-                {
-                    "function": name,
-                    **continuation,
-                    "live": ",".join(continuation["live"]),
-                    "capacity": detail["continuation_capacity"],
-                }
-                for name, detail in details.items()
-                for continuation in detail["continuations"]
-            ]
         elif show == "stats":
             sample = engine.stats(engine.function_names()[0]).as_dict()
             columns = ("function",) + tuple(sample)

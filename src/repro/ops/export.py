@@ -163,12 +163,6 @@ class MetricsServer:
         if self._thread.is_alive():
             self._thread.join(timeout=5)
 
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def serve_metrics(
     exporter: MetricsExporter, host: str = "127.0.0.1", port: int = 0

@@ -152,8 +152,8 @@ STAT_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
     ("osr_exits", "repro_deopts_total", "Transfers back to the base tier (OSR-out)."),
     ("multiframe_deopts", "repro_multiframe_deopts_total", "Deopts that materialized an inlined virtual call stack."),
     ("invalidations", "repro_invalidations_total", "Versions discarded after refuted speculation."),
-    ("dispatch_hits", "repro_dispatched_osr_total", "Guard failures served by a cached continuation."),
-    ("dispatch_misses", "repro_dispatch_misses_total", "Guard-failure deopts that missed the continuation cache."),
+    ("dispatch_hits", "repro_dispatched_osr_total", "Repeated guard failures landed in f_base's compiled OSR entry stub."),
+    ("dispatch_misses", "repro_dispatch_misses_total", "First guard failures per version, deoptimized into the profiled base tier."),
     ("versions_added", "repro_version_adds_total", "Versions that joined a function's multiverse."),
     ("versions_retired", "repro_version_retirements_total", "Cold versions evicted to honour max_versions."),
     ("entry_dispatches", "repro_entry_dispatches_total", "Calls dispatched among specialized versions."),
@@ -166,7 +166,6 @@ STAT_GAUGES: Tuple[Tuple[str, str, str], ...] = (
     ("guards", "repro_guards", "Guards in the installed version."),
     ("inlined_frames", "repro_inlined_frames", "Inlined frames in the installed version."),
     ("versions", "repro_versions", "Live versions in the function's multiverse."),
-    ("continuations", "repro_continuations", "Cached deopt continuations."),
 )
 
 

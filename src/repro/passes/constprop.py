@@ -5,8 +5,8 @@ expression are substituted into their uses (a ``replace`` action), the
 now-dead constant definitions are deleted, and expressions that become
 fully constant are folded in place.  Every edit goes through the
 CodeMapper.  The engine runs its branch-aware superset,
-:mod:`repro.passes.sccp`, instead; this pass serves Table 1's ``CP`` row
-and the non-SSA deopt continuations, where only folding is sound.
+:mod:`repro.passes.sccp`, instead; Table 1's ``CP`` row
+(``ALL_PASSES["CP"]``) is this pass's only user.
 """
 
 from __future__ import annotations

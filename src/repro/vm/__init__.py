@@ -25,9 +25,7 @@ from .profile import (
 )
 from .runtime import (
     AdaptiveRuntime,
-    CachedContinuation,
     CompiledVersion,
-    ContinuationKey,
     ExecutionContext,
     SpecializedVersion,
     TieredFunction,
@@ -36,10 +34,8 @@ from .runtime import (
 __all__ = [
     "AdaptiveRuntime",
     "TieredFunction",
-    "CachedContinuation",
     "CompiledVersion",
     "SpecializedVersion",
-    "ContinuationKey",
     "ExecutionContext",
     "VersionKey",
     "GENERIC_KEY",

@@ -17,7 +17,7 @@ table).  Around them this module keeps registration, the compile
 claim / submit / sticky-error pipeline and :meth:`introspect`.
 
 Locks: ``TieredFunction.lock`` guards that function's counters, table
-swaps, continuation cache, failure bookkeeping and compile-claim flags;
+swaps, failure bookkeeping and compile-claim flags;
 it is never held across execution, compilation or event delivery, and
 ``versions`` (always a complete immutable tuple) may be read without it.
 ``TieredFunction.announce`` orders table changes with their events.
@@ -61,19 +61,13 @@ from ..ir.interp import (
 )
 from .backend import CompiledBackend, InterpreterBackend
 from .profile import GENERIC_KEY, EntryClusterer, ShardedValueProfile, VersionKey
-from .transitions import (
-    CachedContinuation,
-    ContinuationKey,
-    Transitions,
-    describe_continuations,
-)
+from .transitions import Transitions
 from .version import (
     NO_GAUGES,
     CompiledVersion,
     SpecializedVersion,
     admit,
     build_version,
-    drop_continuations,
     excluded_reasons,
     select,
     verify_gate,
@@ -88,8 +82,6 @@ COUNTERS = (
 )
 
 __all__ = [
-    "ContinuationKey",
-    "CachedContinuation",
     "CompiledVersion",
     "SpecializedVersion",
     "ExecutionContext",
@@ -158,7 +150,6 @@ class TieredFunction:
     #: Guard reasons refuted by repeated failures, per version key
     #: (see :func:`repro.vm.version.excluded_reasons`).
     refuted_reasons: Dict[VersionKey, set] = field(default_factory=dict)
-    continuations: Dict[ContinuationKey, CachedContinuation] = field(default_factory=dict)
     #: True while a compile job (sync or background) is claimed.
     compile_inflight: bool = False
     #: Set when the in-flight compile finishes (success or failure).
@@ -218,7 +209,8 @@ class AdaptiveRuntime:
         #: The profiled base tier interprets: only the interpreter feeds a
         #: profiler and pauses at a ``break_at`` point.
         self.base_backend = InterpreterBackend(step_limit=step_limit)
-        #: Optimized versions and continuations run as generated Python.
+        #: Optimized versions, and f_base where a repeated guard failure
+        #: lands (through an OSR entry stub), run as generated Python.
         #: Neither backend carries a module: calls resolve through the
         #: dispatchers :meth:`register` installs, so every callee tiers
         #: independently and the call-depth fuel holds.
@@ -306,7 +298,7 @@ class AdaptiveRuntime:
             raise ValueError(
                 f"a function named @{function.name} is already registered; "
                 f"pass replace=True to supersede it (the old version, its "
-                f"cached continuations and its statistics are discarded)"
+                f"compiled code and its statistics are discarded)"
             )
         state = TieredFunction(
             base=function,
@@ -316,10 +308,11 @@ class AdaptiveRuntime:
         if existing is not None:
             # The superseded state keeps its table for the activations
             # still on it (they hold what they run); only the backend's
-            # cached artifacts go.
-            with existing.lock:
-                dead = [entry.version.optimized for entry in existing.versions]
-                dead += [c.info.function for c in existing.continuations.values()]
+            # cached artifacts go: its versions' code and the landing
+            # stubs of its base.
+            dead = [existing.base] + [
+                entry.version.optimized for entry in existing.versions
+            ]
             self._discard_artifacts(dead)
             self.profile.discard(function.name)
             self.bus.publish(Invalidated(function.name, None, reason=REREGISTERED))
@@ -480,7 +473,6 @@ class AdaptiveRuntime:
                 )
                 dead = self._install_locked(state, table)
                 live = len(table)
-                continuations = len(state.continuations)
                 added = not restored and (
                     key.specificity > 0 or live > 1 or bool(retired)
                 )
@@ -499,13 +491,7 @@ class AdaptiveRuntime:
             # Gauges on a retirement describe the newest survivor — the
             # version just published.
             events += [
-                VersionRetired(
-                    name,
-                    key=str(victim.key),
-                    versions=live,
-                    continuations=continuations,
-                    **gauges,
-                )
+                VersionRetired(name, key=str(victim.key), versions=live, **gauges)
                 for victim in retired
             ]
             self._discard_artifacts(dead)
@@ -521,10 +507,9 @@ class AdaptiveRuntime:
 
         The one place ``TieredFunction.versions`` is assigned.  Whatever
         is a function of the table alone is settled here, not per call:
-        :attr:`TieredFunction.sole`, and the cached continuations of the
-        entries that left (retired, invalidated or replaced under the
-        same key).  Returns the code nothing will dispatch to again —
-        those entries' optimized functions and continuations — for
+        :attr:`TieredFunction.sole`.  Returns the code nothing will
+        dispatch to again — the optimized functions of the entries that
+        left (retired, invalidated or replaced under the same key) — for
         :meth:`_discard_artifacts` once the lock is released.
         """
         gone = [
@@ -532,10 +517,7 @@ class AdaptiveRuntime:
         ]
         state.versions = table
         state.sole = table[0] if len(table) == 1 and table[0].key.generic else None
-        dropped = drop_continuations(state.continuations, [old.key for old in gone])
-        return [old.version.optimized for old in gone] + [
-            cached.info.function for cached in dropped
-        ]
+        return [old.version.optimized for old in gone]
 
     def _discard_artifacts(self, dead: Sequence[Function]) -> None:
         """Let the optimized tier's backend forget code that left a table.
@@ -772,8 +754,12 @@ class AdaptiveRuntime:
         args: Sequence[int],
         *,
         multiframe: bool,
-    ) -> None:
+    ) -> int:
         """Count a guard failure; past the policy's threshold, act on it.
+
+        Returns how often this guard of ``entry`` has now failed, read
+        under the lock that recorded it (so two concurrent first
+        failures cannot both see a repeat).
 
         Once ``should_invalidate`` says the guard failed often enough,
         the failing call's entry cluster is nominated
@@ -781,9 +767,9 @@ class AdaptiveRuntime:
         cluster* claims a build pinning exactly the values that kept
         refuting ``entry`` — the multiverse answer to a phase change.
 
-        A **single-frame** guard stops there: cached continuations make
-        its repeat failures cheap, and the specialized newcomer will
-        out-match the failing version for the refuting cluster.  A
+        A **single-frame** guard stops there: its repeat failures land
+        in f_base's compiled OSR entry stub, and the specialized newcomer
+        will out-match the failing version for the refuting cluster.  A
         **multi-frame** guard pays a full stack reconstruction per
         failure, so its reason is also blacklisted *for this version's
         key* and the version discarded (if it is still the live one);
@@ -801,7 +787,7 @@ class AdaptiveRuntime:
         if failure.reason is None or not self.policy.should_invalidate(
             state, failure.point, count, self.config
         ):
-            return
+            return count
         with state.announce:
             with state.lock:
                 if multiframe:
@@ -819,11 +805,10 @@ class AdaptiveRuntime:
                 if not multiframe or all(
                     live is not entry for live in state.versions
                 ):
-                    return
+                    return count
                 survivors = without(state.versions, entry)
                 dead = self._install_locked(state, survivors)
                 state.invalidations += 1
-                continuations = len(state.continuations)
             self._discard_artifacts(dead)
             gauges = survivors[-1].version.gauges() if survivors else NO_GAUGES
             self.bus.publish(
@@ -834,10 +819,10 @@ class AdaptiveRuntime:
                     tier=Tier.OPTIMIZED if survivors else Tier.BASE,
                     key=str(entry.key),
                     versions=len(survivors),
-                    continuations=continuations,
                     **gauges,
                 )
             )
+        return count
 
     # ------------------------------------------------------------------ #
     # Forced deoptimization (external invalidation).
@@ -872,10 +857,10 @@ class AdaptiveRuntime:
         """A read-only, JSON-safe snapshot of one function's tier state.
 
         The single place the state lock is taken to *describe* a
-        function: its counters, the live version table, the continuation
-        cache, the refuted reasons per version key and the compile
-        claim.  :meth:`stats`, ``FunctionHandle.versions`` and the
-        ``repro inspect`` tables are projections of it.
+        function: its counters, the live version table, the refuted
+        reasons per version key and the compile claim.  :meth:`stats`,
+        ``FunctionHandle.versions`` and the ``repro inspect`` tables are
+        projections of it.
         """
         state = self.functions[name]
         with state.lock:
@@ -890,8 +875,6 @@ class AdaptiveRuntime:
                     entry.describe(dispatched=entry.key == state.last_dispatched_key)
                     for entry in state.versions
                 ],
-                "continuations": describe_continuations(state.continuations),
-                "continuation_capacity": self.config.continuation_cache_size,
                 "refuted_reasons": {
                     str(key): sorted(str(reason) for reason in reasons)
                     for key, reasons in sorted(
@@ -921,7 +904,6 @@ class AdaptiveRuntime:
             "speculative": int(newest.get("speculative", False)),
             "guards": newest.get("guards", 0),
             "inlined_frames": newest.get("inlined_frames", 0),
-            "continuations": len(detail["continuations"]),
             "versions": len(versions),
             **detail["counters"],
         }

@@ -2,8 +2,8 @@
 
 In the vocabulary of "On-Stack Replacement à la Carte" a *transition*
 is a mapping application.  This module is the one client of
-:mod:`repro.core.frames`, :mod:`repro.core.osrkit` and the
-forward/backward :class:`~repro.core.mapping.OSRMapping` objects a
+:mod:`repro.core.frames` and the forward/backward
+:class:`~repro.core.mapping.OSRMapping` objects a
 :class:`~repro.vm.version.CompiledVersion` carries:
 
 * **Optimizing OSR** (:meth:`Transitions.enter_mid_flight`) — the call
@@ -11,9 +11,12 @@ forward/backward :class:`~repro.core.mapping.OSRMapping` objects a
   transfers its state through the forward mapping and lands in the
   optimized code.
 * **Guard failure** (:meth:`Transitions.guard_failed`) — the live state
-  goes back to f_base through the failing guard's plan: one frame (with
-  a Deoptless-style dispatched continuation cached for repeat failures)
-  or, for a guard inside inlined code, the whole virtual call stack.
+  goes back to f_base through the failing guard's plan: one frame or,
+  for a guard inside inlined code, the whole virtual call stack.  A
+  single frame's first failure lands in the profiled base tier; its
+  repeat failures dispatch (Deoptless-style) to code that already
+  exists — the compiled backend's OSR entry stub for f_base at the
+  plan's landing point, the same landing optimizing OSR uses.
 * **Forced deoptimization** (:meth:`Transitions.deoptimize_at`) — an
   external invalidation pauses the optimized code at a point and maps
   back through the version's full backward mapping.
@@ -23,22 +26,18 @@ activation started with: other activations may invalidate or replace
 entries while this one is on the stack, and its failure must use the
 plans of the version that actually raised it.  What a failure *means*
 for the table is the coordinator's policy bookkeeping (``note_failure``).
-Locks are held only around counter and cache updates, never across
-execution or event publication.
+Locks are held only around counter updates, never across execution or
+event publication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_loops
 from ..core.frames import DeoptPlan, FrameState
-from ..core.osrkit import ContinuationInfo, make_continuation
 from ..engine.events import (
-    ContinuationCached,
-    ContinuationEvicted,
     DeoptimizingOSR,
     DispatchedOSR,
     GuardFailed,
@@ -50,52 +49,12 @@ from ..ir.expr import evaluate, free_vars
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Guard, Phi
 from ..ir.interp import ExecutionResult, GuardFailure, Interpreter, Memory
-from ..passes import ConstantPropagationPass
-from .profile import VersionKey
 from .version import CompiledVersion, SpecializedVersion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import AdaptiveRuntime, TieredFunction
 
-__all__ = [
-    "ContinuationKey",
-    "CachedContinuation",
-    "Transitions",
-    "describe_continuations",
-]
-
-#: Identity of a dispatched-OSR target: the version (by its entry-profile
-#: key — at most one version per key is ever live), the failing guard's
-#: program point in the optimized code, plus the *shape* of the live
-#: state being transferred (the set of variables live at the landing
-#: point).  For the strict mappings the runtime builds today the shape is
-#: fully determined by the point — its job is defensive: a cached
-#: continuation's parameter list derives from the shape, so if a future
-#: non-strict mapping ever produces a different live set at the same
-#: point, it gets its own continuation instead of a mis-parameterized
-#: call.  Keying by version keeps a continuation specialized against one
-#: version from ever serving another's deopt.
-ContinuationKey = Tuple[VersionKey, ProgramPoint, FrozenSet[str]]
-
-
-@dataclass
-class CachedContinuation:
-    """One specialized continuation plus its dispatch statistics."""
-
-    info: ContinuationInfo
-    hits: int = 0
-
-
-def describe_continuations(
-    continuations: Dict[ContinuationKey, CachedContinuation],
-) -> List[Dict[str, object]]:
-    """JSON-safe rows for a continuation cache (caller holds its lock)."""
-    return [
-        {"key": str(key), "point": str(point), "live": sorted(live), "hits": cached.hits}
-        for (key, point, live), cached in sorted(
-            continuations.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-        )
-    ]
+__all__ = ["Transitions"]
 
 
 def osr_entry_candidates(
@@ -162,31 +121,12 @@ def speculation_holds(
     return True
 
 
-def build_continuation(
-    base: Function, point: ProgramPoint, plan: DeoptPlan, version: CompiledVersion
-) -> ContinuationInfo:
-    """Specialize an f_base continuation for one guard's deopt target."""
-    frame = plan.frames[0]
-    info = make_continuation(
-        base,
-        frame.target,
-        frame.compensation,
-        sorted(version.pair.opt_view.live_in(point)),
-        name=f"{base.name}.deopt.{point.block}.{point.index}",
-    )
-    # The continuation is not SSA (compensation re-defines registers of
-    # the code it jumps into), so only run transforms that are sound
-    # without SSA: constant folding.
-    ConstantPropagationPass().run(info.function)
-    return info
-
-
 class Transitions:
     """Executes OSR entries, guard-failure deopts and forced deopts.
 
     Shares the runtime's config, policy, bus, profile sink and backends;
-    owns no state of its own (the continuation cache and the transition
-    counters live on the ``TieredFunction``, under its lock).
+    owns no state of its own (the transition counters live on the
+    ``TieredFunction``, under its lock).
     """
 
     def __init__(self, runtime: "AdaptiveRuntime") -> None:
@@ -198,8 +138,9 @@ class Transitions:
         self.base_backend = runtime.base_backend
         #: Host dispatchers routing residual calls back through the runtime.
         self.natives = runtime._dispatchers
-        #: ``(state, failure, entry, args, multiframe=...)`` — the
-        #: coordinator's failure-policy bookkeeping.
+        #: ``(state, failure, entry, args, multiframe=...) -> count`` —
+        #: the coordinator's failure-policy bookkeeping; returns how often
+        #: this guard of ``entry`` has now failed.
         self.note_failure = runtime._note_failure
 
     # ------------------------------------------------------------------ #
@@ -324,42 +265,35 @@ class Transitions:
         )
         if plan.is_multiframe:
             return self._unwind_multiframe(state, failure, plan, entry, args)
-        self.note_failure(state, failure, entry, args, multiframe=False)
+        count = self.note_failure(state, failure, entry, args, multiframe=False)
 
         frame = plan.frames[0]
         landing_env = frame.transfer(failure.env)
-        key: ContinuationKey = (entry.key, failure.point, frozenset(landing_env))
         previous_block = (
             failure.previous_block if failure.previous_block in base.blocks else None
         )
-
-        with state.lock:
-            cached = state.continuations.get(key)
-            if cached is not None:
-                # Dispatched OSR: jump straight into the specialized
-                # continuation instead of re-deoptimizing through f_base.
-                cached.hits += 1
-                hits = cached.hits
+        if count > 1:
+            # Dispatched OSR: this guard of this version failed before,
+            # so land in f_base's compiled OSR entry stub for the plan's
+            # target instead of re-deoptimizing into the profiled tier.
+            with state.lock:
                 state.dispatch_hits += 1
-            else:
-                state.dispatch_misses += 1
-                state.osr_exits += 1
-        if cached is not None:
-            self.publish(DispatchedOSR(base.name, failure.point, hits=hits))
-            # Strict lookup: a parameter missing from both environments
-            # is a state-transfer bug that must fail loudly, not run the
-            # continuation on a fabricated value.
-            call_args = [
-                failure.env[param] if param in failure.env else landing_env[param]
-                for param in cached.info.entry_params
-            ]
-            return self.opt_backend.run(
-                cached.info.function, call_args, memory=failure.memory
+            self.publish(DispatchedOSR(base.name, failure.point, hits=count - 1))
+            return self.opt_backend.run_from(
+                base,
+                frame.target,
+                landing_env,
+                memory=failure.memory,
+                previous_block=previous_block,
             )
 
-        # Slow path: classic deoptimizing OSR back into f_base.
+        # First failure: classic deoptimizing OSR into the profiled base
+        # tier, which keeps learning after the speculation is refuted.
+        with state.lock:
+            state.dispatch_misses += 1
+            state.osr_exits += 1
         self.publish(DeoptimizingOSR(base.name, failure.point, from_guard=True))
-        result = self.base_backend.run_from(
+        return self.base_backend.run_from(
             base,
             frame.target,
             landing_env,
@@ -367,49 +301,6 @@ class Transitions:
             previous_block=previous_block,
             profiler=self.profile,
         )
-        # Pay the continuation build off the critical path of *this*
-        # failure; the next failure with the same shape dispatches.  Skip
-        # the cache when the installed version is no longer the one that
-        # failed (another activation invalidated it): a continuation
-        # specialized against a stale version must not serve a new one.
-        # Plans with value seeds are also excluded: a seeded variable is
-        # rebuilt only by the plan's transfer, which the baked-in
-        # continuation entry cannot reproduce — those guards always take
-        # the slow path.  The policy gets the final (non-correctness)
-        # veto, and the cache is bounded: oldest entry out first.  The
-        # insert re-checks version identity and key absence under the
-        # lock, so concurrent failures of the same shape cache (and
-        # publish) exactly once.
-        if (
-            any(live is entry for live in state.versions)
-            and not frame.param_seeds
-            and self.policy.should_cache_continuation(
-                state, failure.point, plan, self.config
-            )
-        ):
-            continuation = build_continuation(base, failure.point, plan, version)
-            evicted: List[Tuple[ProgramPoint, CachedContinuation]] = []
-            with state.lock:
-                stored = (
-                    any(live is entry for live in state.versions)
-                    and key not in state.continuations
-                )
-                if stored:
-                    state.continuations[key] = CachedContinuation(continuation)
-                    while (
-                        len(state.continuations)
-                        > self.config.continuation_cache_size
-                    ):
-                        evicted_key = next(iter(state.continuations))
-                        evicted.append(
-                            (evicted_key[1], state.continuations.pop(evicted_key))
-                        )
-            if stored:
-                self.publish(ContinuationCached(base.name, failure.point))
-                for point, victim in evicted:
-                    self.opt_backend.discard(victim.info.function)
-                    self.publish(ContinuationEvicted(base.name, point))
-        return result
 
     def _unwind_multiframe(
         self,

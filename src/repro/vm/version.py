@@ -35,7 +35,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -73,7 +72,6 @@ __all__ = [
     "select",
     "admit",
     "without",
-    "drop_continuations",
 ]
 
 
@@ -443,8 +441,7 @@ def admit(
     key), then retires the least-recently-dispatched entries — never the
     newcomer — until at most ``max_versions`` remain.  Returns the new
     table and the retired entries (a replaced same-key entry is not
-    *retired*, but its continuations are just as dead: see
-    :func:`drop_continuations`).
+    *retired*, but its code is just as dead).
     """
     entries = [live for live in versions if live.key != entry.key]
     entries.append(entry)
@@ -462,18 +459,3 @@ def without(
     """``versions`` minus exactly ``entry`` (by identity, not by key)."""
     return tuple(live for live in versions if live is not entry)
 
-
-def drop_continuations(
-    continuations: MutableMapping[tuple, object], dead_keys: Iterable[VersionKey]
-) -> List[object]:
-    """Flush (and return) cached continuations belonging to ``dead_keys``.
-
-    A continuation is specialized against one version (its cache key
-    leads with that version's :class:`VersionKey`); once the version is
-    replaced, retired or invalidated it must never serve a live one.
-    """
-    dead = set(dead_keys)
-    return [
-        continuations.pop(ckey)
-        for ckey in [ckey for ckey in continuations if ckey[0] in dead]
-    ]

@@ -4,7 +4,7 @@ Each kernel has a *warm* input regime, in which the profile-guided
 speculation of :class:`~repro.passes.speculate.SpeculativeGuards` holds,
 and a *violating* regime that breaks exactly one speculated assumption —
 forcing a guard failure, a deoptimizing OSR and (on repetition) a
-dispatched continuation:
+dispatched OSR into f_base's compiled code:
 
 * ``dispatch`` — an interpreter-style loop dispatching on a ``kind``
   parameter.  Monomorphic warmup calls make ``kind`` an assume-constant

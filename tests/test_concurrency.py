@@ -16,7 +16,7 @@ Six layers of coverage:
 
 * **Thread-stress differential suite** — 8 threads × sync/async
   compile hammering call-heavy kernels (including guard-violating
-  inputs, so deopts, dispatched continuations and invalidations happen
+  inputs, so deopts, dispatched OSRs and invalidations happen
   *concurrently*), asserting every result matches
   the single-threaded interpreter oracle, no tier install is ever torn
   (every installed guard has a plan), and the event-derived
@@ -557,8 +557,9 @@ def test_thread_stress_differential(backend, workers, kernel):
     """8 threads, mixed regular/violating inputs, vs the interpreter oracle.
 
     Violating inputs make guards fail *while* other threads run the same
-    optimized version, exercising concurrent deopt, continuation caching
-    and invalidation against the atomic-install machinery.
+    optimized version, exercising concurrent deopt, dispatched OSR into
+    f_base's compiled code and invalidation against the atomic-install
+    machinery.
     """
     entry = CALL_KERNEL_ENTRIES[kernel]
     regular = call_kernel_arguments(kernel, size=12)

@@ -5,7 +5,7 @@ Covers the public embedding API end to end: `EngineConfig` validation
 counting policy that records every consultation), the bounded event
 ring buffer, the bare `AdaptiveRuntime(EngineConfig)` mechanism, and the
 acceptance round-trip — a frontend program driven through warm-up,
-tier-up, guard failure and dispatched continuation with every
+tier-up, guard failure and dispatched OSR with every
 transition observed as a typed `RuntimeEvent` and `EngineStats`
 agreeing with the mechanism's own `stats()` dict.
 """
@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine import (
     AlwaysCompile,
-    ContinuationCached,
     DeoptimizingOSR,
     DispatchedOSR,
     Engine,
@@ -81,7 +80,6 @@ class TestEngineConfig:
             ("max_call_depth", -1),
             ("step_limit", 0),
             ("event_buffer_size", 0),
-            ("continuation_cache_size", 0),
             ("opt_backend", "turbo"),
             ("opt_backend", "interp"),
             ("mode", "avail"),
@@ -121,7 +119,6 @@ class CountingPolicy(HotnessPolicy):
         self.consultations = {
             "should_compile": 0,
             "select_osr_point": 0,
-            "should_cache_continuation": 0,
             "should_invalidate": 0,
         }
 
@@ -132,10 +129,6 @@ class CountingPolicy(HotnessPolicy):
     def select_osr_point(self, state, candidates, loop_points, config):
         self.consultations["select_osr_point"] += 1
         return super().select_osr_point(state, candidates, loop_points, config)
-
-    def should_cache_continuation(self, state, point, plan, config):
-        self.consultations["should_cache_continuation"] += 1
-        return super().should_cache_continuation(state, point, plan, config)
 
     def should_invalidate(self, state, point, failures, config):
         self.consultations["should_invalidate"] += 1
@@ -180,7 +173,6 @@ class TestPolicyInjection:
         # the question is settled and not re-asked.
         assert policy.consultations["should_compile"] == 3
         assert policy.consultations["select_osr_point"] == 1
-        assert policy.consultations["should_cache_continuation"] == 1
 
     def test_counting_policy_sees_invalidation_decisions(self):
         policy = CountingPolicy()
@@ -302,7 +294,7 @@ class TestBareRuntime:
 
 
 # ---------------------------------------------------------------------- #
-# The bounded continuation cache.
+# Guard-failure landings: first failure deopts, repeats dispatch.
 # ---------------------------------------------------------------------- #
 
 TWO_SPEC_SRC = """
@@ -318,32 +310,38 @@ func twospec(a, b, n) {
 """
 
 
-class TestContinuationCacheBound:
-    def test_oldest_continuation_is_evicted(self):
+class TestGuardFailureLanding:
+    def test_first_failure_deopts_and_repeats_dispatch(self):
         from repro.ir.interp import Memory
 
         engine = Engine.from_source(
-            TWO_SPEC_SRC,
-            config=EngineConfig(
-                hotness_threshold=3, min_samples=2, continuation_cache_size=1
-            ),
+            TWO_SPEC_SRC, config=EngineConfig(hotness_threshold=3, min_samples=2)
         )
         handle = engine.function("twospec")
         for _ in range(5):  # warm: both a and b are monomorphic
             assert handle(1, 2, 8, memory=Memory()) == 32
         assert handle.speculative and handle.stats.guards >= 2
-        # Fail the guard on `a`, then the guard on `b`: two distinct
-        # continuation shapes against a cache bounded to one entry.
-        assert handle(9, 2, 8, memory=Memory()) == 160
-        assert handle(9, 2, 8, memory=Memory()) == 160  # dispatched hit
-        assert handle(1, 7, 8, memory=Memory()) == 72   # second shape
-        state = handle.state
-        assert len(state.continuations) == 1
-        kinds = [event.kind for event in engine.events]
-        assert "continuation-evicted" in kinds
+        observed = []
+        engine.subscribe(observed.append)
+        # Fail the guard on `a` twice, then the guard on `b` once.
+        assert handle(9, 2, 8, memory=Memory()) == 160  # a: first, deopts
+        assert handle(9, 2, 8, memory=Memory()) == 160  # a: repeat, dispatches
+        assert handle(1, 7, 8, memory=Memory()) == 72   # b: first, deopts
+        landings = [
+            (type(event), event.point)
+            for event in observed
+            if isinstance(event, (DeoptimizingOSR, DispatchedOSR))
+        ]
+        guard_a, guard_b = landings[0][1], landings[2][1]
+        assert guard_a != guard_b
+        assert landings == [
+            (DeoptimizingOSR, guard_a),
+            (DispatchedOSR, guard_a),
+            (DeoptimizingOSR, guard_b),
+        ]
         stats = handle.stats
-        assert stats.continuations == 1
         assert stats.dispatch_hits == 1
+        assert stats.dispatch_misses == 2 and stats.osr_exits == 2
         assert stats.as_dict() == engine.runtime.stats("twospec")
 
 
@@ -357,7 +355,7 @@ class TestEngineRoundTrip:
     def test_frontend_program_round_trips_with_typed_events(self, backend_name):
         # The single-version journey end to end: with a multiverse the
         # third violating call would tier up a specialized version
-        # instead of hitting the dispatched continuation twice.
+        # instead of dispatching twice.
         engine = _dispatch_engine(backend_name, max_versions=1)
         handle = engine.function("dispatch")
         observed = []
@@ -368,7 +366,7 @@ class TestEngineRoundTrip:
             args, memory = speculative_arguments("dispatch")
             expected = run_function(oracle, args, memory=memory.copy()).value
             assert handle(*args, memory=memory) == expected
-        for _ in range(3):  # guard failure → deopt → dispatched continuation
+        for _ in range(3):  # guard failure → deopt → dispatched OSR
             args, memory = speculative_arguments("dispatch", violate=True)
             expected = run_function(oracle, args, memory=memory.copy()).value
             assert handle(*args, memory=memory) == expected
@@ -380,7 +378,6 @@ class TestEngineRoundTrip:
             OptimizingOSR,
             GuardFailed,
             DeoptimizingOSR,
-            ContinuationCached,
             DispatchedOSR,
         ):
             assert expected_kind in kinds, expected_kind.__name__

@@ -45,6 +45,28 @@ def test_imports_load_nothing_above_them(case):
     assert result.stdout.split() == []
 
 
+def test_the_runtime_builds_no_continuation_function():
+    """One landing mechanism: a guard failure lands in f_base through the
+    compiled backend's OSR entry stubs, so ``repro.vm`` uses neither
+    OSRKit's continuation builder nor the constant folder that cleaned
+    its output up.  (Both stay loadable: ``repro.core`` and
+    ``repro.passes`` export them for the paper's experiments.)"""
+    import ast
+
+    forbidden = {"osrkit", "make_continuation", "ContinuationInfo", "constprop",
+                 "ConstantPropagationPass"}
+    for path in sorted((Path(repro.__file__).parent / "vm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").rpartition(".")[2]}
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+            else:
+                continue
+            assert names.isdisjoint(forbidden), (path.name, sorted(names & forbidden))
+
+
 @pytest.mark.parametrize("module", ["ops/metrics.py", "store/fleet.py"])
 def test_only_the_stats_fold_dispatches_on_event_types(module):
     """One fold: the metrics renderer and the fleet see snapshots of
@@ -54,7 +76,7 @@ def test_only_the_stats_fold_dispatches_on_event_types(module):
     from repro.engine.events import EVENT_TYPES
 
     classes = {cls.__name__ for cls in EVENT_TYPES.values()}
-    classes |= {"RuntimeEvent", "ContinuationHit", "EVENT_TYPES", "events"}
+    classes |= {"RuntimeEvent", "EVENT_TYPES", "events"}
     tree = ast.parse((Path(repro.__file__).parent / module).read_text())
     imported = {
         alias.name.rpartition(".")[2]

@@ -37,7 +37,7 @@ from repro.frontend import compile_program
 from repro.ir import Interpreter
 from repro.ir.expr import evaluate
 from repro.ir.function import ProgramPoint
-from repro.ir.instructions import Branch, Guard, Jump, Phi
+from repro.ir.instructions import Branch, Jump, Phi
 from repro.ir.interp import GuardFailure, Memory
 from repro.passes import (
     interprocedural_pipeline,
@@ -164,7 +164,6 @@ def assert_guard_landings_agree(pair, inputs, module=None):
             plan = plans.get(point)
             if plan is None or plan.is_multiframe:
                 continue
-            assert isinstance(pair.optimized.instruction_at(point), Guard)
             frame = plan.frames[0]
             base = frame.function
             landing_env = frame.transfer(env)
@@ -284,10 +283,11 @@ def test_reregistration_discards_every_artifact_of_the_old_base():
         engine.call("dispatch", args, memory=memory)
     runtime = engine.runtime
     old = runtime.functions["dispatch"]
+    cache = runtime.opt_backend.compiler._cache
     assert old.dispatch_hits >= 1
+    assert any(artifact.function is old.base for artifact in cache.values())
     runtime.register(speculative_function("dispatch"), replace=True)
     dead = {id(old.base)} | {id(entry.version.optimized) for entry in old.versions}
-    cache = runtime.opt_backend.compiler._cache
     assert not [artifact for artifact in cache.values() if id(artifact.function) in dead]
 
 

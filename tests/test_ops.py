@@ -5,7 +5,7 @@ The load-bearing property is *exactness*: every counter the
 Prometheus text format, as JSON, or re-folded from a JSON-lines event
 sink — must agree with the engine's own :meth:`Engine.stats` fold to the
 last increment, after workloads that exercise
-speculation, guard-failure deoptimization, continuation dispatch and the
+speculation, guard-failure deoptimization, dispatched OSR and the
 version multiverse — and a scrape must agree with *itself* whenever the
 exporter was attached, because there is one fold
 (:class:`~repro.engine.stats.StatsCollector`) and the exporter only
@@ -554,7 +554,7 @@ class TestCli:
             engine.close()
 
     def test_inspect_sections_render(self, runner, tmp_path):
-        for show in ("versions", "continuations", "stats", "profile"):
+        for show in ("versions", "stats", "profile"):
             result = _invoke(
                 runner,
                 [
@@ -605,19 +605,28 @@ class TestCli:
         )
         result = _invoke(
             runner,
-            ["lint", store, "--workload", "dispatch", "--format", "json"],
+            ["lint", store, "--workload", "dispatch", "--benchmarks", "--format", "json"],
         )
         assert json.loads(result.output) == []
 
     def test_lint_finding_fails_the_run(self, runner, tmp_path):
         bad = tmp_path / "bad.mc"
         bad.write_text("func f(n) { return n +; }")
+        dead = tmp_path / "dead.mc"
+        dead.write_text("func f(n) { if (n) { return 1; } else { return 2; } return 3; }")
+        golden = tmp_path / "broken.py.txt"
+        golden.write_text("def f(:\n    return 1\n")
         result = runner.invoke(
-            repro_cli, ["lint", str(bad), "--format", "json"]
+            repro_cli, ["lint", str(bad), str(dead), str(golden), "--format", "json"]
         )
         assert result.exit_code == 1
         rows = json.loads(result.output)
-        assert rows and rows[0]["rule"] == "frontend"
+        assert [(row["source"], row["rule"]) for row in rows] == [
+            (str(bad), "frontend"),
+            (str(dead), "unreachable-block"),
+            (str(golden), "python-syntax"),
+        ]
+        assert rows[1]["function"] == "f" and rows[2]["point"] == "1:7"
 
     def test_lint_requires_a_target(self, runner):
         result = runner.invoke(repro_cli, ["lint"])

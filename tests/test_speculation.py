@@ -241,7 +241,7 @@ class TestAdaptiveRuntimeSpeculation:
     def test_full_tier_journey(self, name):
         function = speculative_function(name)
         # The canonical *single-version* journey: max_versions=1 keeps
-        # repeated violations on the dispatched-continuation path rather
+        # repeated violations on the dispatched-OSR path rather
         # than growing a specialized version for the violating cluster.
         engine = _speculation_engine(function, max_versions=1)
         handle = engine.function(name)
@@ -260,7 +260,6 @@ class TestAdaptiveRuntimeSpeculation:
         assert stats.guard_failures == 1
         assert stats.osr_exits == 1
         assert stats.dispatch_misses == 1 and stats.dispatch_hits == 0
-        assert stats.continuations == 1
 
         # Repeated violations: dispatched OSR, no re-deoptimization.
         for _ in range(3):
@@ -319,18 +318,6 @@ class TestAdaptiveRuntimeSpeculation:
                 [0, 0, 0],
                 memory=None,
             )
-
-    def test_continuation_is_wellformed_and_specialized(self):
-        function = speculative_function("dispatch")
-        engine = _speculation_engine(function)
-        self._warm(engine, "dispatch", 5)
-        args, memory = speculative_arguments("dispatch", violate=True)
-        engine.call("dispatch", args, memory=memory)
-        state = engine.function("dispatch").state
-        assert len(state.continuations) == 1
-        cached = next(iter(state.continuations.values()))
-        verify_function(cached.info.function)
-        assert cached.info.function.entry_label.startswith("osr.entry")
 
     def test_speculation_disabled_runs_plain_pipeline(self):
         function = speculative_function("dispatch")

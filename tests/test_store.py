@@ -159,7 +159,6 @@ config_kwargs = st.fixed_dictionaries(
         "mode": st.sampled_from(list(ReconstructionMode)),
         "compile_workers": st.integers(0, 4),
         "event_buffer_size": st.integers(1, 512),
-        "continuation_cache_size": st.integers(1, 64),
     },
 )
 
@@ -187,7 +186,6 @@ class TestConfigRoundTrip:
         for changes in (
             {"compile_workers": 3},
             {"event_buffer_size": 8},
-            {"continuation_cache_size": 2},
             {"step_limit": 10},
             {"max_call_depth": 4},
         ):

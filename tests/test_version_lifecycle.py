@@ -34,7 +34,6 @@ from repro.vm.version import (
     SpecializedVersion,
     admit,
     build_version,
-    drop_continuations,
     select,
     without,
 )
@@ -48,7 +47,7 @@ from repro.workloads import (
 )
 
 # ---------------------------------------------------------------------- #
-# The table algorithm: admit / select / without / drop_continuations.
+# The table algorithm: admit / select / without.
 # ---------------------------------------------------------------------- #
 KEYS = st.builds(
     lambda pins: VersionKey(tuple(sorted(pins.items()))),
@@ -79,7 +78,6 @@ def _best_match(versions, args):
 @given(ops=OPS, max_versions=st.integers(1, 4))
 def test_table_invariants_over_random_sequences(ops, max_versions):
     versions = ()
-    continuations = {}
     clock = 0
     for op, operand in ops:
         if op == "admit":
@@ -87,8 +85,6 @@ def test_table_invariants_over_random_sequences(ops, max_versions):
             before = versions
             entry = SpecializedVersion(key=operand, version=object(), last_used=clock)
             versions, retired = admit(before, entry, max_versions)
-            dead = [operand, *(victim.key for victim in retired)]
-            drop_continuations(continuations, dead)
             # The newcomer is the newest entry and replaced any same-key one.
             assert versions[-1] is entry
             # Retirement picks the least-recently-used entry, never the newcomer.
@@ -97,8 +93,6 @@ def test_table_invariants_over_random_sequences(ops, max_versions):
                 assert victim is min(survivors, key=lambda e: (e.last_used, e.hits))
                 survivors.remove(victim)
             assert list(versions[:-1]) == survivors
-            assert not any(ckey[0] in dead for ckey in continuations)
-            continuations[(operand, "guard", frozenset())] = "continuation"
         elif op == "call":
             chosen = select(versions, operand)
             assert chosen is _best_match(versions, operand)
@@ -109,14 +103,10 @@ def test_table_invariants_over_random_sequences(ops, max_versions):
         elif versions:
             victim = versions[operand % len(versions)]
             versions = without(versions, victim)
-            drop_continuations(continuations, [victim.key])
             assert victim not in versions
-            assert not any(ckey[0] == victim.key for ckey in continuations)
         keys = [entry.key for entry in versions]
         assert len(versions) <= max_versions
         assert len(set(keys)) == len(keys), "one live entry per key"
-        # Every surviving continuation belongs to a live version.
-        assert {ckey[0] for ckey in continuations} <= set(keys)
 
 
 def test_without_removes_by_identity_not_by_key():

@@ -36,7 +36,7 @@ SRC = ROOT / "src" / "repro"
 #: that strands a helper there fails the audit.
 GATED = {
     "formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm",
-    "engine", "cfg", "frontend", "workloads",
+    "engine", "cfg", "frontend", "workloads", "ops",
 }
 called = set()
 
