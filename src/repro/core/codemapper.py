@@ -38,6 +38,7 @@ from ..cfg.graph import ControlFlowGraph
 from ..ir.expr import Expr, fold_constants, free_vars
 from ..ir.function import BasicBlock, Function, ProgramPoint
 from ..ir.instructions import Assign, Guard, Instruction, Phi
+from ..ir.verify import NotSSAError, is_ssa
 
 __all__ = [
     "ActionKind",
@@ -137,8 +138,15 @@ class NullCodeMapper:
 
     @contextmanager
     def editing(self, function: Function) -> Iterator["NullCodeMapper"]:
-        """Bind the edits to ``function``; the outermost session drops the index."""
+        """Bind the edits to ``function``; the outermost session drops the index.
+
+        The outermost session (one pass run alone, or a whole pipeline)
+        checks once that ``function`` is in SSA form, which every pass
+        and edit method assumes, and raises :class:`NotSSAError` if not.
+        """
         if not self._sessions:
+            if not is_ssa(function):
+                raise NotSSAError(function.name)
             self.function, self._users = function, None
         self._sessions += 1
         try:

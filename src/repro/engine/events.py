@@ -332,7 +332,7 @@ class Invalidated(RuntimeEvent):
 
 #: Every concrete event class, keyed by its stable ``kind`` tag.  The
 #: JSON codec below (and anything replaying a serialized stream — the
-#: fleet's JSON-lines sinks, ``repro top --follow``) resolves classes
+#: JSON-lines sinks, ``repro top --follow``) resolves classes
 #: through this table, so adding an event type is one entry here.
 EVENT_TYPES: Dict[str, Type[RuntimeEvent]] = {
     cls.kind: cls

@@ -18,8 +18,8 @@ recorder), the one :class:`~repro.engine.stats.StatsCollector` reducing
 the event stream — into per-function
 :class:`~repro.engine.stats.EngineStats` (:meth:`Engine.stats`) and the
 labeled streams a scrape serves (:meth:`Engine.stats_snapshot`; the
-metrics exporter, ``repro top`` and fleet reports render that, they do
-not fold events themselves) — and the
+metrics exporter and ``repro top`` render that, they do not fold
+events themselves) — and the
 :class:`~repro.vm.runtime.AdaptiveRuntime` mechanism configured
 by a frozen :class:`~repro.engine.config.EngineConfig` and steered by a
 pluggable :class:`~repro.engine.policy.TieringPolicy`.
@@ -354,8 +354,8 @@ class Engine:
         """Snapshot and publish to ``store`` (merge-and-republish).
 
         Profiles accumulate into existing entries under per-entry file
-        locks — concurrent savers (the worker fleet) merge rather than
-        clobber.  Returns the published artifact keys.
+        locks — concurrent savers (engines in other processes) merge
+        rather than clobber.  Returns the published artifact keys.
         """
         return self.snapshot().save(store)
 

@@ -8,7 +8,7 @@ that mutates that function's record and the labeled streams operators
 read (tier-ups by version key, guard failures by reason, events by
 kind, compile latency, ...).  Everything that shows numbers —
 :meth:`Engine.stats`, the Prometheus/JSON renderer in
-:mod:`repro.ops.metrics`, ``repro top``, fleet reports — is a projection
+:mod:`repro.ops.metrics`, ``repro top`` — is a projection
 of :meth:`StatsCollector.snapshot`, so two views of one engine cannot
 disagree, whenever they started looking.  Because the collector sees
 events as they are published, its numbers are exact even when the

@@ -59,7 +59,7 @@ from .interp import (
     run_function,
     run_module,
 )
-from .verify import VerificationError, is_ssa, verify_function
+from .verify import NotSSAError, VerificationError, is_ssa, verify_function
 
 __all__ = [
     # expressions
@@ -78,5 +78,5 @@ __all__ = [
     "Interpreter", "Memory", "ExecutionResult", "TraceEntry", "run_function",
     "run_module", "AbortExecution", "StepLimitExceeded", "GuardFailure",
     # verification
-    "VerificationError", "verify_function", "is_ssa",
+    "VerificationError", "NotSSAError", "verify_function", "is_ssa",
 ]

@@ -29,9 +29,6 @@ class SourceVariable:
     slot: str            # the alloca register that originally held it
     declared_line: int = 0
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class DebugInfo:
     """Per-function debug metadata (source variables, bindings, locations)."""

@@ -101,16 +101,8 @@ class BasicBlock:
             new_insts.append(clone)
         return BasicBlock(self.label, new_insts), uid_map
 
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
-
     def __len__(self) -> int:
         return len(self.instructions)
-
-    def __str__(self) -> str:
-        lines = [f"{self.label}:"]
-        lines.extend(f"  {inst}" for inst in self.instructions)
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"<BasicBlock {self.label} ({len(self.instructions)} insts)>"
@@ -277,11 +269,6 @@ class Function:
                     f"block {block.label} of function {self.name} lacks a terminator"
                 )
 
-    def __str__(self) -> str:
-        header = f"func @{self.name}({', '.join(self.params)}) {{"
-        body = "\n".join(str(self.blocks[label]) for label in self._block_order)
-        return f"{header}\n{body}\n}}"
-
     def __repr__(self) -> str:
         return f"<Function @{self.name} ({len(self._block_order)} blocks)>"
 
@@ -323,9 +310,6 @@ class Module:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def __str__(self) -> str:
-        return "\n\n".join(str(f) for f in self.functions.values())
 
     def __repr__(self) -> str:
         return f"<Module {self.name!r} ({len(self.functions)} functions)>"

@@ -30,7 +30,7 @@ from .expr import free_vars
 from .function import Function, ProgramPoint
 from .instructions import Guard, Phi, Terminator
 
-__all__ = ["VerificationError", "verify_function", "is_ssa"]
+__all__ = ["VerificationError", "NotSSAError", "verify_function", "is_ssa"]
 
 
 class VerificationError(ValueError):
@@ -42,6 +42,15 @@ class VerificationError(ValueError):
             f"  - {p}" for p in problems
         )
         super().__init__(message)
+
+
+class NotSSAError(VerificationError):
+    """Raised when a pass is handed IR in which a register has two definitions."""
+
+    def __init__(self, function_name: str) -> None:
+        super().__init__(
+            function_name, ["not in SSA form: passes need one definition per register"]
+        )
 
 
 def _predecessor_map(function: Function) -> Dict[str, Set[str]]:

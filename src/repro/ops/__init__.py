@@ -8,15 +8,13 @@ Everything an operator (or CI job) touches without writing Python:
   gauges and a compile-latency histogram — it subscribes to nothing and
   counts nothing, so it agrees with :meth:`Engine.stats` by construction;
 * :mod:`repro.ops.export` — the egress transports: a JSON-lines event
-  sink per fleet worker (:func:`observe_from_start` hands a late
-  observer the events it missed) and a stdlib HTTP endpoint serving
-  the Prometheus text format on ``/metrics`` (JSON twin on
-  ``/metrics.json``);
+  sink (:func:`observe_from_start` hands a late observer the events it
+  missed) and a stdlib HTTP endpoint serving the Prometheus text format
+  on ``/metrics`` (JSON twin on ``/metrics.json``);
 * :mod:`repro.ops.render` — ``--format table|csv|json`` rendering,
   stdlib only;
 * :mod:`repro.ops.cli` — the ``repro`` click command: ``run``,
-  ``inspect``, ``store list/export/import/gc``, ``fleet``, ``bench``,
-  ``top``.
+  ``inspect``, ``store list/export/import/gc``, ``bench``, ``top``.
 """
 
 from .export import (

@@ -3,7 +3,7 @@
 One binary for the whole operational surface: run a MiniC program (or a
 named workload) with live event tailing and a scrape endpoint, inspect a
 function's tier state and version multiverse, manage the persistent
-artifact store, and watch a fleet's event stream fold into metrics in
+artifact store, and watch an engine's event stream fold into metrics in
 real time.  Every command renders through
 :func:`repro.ops.render.format_rows`, so ``--format table|csv|json``
 behaves identically everywhere.
@@ -840,86 +840,10 @@ def store_gc(
 
 
 # --------------------------------------------------------------------- #
-# Fleet, live view.
+# Live view.
 # --------------------------------------------------------------------- #
 @main.command()
-@click.argument("source", type=click.Path(exists=True, dir_okay=False))
-@click.argument("root", type=click.Path(file_okay=False))
-@click.option("--entry", required=True, help="Function every call invokes.")
-@click.option("--args", "args_text", default=None, help="Arguments for each call.")
-@click.option("--calls", default=32, show_default=True, help="Total calls across the fleet.")
-@click.option("--workers", default=2, show_default=True)
-@click.option("--sync-every", default=0, show_default=True, help="Republish profiles every N calls.")
-@click.option("--events-dir", default=None, type=click.Path(file_okay=False), help="Per-worker JSON-lines event sinks.")
-@config_options
-@format_option
-def fleet(
-    source: str,
-    root: str,
-    entry: str,
-    args_text: Optional[str],
-    calls: int,
-    workers: int,
-    sync_every: int,
-    events_dir: Optional[str],
-    overrides: Sequence[str],
-    fmt: str,
-) -> None:
-    """Serve a call stream across warm-started workers sharing one store."""
-    from ..store.fleet import run_fleet
-
-    config = _build_config(overrides)
-    text = Path(source).read_text()
-    call_args = _parse_args(args_text)
-    try:
-        reports = run_fleet(
-            text,
-            root,
-            [(entry, tuple(call_args))] * calls,
-            workers=workers,
-            sync_every=sync_every,
-            config=config,
-            events_dir=events_dir,
-        )
-    except (StoreError, RuntimeError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-    rows = []
-    for report in reports:
-        totals = {
-            field_name: sum(stats.get(field_name, 0) for stats in report.stats.values())
-            for field_name in ("guard_failures", "osr_exits", "entry_dispatches")
-        }
-        rows.append(
-            {
-                "worker": report.worker,
-                "calls": report.calls,
-                "restored": ",".join(report.restored) or None,
-                "tier_ups": report.tier_ups,
-                "guard_failures": totals["guard_failures"],
-                "deopts": totals["osr_exits"],
-                "entry_dispatches": totals["entry_dispatches"],
-            }
-        )
-    click.echo(
-        format_rows(
-            rows,
-            (
-                "worker",
-                "calls",
-                "restored",
-                "tier_ups",
-                "guard_failures",
-                "deopts",
-                "entry_dispatches",
-            ),
-            fmt,
-            title=f"repro fleet — {workers} workers × {entry}",
-        )
-    )
-
-
-@main.command()
-@click.option("--follow", "follow_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Fold a JSON-lines event sink (repro run --events-jsonl, fleet --events-dir).")
+@click.option("--follow", "follow_path", default=None, type=click.Path(exists=True, dir_okay=False), help="Fold a JSON-lines event sink (repro run --events-jsonl).")
 @click.option("--url", default=None, help="Scrape a running /metrics.json endpoint instead.")
 @click.option("--interval", default=1.0, show_default=True, help="Seconds between frames.")
 @click.option("--frames", default=0, show_default=True, help="Stop after N frames (0 = run until interrupted).")

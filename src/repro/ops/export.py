@@ -3,12 +3,10 @@
 Two transports move the typed event stream out of the process:
 
 * :class:`JsonLinesSink` — a bus subscriber appending one
-  :func:`~repro.engine.events.event_as_dict` object per line.  This is
-  the fleet-worker transport: each worker writes its own file (no
-  cross-process locking needed) and ``repro top --follow`` — or any
-  :class:`~repro.engine.stats.StatsCollector` fed by
-  :func:`read_events` — refolds it to the snapshot the live engine
-  held.  :func:`observe_from_start` subscribes a sink to an engine that
+  :func:`~repro.engine.events.event_as_dict` object per line.
+  ``repro top --follow`` — or any
+  :class:`~repro.engine.stats.StatsCollector` fed by :func:`read_events`
+  — refolds it to the snapshot the live engine held.  :func:`observe_from_start` subscribes a sink to an engine that
   has already published (a warm start's ``VersionRestored`` events).
 * :class:`MetricsServer` — a stdlib :class:`ThreadingHTTPServer`
   serving an exporter's Prometheus text format on ``/metrics`` and its

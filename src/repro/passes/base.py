@@ -7,6 +7,11 @@ edited LLVM passes keep by hand is complete by construction.  A pass
 returns ``True`` when it changed the function; the manager reports that
 per pass.
 
+Passes read SSA IR only.  The check runs once per editing session: a
+standalone :meth:`Pass.run` or a whole :meth:`PassManager.run` raises
+:class:`~repro.ir.verify.NotSSAError` on IR in which a register has two
+definitions, and the passes themselves do not check again.
+
 Each pass also exposes rough self-description metadata (``loc`` — the
 size of its implementation — and ``tracked_action_kinds``), which the
 Table 1 harness reports as the analogue of the paper's "edits performed to

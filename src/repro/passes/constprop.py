@@ -17,7 +17,6 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Const, Expr
 from ..ir.function import Function
 from ..ir.instructions import Assign, Guard, Instruction
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["ConstantPropagationPass"]
@@ -31,8 +30,6 @@ class ConstantPropagationPass(Pass):
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         changed = False
-        ssa = is_ssa(function)
-
         for _ in range(8):  # repeat: folding can expose new constants
             round_changed = False
 
@@ -42,14 +39,6 @@ class ConstantPropagationPass(Pass):
             for _, inst in function.instructions():
                 round_changed |= mapper.fold(inst)
             round_changed |= mapper.delete_where(_proven_guard)
-
-            if not ssa:
-                # Without single-assignment guarantees, substituting uses is
-                # not generally sound; folding alone is still fine.
-                changed = changed or round_changed
-                if not round_changed:
-                    break
-                continue
 
             # 2. Collect registers bound to constants.
             constants: Dict[str, Expr] = {}

@@ -28,7 +28,6 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Const, Var, canonical_expr, free_vars
 from ..ir.function import Function
 from ..ir.instructions import Assign, Call, Load, Store
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["CommonSubexpressionElimination"]
@@ -63,9 +62,6 @@ class CommonSubexpressionElimination(Pass):
     tracked_action_kinds = (ActionKind.REPLACE, ActionKind.DELETE)
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
-        if not is_ssa(function):
-            return False
-
         cfg = ControlFlowGraph(function)
         domtree = DominatorTree(cfg)
 

@@ -48,7 +48,6 @@ from ..ir.expr import Const, Expr, Var
 from ..ir.function import BasicBlock, Function, ProgramPoint
 from ..ir.instructions import Assign, Call, Instruction, Jump, Phi, Return
 from ..ir.intrinsics import is_intrinsic
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["InlineCalls", "rename_register"]
@@ -107,7 +106,7 @@ class InlineCalls(Pass):
     # ------------------------------------------------------------------ #
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         self.frames = []
-        if self.resolve is None or not is_ssa(function):
+        if self.resolve is None:
             return False
         if self.caller_profile is None:
             return False

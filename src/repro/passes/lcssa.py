@@ -21,7 +21,6 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Var
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Instruction, Phi
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["LoopClosedSSA"]
@@ -34,8 +33,6 @@ class LoopClosedSSA(Pass):
     tracked_action_kinds = (ActionKind.ADD, ActionKind.REPLACE)
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
-        if not is_ssa(function):
-            return False
         changed = False
 
         cfg = ControlFlowGraph(function)

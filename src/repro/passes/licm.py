@@ -32,7 +32,6 @@ from ..cfg.loops import NaturalLoop, find_loops
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Assign, Call, Instruction
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["LoopInvariantCodeMotion"]
@@ -58,9 +57,6 @@ class LoopInvariantCodeMotion(Pass):
     tracked_action_kinds = (ActionKind.HOIST,)
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
-        if not is_ssa(function):
-            return False
-
         cfg = ControlFlowGraph(function)
         domtree = DominatorTree(cfg)
         loops = find_loops(cfg, domtree)

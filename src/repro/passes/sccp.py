@@ -25,7 +25,6 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import Const
 from ..ir.function import Function
 from ..ir.instructions import Assign, Branch, Jump, Phi
-from ..ir.verify import is_ssa
 from .base import Pass
 from .constprop import _proven_guard
 
@@ -39,8 +38,6 @@ class SparseConditionalConstantPropagation(Pass):
     tracked_action_kinds = (ActionKind.REPLACE, ActionKind.DELETE, ActionKind.ADD)
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
-        if not is_ssa(function):
-            return False
         changed = False
 
         analysis = sccp_analysis(function)

@@ -32,7 +32,6 @@ from ..cfg.loops import find_loops
 from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.function import Function
 from ..ir.instructions import Assign, Phi
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["CodeSinking"]
@@ -45,9 +44,6 @@ class CodeSinking(Pass):
     tracked_action_kinds = (ActionKind.SINK,)
 
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
-        if not is_ssa(function):
-            return False
-
         changed = False
         for _ in range(4):  # sinking can cascade
             cfg = ControlFlowGraph(function)

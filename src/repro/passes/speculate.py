@@ -39,7 +39,6 @@ from ..core.codemapper import ActionKind, NullCodeMapper
 from ..ir.expr import BinOp, Const, Expr, UnOp, Var
 from ..ir.function import BasicBlock, Function, ProgramPoint
 from ..ir.instructions import Assign, Branch, Guard, Instruction, Jump, Phi
-from ..ir.verify import is_ssa
 from .base import Pass
 
 __all__ = ["SpeculativeGuards"]
@@ -78,7 +77,7 @@ class SpeculativeGuards(Pass):
     # ------------------------------------------------------------------ #
     def transform(self, function: Function, mapper: NullCodeMapper) -> bool:
         self.inserted_guards = []
-        if self.profile is None or not is_ssa(function):
+        if self.profile is None:
             return False
 
         # Resolve profiled branch points to instruction objects *before*

@@ -12,9 +12,7 @@ package makes that state durable:
   IR printer/parser round-trip;
 * :mod:`repro.store.persist` — the on-disk :class:`ArtifactStore`
   (locked merge-and-republish writes, validating reads),
-  :class:`EngineSnapshot`, and runtime snapshot/hydrate;
-* :mod:`repro.store.fleet` — N warm-started worker processes sharing
-  one store.
+  :class:`EngineSnapshot`, and runtime snapshot/hydrate.
 
 The high-level entry points live on the engine facade:
 ``Engine.open(source, store=...)`` for warm starts, ``Engine.save(store)``
@@ -32,7 +30,6 @@ from .artifacts import (
     StoreFormatError,
     function_ir_hash,
 )
-from .fleet import WorkerReport, run_fleet
 from .persist import (
     STORE_FORMAT,
     ArtifactStore,
@@ -54,8 +51,6 @@ __all__ = [
     "ArtifactDecodeError",
     "StaleArtifactError",
     "ConfigMismatchError",
-    "WorkerReport",
-    "run_fleet",
     "ARTIFACT_FORMAT",
     "STORE_FORMAT",
 ]

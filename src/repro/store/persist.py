@@ -13,13 +13,13 @@ payload still self-describes its key, and every load re-validates both
 the fingerprint and the base-IR hash — a moved, copied or hand-edited
 entry fails with a typed error instead of executing.
 
-Writes go through :meth:`ArtifactStore.put`, which is the fleet's
-**merge-and-republish** primitive: under a per-entry ``fcntl`` file lock
-it reads the current entry, merges the incoming profile into the stored
-histograms (so N workers' observations accumulate instead of clobbering
-each other), keeps the richest version table, and atomically replaces the
-file (``os.replace``), so a concurrent reader sees either the old or the
-new complete entry, never a torn one.
+Writes go through :meth:`ArtifactStore.put`, the **merge-and-republish**
+primitive of engines sharing one store: under a per-entry ``fcntl`` file
+lock it reads the current entry, merges the incoming profile into the
+stored histograms (so N writers' observations accumulate instead of
+clobbering each other), keeps the richest version table, and atomically
+replaces the file (``os.replace``), so a concurrent reader sees either
+the old or the new complete entry, never a torn one.
 """
 
 from __future__ import annotations
@@ -202,9 +202,9 @@ class ArtifactStore:
         """Publish an artifact, merging with the stored entry under a lock.
 
         With ``merge`` (the default), an existing entry **with the same
-        key** contributes: profiles are histogram-merged (the fleet's
-        profile accumulation) and the stored version table is kept when
-        the incoming artifact has none.  An entry with a *different*
+        key** contributes: profiles are histogram-merged (concurrent
+        writers' observations accumulate) and the stored version table
+        is kept when the incoming artifact has none.  An entry with a *different*
         base-IR hash is superseded wholesale — it described a body that
         no longer exists.
         """
@@ -366,8 +366,8 @@ def hydrate_runtime(
 
     Staleness handling: ``on_stale="error"`` (default) raises
     :class:`StaleArtifactError` loudly; ``on_stale="skip"`` leaves the
-    function cold (it re-warms normally), which is what a rolling-deploy
-    fleet wants when some bodies changed.  Returns the names whose
+    function cold (it re-warms normally), which is what a rolling deploy
+    wants when some bodies changed.  Returns the names whose
     compiled tier was restored.
     """
     if on_stale not in ("error", "skip"):

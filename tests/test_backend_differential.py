@@ -10,6 +10,8 @@ make an OSR transition unsound.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core import OSRTransDriver
@@ -21,6 +23,7 @@ from repro.core.bisimulation import (
 from repro.ir import Interpreter, parse_function
 from repro.ir.function import ProgramPoint
 from repro.ir.interp import GuardFailure, Memory
+from repro.ir.intrinsics import INTRINSICS
 from repro.passes import (
     interprocedural_pipeline,
     speculative_pipeline,
@@ -510,3 +513,22 @@ def test_standalone_compile_calls_intrinsics_and_refuses_other_callees():
     unknown = parse_function("func @f() {\nentry:\n  r = call @missing()\n  ret r\n}")
     with pytest.raises(KeyError):
         compile_ir_function(unknown).invoke([])
+
+
+#: Arguments per intrinsic position: zero, one, and both signs on either side.
+INTRINSIC_ARGUMENTS = (-7, -1, 0, 1, 2, 12)
+
+
+@pytest.mark.parametrize("name", sorted(INTRINSICS))
+def test_intrinsics_agree_with_their_python_implementation_on_both_tiers(name):
+    intrinsic = INTRINSICS[name]
+    params = [f"p{index}" for index in range(intrinsic.arity)]
+    function = parse_function(
+        f"func @f({', '.join(params)}) {{\nentry:\n"
+        f"  r = call @{name}({', '.join(params)})\n  ret r\n}}"
+    )
+    compiled = CompiledBackend()
+    for args in itertools.product(INTRINSIC_ARGUMENTS, repeat=intrinsic.arity):
+        expected = int(intrinsic.impl(*args))
+        assert Interpreter().run(function, list(args)).value == expected, (name, args)
+        assert compiled.run(function, list(args)).value == expected, (name, args)

@@ -67,9 +67,9 @@ def test_the_runtime_builds_no_continuation_function():
             assert names.isdisjoint(forbidden), (path.name, sorted(names & forbidden))
 
 
-@pytest.mark.parametrize("module", ["ops/metrics.py", "store/fleet.py"])
+@pytest.mark.parametrize("module", ["ops/metrics.py"])
 def test_only_the_stats_fold_dispatches_on_event_types(module):
-    """One fold: the metrics renderer and the fleet see snapshots of
+    """One fold: the metrics renderer sees snapshots of
     ``engine/stats.py``'s reduction, never an event class to switch on."""
     import ast
 

@@ -3,17 +3,24 @@
 import pytest
 
 from repro.ir import (
+    Abort,
+    Alloca,
     Assign,
+    BinOp,
     Branch,
     Call,
     Const,
+    Guard,
     Jump,
     Load,
     Nop,
     ParseError,
     Phi,
     ProgramPoint,
+    Return,
     Store,
+    Undef,
+    UnOp,
     VerificationError,
     Var,
     is_ssa,
@@ -66,6 +73,60 @@ class TestInstructions:
         inst.source_line = 42
         clone = inst.copy()
         assert clone.uid != inst.uid
+
+
+def _copy_keeps(inst, *fields):
+    clone = inst.copy()
+    return (
+        type(clone) is type(inst)
+        and clone.uid != inst.uid
+        and all(getattr(clone, name) == getattr(inst, name) for name in fields)
+    )
+
+
+def _renamed(inst):
+    inst.rename_def({"p": "q"})
+    return inst.dest
+
+
+def _neg():
+    return UnOp("neg", Var("x"))
+
+
+def _immutable(expr):
+    with pytest.raises(AttributeError, match="immutable"):
+        expr.op = "add"
+    return True
+
+
+#: Per-class overrides whose deletion would fall back to a base-class
+#: default that answers differently (``Instruction.accesses_memory`` is
+#: False, ``rename_def`` does nothing, ``copy`` raises, ``object.__eq__``
+#: is identity).  Each row states what the override answers.
+OVERRIDES = [
+    ("Guard.copy", lambda: _copy_keeps(Guard(Var("c"), reason="r"), "cond", "reason"), True),
+    ("Nop.copy", lambda: _copy_keeps(Nop()), True),
+    ("Abort.copy", lambda: _copy_keeps(Abort()), True),
+    ("Load.rename_def", lambda: _renamed(Load("p", "a")), "q"),
+    ("Alloca.rename_def", lambda: _renamed(Alloca("p", 2)), "q"),
+    ("Load.accesses_memory", lambda: Load("p", "a").accesses_memory(), True),
+    ("Alloca.accesses_memory", lambda: Alloca("p").accesses_memory(), True),
+    ("Return.has_side_effects", lambda: Return(Var("x")).has_side_effects(), True),
+    ("Abort.has_side_effects", lambda: Abort().has_side_effects(), True),
+    ("Undef.__eq__", lambda: (Undef() == Undef(), Undef() == Const(0)), (True, False)),
+    ("Undef.__hash__", lambda: len({Undef(), Undef()}), 1),
+    ("UnOp.__eq__", lambda: (_neg() == _neg(), _neg() == UnOp("abs", Var("x"))), (True, False)),
+    ("UnOp.__hash__", lambda: len({_neg(), _neg()}), 1),
+    ("UnOp.__setattr__", lambda: _immutable(_neg()), True),
+    ("BinOp.__setattr__", lambda: _immutable(BinOp("add", Var("x"), Const(1))), True),
+]
+
+
+@pytest.mark.parametrize(
+    "observe, expected", [row[1:] for row in OVERRIDES], ids=[row[0] for row in OVERRIDES]
+)
+def test_override_answers(observe, expected):
+    assert observe() == expected
 
 
 class TestFunctionStructure:

@@ -11,8 +11,8 @@ exporter was attached, because there is one fold
 (:class:`~repro.engine.stats.StatsCollector`) and the exporter only
 renders it.  On top sit the serialization round trips
 (``EngineStats`` and the typed-event JSON codec, property-tested with
-hypothesis), the stdlib ``table|csv|json`` renderer, the fleet's
-per-worker stats reports, cross-process determinism of the base-IR hash
+hypothesis), the stdlib ``table|csv|json`` renderer, cross-process
+determinism of the base-IR hash
 warm starts are keyed by, and a ``CliRunner`` tour of every ``repro``
 subcommand against a store populated by a real engine run.
 """
@@ -56,7 +56,6 @@ from repro.ops import (
     serve_metrics,
 )
 from repro.ops.cli import main as repro_cli
-from repro.store import run_fleet
 from repro.workloads import (
     polymorphic_arguments,
     polymorphic_function,
@@ -67,22 +66,6 @@ from repro.workloads import (
 )
 
 BACKENDS = ("compiled",)
-
-FLEET_SRC = """
-func scale(x, k) {
-  return x * k;
-}
-func poly(mode, n) {
-  var acc = 0;
-  var i = 0;
-  while (i < n) {
-    if (mode == 1) { acc = acc + scale(i, 3); }
-    else { acc = acc + scale(i, 5); }
-    i = i + 1;
-  }
-  return acc;
-}
-"""
 
 
 def _speculation_engine(backend="compiled"):
@@ -360,8 +343,8 @@ class TestJsonLinesSink:
         replayed = list(read_events(path))
         assert replayed == engine.events
         # A replay reaches the live fold's whole state — functions *and*
-        # labeled streams — which is what `repro top --follow` and the
-        # fleet sinks rely on.
+        # labeled streams — which is what `repro top --follow` relies
+        # on.
         live = engine.collector.snapshot()
         assert live.guard_failures and live.tier_ups
         assert _refold(path).snapshot() == live
@@ -407,33 +390,6 @@ class TestJsonLinesSink:
         parsed = parse_prometheus(exporter.render())
         assert parsed["repro_versions_restored_total"][("dispatch",)] >= 1
         assert parsed["repro_compiled"][("dispatch",)] == 1
-
-
-# --------------------------------------------------------------------- #
-# Fleet reports carry renderable per-worker stats.
-# --------------------------------------------------------------------- #
-class TestFleetStats:
-    def test_worker_reports_and_event_sinks(self, tmp_path):
-        events_dir = tmp_path / "events"
-        reports = run_fleet(
-            FLEET_SRC,
-            tmp_path / "store",
-            [("poly", (1, 20))] * 12,
-            workers=2,
-            events_dir=events_dir,
-        )
-        assert sum(report.calls for report in reports) == 12
-        for report in reports:
-            assert set(report.stats) == {"poly", "scale"}
-            assert report.stats["poly"]["calls"] == report.calls
-            # The dict shape is the EngineStats wire format.
-            EngineStats.from_dict(report.stats["poly"])
-            sink_path = events_dir / f"worker-{report.worker}.jsonl"
-            assert sink_path.is_file()
-            replay = _refold(sink_path)
-            for name, stats in report.stats.items():
-                assert replay.function(name).as_dict() == {**stats, "calls": 0}
-            assert sum(replay.snapshot().tier_ups.values()) == report.tier_ups
 
 
 # --------------------------------------------------------------------- #
@@ -762,30 +718,4 @@ class TestCli:
         assert "StoreFormatError" in result.output
 
     def test_command_set(self):
-        assert set(repro_cli.commands) == {"fleet", "inspect", "lint", "run", "store", "top"}
-
-    def test_fleet_command_renders_worker_stats(self, runner, tmp_path):
-        source = tmp_path / "poly.mc"
-        source.write_text(FLEET_SRC)
-        store = str(tmp_path / "store")
-        result = _invoke(
-            runner,
-            [
-                "fleet",
-                str(source),
-                store,
-                "--entry",
-                "poly",
-                "--args",
-                "1,20",
-                "--calls",
-                "12",
-                "--workers",
-                "2",
-                "--format",
-                "csv",
-            ],
-        )
-        rows = list(csv.DictReader(io.StringIO(result.output)))
-        assert len(rows) == 2
-        assert sum(int(row["calls"]) for row in rows) == 12
+        assert set(repro_cli.commands) == {"inspect", "lint", "run", "store", "top"}

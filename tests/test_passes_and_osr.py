@@ -1,5 +1,7 @@
 """Tests for mem2reg, the OSR-aware passes, CodeMapper and IR-level OSR."""
 
+import sys
+
 import pytest
 
 from repro.cfg import ControlFlowGraph, find_loops
@@ -20,9 +22,12 @@ from repro.ir import (
     Const,
     Interpreter,
     Memory,
+    NotSSAError,
     ProgramPoint,
     Var,
+    is_ssa,
     parse_function,
+    print_function,
     run_function,
     verify_function,
 )
@@ -34,11 +39,14 @@ from repro.passes import (
     LoopClosedSSA,
     LoopInvariantCodeMotion,
     CodeSinking,
+    InlineCalls,
     PassManager,
+    SpeculativeGuards,
     SparseConditionalConstantPropagation,
     standard_pipeline,
 )
 from repro.ssa import promotable_allocas, promote_memory_to_registers
+from repro.vm.profile import FunctionProfile
 
 
 ALLOCA_SRC = """
@@ -412,3 +420,50 @@ class TestOSRTransitions:
         verify_function(info.function)
         assert info.pruned_blocks >= 0
         assert info.function.entry_label.startswith("osr.entry")
+
+
+NON_SSA_SRC = """
+func @twice(a) {
+entry:
+  x = (a + 1)
+  x = (x * 2)
+  ret x
+}
+"""
+
+
+class TestSSAPrecondition:
+    """Passes read SSA IR only; the check runs once per editing session."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda function: PassManager(standard_pipeline()).run(function),
+            lambda function: ConstantPropagationPass().run(function),
+        ],
+        ids=["pipeline", "standalone"],
+    )
+    def test_non_ssa_input_is_refused(self, run):
+        function = parse_function(NON_SSA_SRC)
+        before = print_function(function)
+        with pytest.raises(NotSSAError, match="@twice"):
+            run(function)
+        assert print_function(function) == before
+
+    def test_one_check_per_driver_run(self, redundant_loop, monkeypatch):
+        checked, original = [], is_ssa
+
+        def counted(function):
+            checked.append(function.name)
+            return original(function)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "is_ssa", None) is original:
+                monkeypatch.setattr(module, "is_ssa", counted)
+        pipeline = [
+            InlineCalls(lambda name: None, FunctionProfile()),
+            SpeculativeGuards(FunctionProfile()),
+            *standard_pipeline(),
+        ]
+        pair = OSRTransDriver(pipeline).run(redundant_loop)
+        assert checked == [pair.optimized.name]

@@ -1,17 +1,19 @@
-"""Persistence tests: artifact store, codecs, warm starts, and the fleet.
+"""Persistence tests: artifact store, codecs and warm starts.
 
 Covers the store round trip end to end: hypothesis properties for the
 profile/config/mapping codecs, snapshot → save → ``Engine.open``
 hydration with the zero-``TierUp`` warm-start acceptance check,
 differential parity between a reloaded engine and a never-persisted one
 (including guard-failure deoptimization from a hydrated version) on both
-backends, typed staleness refusal for every mismatch class, the
-merge-and-republish write path, and a two-round worker-fleet smoke test.
+backends, typed staleness refusal for every mismatch class, and the
+merge-and-republish write path, including two processes writing one
+entry at once.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +41,6 @@ from repro.store import (
     StoreFormatError,
     function_ir_hash,
     hydrate_runtime,
-    run_fleet,
     snapshot_runtime,
 )
 from repro.store.codec import decode_version, encode_version
@@ -686,23 +687,43 @@ class TestMergeAndRepublish:
 
 
 # --------------------------------------------------------------------- #
-# Worker fleet: shared store, warm second round.
+# Two processes publishing one entry at once.
 # --------------------------------------------------------------------- #
-class TestFleet:
-    def test_two_rounds_cold_then_warm(self, tmp_path):
+def _put_behind_barrier(root, payload, barrier):
+    store = ArtifactStore(root)
+    barrier.wait(timeout=60)  # both writers have opened the store
+    store.put(FunctionArtifact.from_json(payload))
+
+
+class TestConcurrentPut:
+    def test_two_writers_merge_their_profiles(self, tmp_path):
+        fcntl = pytest.importorskip("fcntl")  # the store locks entries with it
         root = str(tmp_path / "store")
-        calls = [("poly", (3, 20))] * 20
+        payloads = []
+        for args in ([3, 20], [5, 7]):
+            engine = Engine.from_source(POLY_SRC)
+            for _ in range(12):
+                engine.call("poly", args)
+            payloads.append(engine.snapshot().artifact("poly").as_json())
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(target=_put_behind_barrier, args=(root, payload, barrier))
+            for payload in payloads
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert [writer.exitcode for writer in writers] == [0, 0]
 
-        first = run_fleet(POLY_SRC, root, calls, workers=2, sync_every=5)
-        assert sum(r.calls for r in first) == 20
-        assert all(r.restored == () for r in first)
-        assert all(result == 750 for r in first for result in r.results)
-
-        second = run_fleet(POLY_SRC, root, calls, workers=2, sync_every=5)
-        assert all("poly" in r.restored for r in second)
-        assert all(r.tier_ups == 0 for r in second)
-        assert all(result == 750 for r in second for result in r.results)
-
-    def test_fleet_rejects_zero_workers(self, tmp_path):
-        with pytest.raises(ValueError, match="workers"):
-            run_fleet(POLY_SRC, str(tmp_path / "store"), [], workers=0)
+        expected = FunctionArtifact.from_json(payloads[0]).profile.clone()
+        expected.merge(FunctionArtifact.from_json(payloads[1]).profile)
+        fingerprint = EngineConfig().fingerprint()
+        shard = tmp_path / "store" / "objects" / fingerprint
+        merged = FunctionArtifact.from_json(json.loads((shard / "poly.json").read_text()))
+        assert merged.profile.as_json() == expected.as_json()
+        # No temp file is left, and the advisory lock file is not held.
+        assert sorted(path.name for path in shard.iterdir()) == ["poly.json", "poly.lock"]
+        with open(shard / "poly.lock", "a") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)

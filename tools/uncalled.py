@@ -5,17 +5,18 @@
 Runs ``pytest tests benchmarks --benchmark-disable`` and every script
 under ``examples/`` in this process with a ``sys.settrace`` hook that
 records ``(file, firstlineno)`` on ``call`` events, then diffs that
-against the function list of each file's AST.  Child processes (the
-fleet worker, CLI subprocesses) are not traced.  Two kinds of function
-are meant to go uncalled and are not listed: declarations (a body that
-only raises ``NotImplementedError`` or is only ``...``, as in a Protocol)
-and ``__repr__`` (read in a failure message or a debugger).  Exits 1 when a ``GATED`` package has an uncalled
-function, and 2 when pytest could not run the suite (interrupted,
-internal, usage or collection error), because the list then means
-nothing.  A test that fails under the hook (tracing slows the
-timing-sensitive ones) is reported but does not fail the audit: a
-recorded call stays a call, and the untraced suite is what gates test
-results.
+against the function list of each file's AST.  Child processes (CLI
+subprocesses, the store's two-writer test) are not traced.  Two kinds of
+function are meant to go uncalled and are not listed: declarations (a
+body that only raises ``NotImplementedError`` or is only ``...``, as in a
+Protocol) and ``__repr__`` (read in a failure message or a debugger).
+Exits 1 when any function is uncalled, so a rewrite that strands a
+helper anywhere in ``src/`` fails the audit, and 2 when pytest could not
+run the suite (interrupted, internal, usage or collection error),
+because the list then means nothing.  A test that fails under the hook
+(tracing slows the timing-sensitive ones) is reported but does not fail
+the audit: a recorded call stays a call, and the untraced suite is what
+gates test results.
 """
 
 import ast
@@ -29,15 +30,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-#: Packages that must have no uncalled function: the paper packages (they
-#: exist only as what tests and tables exercise), the compile-path
-#: packages, their analyses, the OSR core, the VM, the engine facade, the
-#: CFG utilities, the frontend and the workload generators, so a rewrite
-#: that strands a helper there fails the audit.
-GATED = {
-    "formal", "ctl", "rewrite", "harness", "passes", "ssa", "analysis", "core", "vm",
-    "engine", "cfg", "frontend", "workloads", "ops",
-}
 called = set()
 
 
@@ -94,10 +86,7 @@ def main():
             print(f"  {path.relative_to(ROOT)}:{node.lineno} {node.name}")
     if status:
         print("note: tests failed under tracing; the list above may be too long")
-    failing = sorted(GATED & set(uncalled))
-    if failing:
-        print("uncalled functions in gated packages:", ", ".join(failing))
-    return 1 if failing else 0
+    return 1 if uncalled else 0
 
 
 if __name__ == "__main__":
