@@ -4,6 +4,7 @@ Six layers of coverage:
 
 * **Shared-state regressions** — the bugs that blocked concurrency:
   the runtime-wide recursion-fuel counter (now per execution context),
+  the base tier's step count (one interpreter per activation),
   the event bus's equality-based unsubscribe and live-list publish
   (now token-based over a snapshot), and the silently-overwriting
   ``register`` (now loud, with an explicit ``replace=True`` path).
@@ -82,6 +83,14 @@ func boom(n) {
 }
 """
 
+SPIN_SRC = """
+func spin(m) {
+  var j = 0;
+  while (j < m) { j = j + 1; }
+  return j;
+}
+"""
+
 
 def _engine(source: str, **config) -> Engine:
     config.setdefault("hotness_threshold", 3)
@@ -149,6 +158,37 @@ class TestRecursionFuel:
         finally:
             sys.setswitchinterval(old_interval)
         assert failures == []
+
+    def test_threads_have_independent_step_budgets(self):
+        """Two threads in the base tier: only the long input runs out.
+
+        Each base-tier activation interprets with its own step count, so
+        one thread exhausting ``step_limit`` charges nothing to the other.
+        """
+        engine = _engine(SPIN_SRC, hotness_threshold=10**6, step_limit=1500)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force aggressive interleaving
+        try:
+            barrier = threading.Barrier(2)
+            outcomes = {1000: [], 200: []}
+
+            def worker(trips):
+                barrier.wait()
+                for _ in range(10):
+                    try:
+                        outcomes[trips].append(engine.call("spin", [trips]).value)
+                    except StepLimitExceeded:
+                        outcomes[trips].append("exhausted")
+
+            threads = [threading.Thread(target=worker, args=(trips,)) for trips in outcomes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert outcomes == {1000: ["exhausted"] * 10, 200: [200] * 10}
+        assert engine.stats("spin").compiled == 0
 
     def test_reentrant_calls_share_one_budget(self):
         # Nested calls still funnel into one logical stack's budget:
