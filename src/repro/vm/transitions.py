@@ -19,7 +19,8 @@ is a mapping application.  This module is the one client of
   plan's landing point, the same landing optimizing OSR uses.
 * **Forced deoptimization** (:meth:`Transitions.deoptimize_at`) — an
   external invalidation pauses the optimized code at a point and maps
-  back through the version's full backward mapping.
+  back through the version's full backward mapping into the profiled
+  base tier.
 
 Every transition resolves against exactly the table entry the
 activation started with: other activations may invalidate or replace
@@ -401,10 +402,12 @@ class Transitions:
         with state.lock:
             state.osr_exits += 1
         self.publish(DeoptimizingOSR(state.base.name, point, from_guard=False))
+        # The landing runs f_base, so it profiles like every other one.
         return self.base_backend.run_from(
             state.base,
             landing.target,
             landing_env,
             memory=paused.memory,
             previous_block=paused.previous_block,
+            profiler=self.profile,
         )

@@ -225,3 +225,19 @@ class TestForcedDeoptimization:
         with pytest.raises(StepLimitExceeded):
             _deoptimize(runtime, point, LONG, 3)
         assert runtime.stats("f")["osr_exits"] == 1
+
+    def test_the_landing_profiles_f_base(self):
+        # Like every other landing in f_base, a forced deopt's keeps the
+        # base tier learning; the pause runs f_opt and records nothing.
+        runtime, _ = _runtime()
+        _warm(runtime)
+        point = self._point(runtime)
+
+        def loop_tests():
+            return runtime.profile.function("f").values["%t8"].samples
+
+        before = loop_tests()
+        _deoptimize(runtime, point, 8, 3)
+        # The landing is in trip 0, after its loop test: trips 1-7 and
+        # the exit test each record one sample.
+        assert loop_tests() - before == 8
