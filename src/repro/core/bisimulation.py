@@ -45,10 +45,11 @@ def check_ir_osr_transition(
     memory.  The final return value must match an uninterrupted run of
     ``source``.
 
-    ``backend`` (any :class:`~repro.vm.backend.ExecutionBackend`-shaped
-    object) selects the engine that executes the *landing* side — pass
-    the compiled backend to validate that an OSR entry stub resumed in
-    compiled code is bisimilar to an interpreter resume.  The paused
+    ``backend`` (``None`` for the interpreter, or a
+    :class:`~repro.vm.backend.CompiledBackend`) selects the engine that
+    executes the *landing* side — pass the compiled backend to validate
+    that an OSR entry stub resumed in compiled code is bisimilar to an
+    interpreter resume.  The paused
     source run always uses the interpreter (pausing needs ``break_at``).
 
     Returns ``True`` when the transition produced the same result, and

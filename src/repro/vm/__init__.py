@@ -1,7 +1,7 @@
 """Adaptive multi-tier runtime built on the OSR framework.
 
-This package is the *mechanism* layer: execution backends, the closure
-compiler, value profiles, and the :class:`AdaptiveRuntime` tiering
+This package is the *mechanism* layer: the compiled backend and its
+emitter, value profiles, and the :class:`AdaptiveRuntime` tiering
 machinery (:mod:`~repro.vm.version` — what a version is, how it is
 built, the version table; :mod:`~repro.vm.transitions` — every OSR
 mapping application; :mod:`~repro.vm.runtime` — the coordinator).  Embedders should use the :mod:`repro.engine` facade, which
@@ -10,8 +10,8 @@ wires a typed :class:`~repro.engine.EngineConfig`, a pluggable
 around this runtime.
 """
 
-from .backend import CompiledBackend, ExecutionBackend, InterpreterBackend
-from .closure_compile import ClosureCompiler, CompiledFunction, compile_ir_function
+from .backend import CompiledBackend
+from .closure_compile import CompiledFunction
 from .profile import (
     GENERIC_KEY,
     BranchProfile,
@@ -46,10 +46,6 @@ __all__ = [
     "RegisterProfile",
     "BranchProfile",
     "CallSiteProfile",
-    "ExecutionBackend",
-    "InterpreterBackend",
     "CompiledBackend",
-    "ClosureCompiler",
     "CompiledFunction",
-    "compile_ir_function",
 ]

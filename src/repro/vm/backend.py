@@ -1,187 +1,59 @@
-"""The two execution backends of the adaptive runtime.
+"""The compiled engine of the adaptive runtime.
 
-The OSR framework is backend-agnostic: a *tier* is a policy decision
-(profile here, speculate there), while a *backend* is an execution
-engine.  This module defines the seam between the two:
-
-* :class:`ExecutionBackend` — the protocol every engine implements:
-  ``run`` (call from the entry), ``run_from`` (resume at an arbitrary
-  :class:`~repro.ir.function.ProgramPoint` with a transferred
-  environment — the landing side of an OSR transition).
-
-* :class:`InterpreterBackend` — the reference tree-walking engine
-  (:class:`~repro.ir.interp.Interpreter`).  Slow, observable, and the
-  only engine that can pause at a ``break_at`` point, which is why the
-  profiled base tier always runs here.
-
-* :class:`CompiledBackend` — the closure-compiled engine
-  (:mod:`repro.vm.closure_compile`).  ``run_from`` compiles (and caches)
-  an *OSR entry stub* per landing point, so an optimizing OSR lands
-  directly in compiled code mid-loop.
-
-The runtime builds one of each: the base tier on the interpreter, the
-optimized tier on the compiled engine.  :class:`ExecutionBackend` is
-their shared internal protocol, not an extension point.
+The runtime runs two engines.  The profiled base tier is the reference
+:class:`~repro.ir.interp.Interpreter`, built fresh per activation: it
+alone feeds a profiler and pauses at a ``break_at`` point.  Optimized
+versions, and f_base where a repeated guard failure lands, run as
+generated Python through :class:`CompiledBackend`: ``run`` calls a
+function from its entry, and ``run_from`` resumes it at a
+:class:`~repro.ir.function.ProgramPoint` through an *OSR entry stub*
+compiled (and cached) per landing point, so an optimizing OSR lands
+directly in compiled code mid-loop.  The emitter lives in
+:mod:`repro.vm.closure_compile`; this module owns its artifact cache.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+import threading
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cfg.structure import UnstructurableCFG
 from ..ir.function import Function, Module, ProgramPoint
 from ..ir.interp import ExecutionResult, Interpreter, Memory, NativeFunction
 from ..ir.intrinsics import call_intrinsic, is_intrinsic, reject_reserved_names
-from .closure_compile import ClosureCompiler, CompiledFunction
+from ..ir.verify import verify_function
+from . import closure_compile
+from .closure_compile import CompiledFunction
 
-__all__ = [
-    "ExecutionBackend",
-    "InterpreterBackend",
-    "CompiledBackend",
-    "BoundEntry",
-]
+__all__ = ["CompiledBackend", "BoundEntry"]
 
 #: What :meth:`CompiledBackend.prepare` returns: one function's entry,
 #: ``(args, memory) -> ExecutionResult``.
 BoundEntry = Callable[..., ExecutionResult]
 
-
-class ExecutionBackend:
-    """Protocol of an execution engine usable as a runtime tier target.
-
-    Subclasses must implement :meth:`run` and :meth:`run_from`; both
-    return an :class:`~repro.ir.interp.ExecutionResult` and raise
-    :class:`~repro.ir.interp.GuardFailure` (carrying the live state at
-    the failing guard) so deoptimization handling is identical no matter
-    which engine was executing.
-
-    Concurrency contract: :meth:`run` and :meth:`run_from` must be safe
-    to invoke from any number of threads at once — per-activation state
-    lives on the activation, never on the backend.  Callers passing an
-    explicit :class:`~repro.ir.interp.Memory` are responsible for not
-    sharing one instance across concurrently executing activations.
-    :meth:`register_native` is a setup-time operation; registering
-    while other threads are executing is allowed but new names become
-    visible to in-flight activations at an unspecified point.
-    """
-
-    def run(
-        self,
-        function: Function,
-        args: Sequence[int] = (),
-        *,
-        memory: Optional[Memory] = None,
-        profiler=None,
-    ) -> ExecutionResult:
-        """Run ``function`` from its entry with positional arguments."""
-        raise NotImplementedError
-
-    def run_from(
-        self,
-        function: Function,
-        point: ProgramPoint,
-        env: Mapping[str, int],
-        *,
-        memory: Optional[Memory] = None,
-        previous_block: Optional[str] = None,
-        profiler=None,
-    ) -> ExecutionResult:
-        """Resume ``function`` at ``point`` — the landing side of an OSR.
-
-        The caller is responsible for having produced ``env`` via the
-        appropriate OSR mapping (compensation code plus liveness
-        restriction, plus any K_avail keep-alive values).  ``profiler``
-        is honoured by profiling engines only: a deoptimization landing
-        runs in the base tier, and profiling it lets the runtime keep
-        *learning* after a speculation is refuted instead of freezing
-        the histograms a hasty tier-up left behind.
-        """
-        raise NotImplementedError
-
-    def register_native(self, name: str, fn: NativeFunction) -> None:
-        """Make ``call @name(...)`` dispatch to a host function.
-
-        The module-level adaptive runtime uses this to route residual
-        calls in *any* tier back through itself, so every callee is
-        counted, profiled and tiered independently no matter which
-        engine executed the caller.
-        """
-        raise NotImplementedError
+#: A cache entry's artifact, or the refusal of a function with no
+#: structured spelling.
+_Built = Union[CompiledFunction, UnstructurableCFG]
 
 
-class InterpreterBackend(ExecutionBackend):
-    """The reference interpreter as a backend (tier-0 and fallback engine)."""
-
-    def __init__(
-        self,
-        *,
-        module: Optional[Module] = None,
-        natives: Optional[Mapping[str, NativeFunction]] = None,
-        step_limit: int = 2_000_000,
-    ) -> None:
-        self.module = module
-        self.natives: Dict[str, NativeFunction] = dict(natives or {})
-        reject_reserved_names(self.natives)
-        self.step_limit = step_limit
-
-    def register_native(self, name: str, fn: NativeFunction) -> None:
-        reject_reserved_names((name,))
-        self.natives[name] = fn
-
-    def run(
-        self,
-        function: Function,
-        args: Sequence[int] = (),
-        *,
-        memory: Optional[Memory] = None,
-        profiler=None,
-    ) -> ExecutionResult:
-        interpreter = Interpreter(
-            self.module,
-            step_limit=self.step_limit,
-            natives=self.natives,
-            profiler=profiler,
-        )
-        return interpreter.run(function, args, memory=memory)
-
-    def run_from(
-        self,
-        function: Function,
-        point: ProgramPoint,
-        env: Mapping[str, int],
-        *,
-        memory: Optional[Memory] = None,
-        previous_block: Optional[str] = None,
-        profiler=None,
-    ) -> ExecutionResult:
-        interpreter = Interpreter(
-            self.module,
-            step_limit=self.step_limit,
-            natives=self.natives,
-            profiler=profiler,
-        )
-        return interpreter.resume(
-            function, point, env, memory=memory, previous_block=previous_block
-        )
-
-
-class CompiledBackend(ExecutionBackend):
+class CompiledBackend:
     """The closure-compiled engine.
 
-    Functions are lowered once (per entry point) and cached; ``run_from``
-    lowers an OSR entry stub for the landing point on first use, so a
-    steady-state optimizing OSR is one dict lookup plus one Python call.
+    Functions are lowered once per entry point (the function's own entry
+    or an OSR landing point) and cached, so a steady-state optimizing
+    OSR is one dict lookup plus one Python call.
 
-    ``call @f(...)`` sites resolve through this backend: module callees
-    are themselves closure-compiled on first call, host natives are
-    invoked directly — mirroring :class:`~repro.ir.interp.Interpreter`'s
-    resolution order.
+    ``call @f(...)`` sites in generated code resolve through
+    :meth:`_resolve_call`: intrinsics, then module callees (themselves
+    compiled on first call), then host natives, mirroring
+    :class:`~repro.ir.interp.Interpreter`'s resolution order.
 
-    A function with no structured spelling — an irreducible CFG, which
+    A function with no structured spelling (an irreducible CFG, which
     only hand-written IR can contain, or nesting deeper than Python
-    compiles — is not compiled: ``prepare``/``run``/``run_from`` run it
-    on the reference interpreter over the same module, natives and step
-    limit.
+    compiles) is not compiled: ``prepare``/``run``/``run_from`` run it on
+    the reference interpreter over the same module, natives and step
+    limit.  The refusal is cached like an artifact, so such a function
+    is verified and analysed once.
 
     Step-budget semantics differ from the interpreter's: the interpreter
     charges callees against the caller's single budget, while every
@@ -191,6 +63,14 @@ class CompiledBackend(ExecutionBackend):
     guaranteed (each activation is bounded, and recursion depth is
     bounded by the Python stack); only *total* work across deep call
     trees is looser than the interpreter's accounting.
+
+    Thread-safety: generated code keeps *all* execution state in locals
+    (plus the caller-supplied :class:`Memory`), so one artifact may run
+    on any number of threads at once.  Cache writes take a lock (a
+    lookup is one atomic ``dict.get``); when two threads race to lower
+    one ``(function, entry)`` the first to publish wins, so callers
+    share one artifact per key.  The cache pins what it holds (artifact,
+    source text and IR function) until :meth:`discard`.
     """
 
     def __init__(
@@ -204,14 +84,13 @@ class CompiledBackend(ExecutionBackend):
         self.natives: Dict[str, NativeFunction] = dict(natives or {})
         reject_reserved_names(self.natives)
         self.step_limit = step_limit
-        self.compiler = ClosureCompiler(
-            step_limit=step_limit, resolve_call=self._resolve_call
-        )
+        #: ``(id(function), entry) -> (function, artifact or refusal)``;
+        #: holding the function keeps its id from being reused.
+        self._cache: Dict[Tuple[int, Optional[ProgramPoint]], Tuple[Function, _Built]] = {}
+        self._cache_lock = threading.Lock()
 
-    # -------------------------------------------------------------- #
-    # Call resolution shared by every function this backend compiles.
-    # -------------------------------------------------------------- #
     def _resolve_call(self, callee: str, args: List[int], memory: Memory) -> int:
+        """What generated code's ``call @callee(...)`` runs."""
         # Intrinsic names are reserved (see repro.ir.intrinsics); after
         # that, the resolution order matches the interpreter's: module
         # functions, then host natives.
@@ -228,6 +107,7 @@ class CompiledBackend(ExecutionBackend):
         raise KeyError(f"call to unknown function @{callee}")
 
     def register_native(self, name: str, fn: NativeFunction) -> None:
+        """Make ``call @name(...)`` dispatch to a host function."""
         reject_reserved_names((name,))
         self.natives[name] = fn
 
@@ -236,34 +116,53 @@ class CompiledBackend(ExecutionBackend):
             self.module, step_limit=self.step_limit, natives=self.natives
         )
 
-    def prepare(self, function: Function) -> BoundEntry:
-        """Lower (and cache) the entry artifact; return its checked entry.
+    # -------------------------------------------------------------- #
+    # The artifact cache.
+    # -------------------------------------------------------------- #
+    def _artifact(
+        self, function: Function, entry: Optional[ProgramPoint] = None
+    ) -> _Built:
+        """Look up or lower ``function`` entered at ``entry`` (``None``:
+        its entry); a refusal is cached and returned, not raised.
 
-        The runtime calls this once per version, before publishing it,
-        and stores the result on the table entry: the *request path*
-        then pays neither lowering to Python and ``compile()`` nor a
-        per-call artifact lookup.  The bound entry ``(args, memory) ->
-        ExecutionResult`` behaves exactly like ``run(function, args,
-        memory=memory)``.
+        Callers must not mutate a function after its first lowering (the
+        runtime lowers only after the pass pipeline finished).
         """
-        try:
-            return self.compiler.compile(function).invoke
-        except UnstructurableCFG:
+        key = (id(function), entry)
+        cached = self._cache.get(key)
+        if cached is None:
+            verify_function(function, require_ssa=False)
+            try:
+                built: _Built = self._lower(function, entry)
+            except UnstructurableCFG as refusal:
+                built = refusal
+            with self._cache_lock:
+                cached = self._cache.setdefault(key, (function, built))
+        return cached[1]
 
-            def interpreted(args: Sequence[int], memory: Optional[Memory] = None):
-                return self._interpreter().run(function, args, memory=memory)
-
-            return interpreted
+    def _lower(
+        self, function: Function, entry: Optional[ProgramPoint]
+    ) -> CompiledFunction:
+        source, namespace = closure_compile.emit(function, entry)
+        namespace["_call"] = self._resolve_call
+        namespace["_FUEL"] = self.step_limit
+        exec(compile(source, f"<closure:{function.name}>", "exec"), namespace)
+        return CompiledFunction(
+            function, entry, namespace["__compiled__"], source, namespace["_snapshot"]
+        )
 
     def discard(self, function: Function) -> None:
-        """Forget the artifacts built for ``function``.
+        """Forget what was built for ``function`` (entry and OSR stubs).
 
         The runtime calls this for every version that leaves the table
-        (retired, invalidated, replaced), so the artifact cache is
-        bounded by the live table.  A later :meth:`run`/:meth:`run_from`
-        of a discarded function still works — it rebuilds.
+        (retired, invalidated, replaced), so the cache is bounded by the
+        live table.  Running code keeps its own reference to what it
+        executes, and a later :meth:`run`/:meth:`run_from` of a discarded
+        function lowers it again.
         """
-        self.compiler.discard(function)
+        with self._cache_lock:
+            for key in [key for key, (held, _) in self._cache.items() if held is function]:
+                del self._cache[key]
 
     def compiled_artifact(
         self, function: Function, point: Optional[ProgramPoint] = None
@@ -276,24 +175,42 @@ class CompiledBackend(ExecutionBackend):
         :class:`~repro.cfg.structure.UnstructurableCFG` for a function
         this backend runs on the interpreter instead.
         """
-        return self.compiler.compile(function, point)
+        artifact = self._artifact(function, point)
+        if isinstance(artifact, UnstructurableCFG):
+            raise UnstructurableCFG(*artifact.args)
+        return artifact
 
     # -------------------------------------------------------------- #
-    # ExecutionBackend interface.
+    # Execution.
     # -------------------------------------------------------------- #
+    def prepare(self, function: Function) -> BoundEntry:
+        """Lower (and cache) the entry artifact; return its checked entry.
+
+        The runtime calls this once per version, before publishing it,
+        and stores the result on the table entry: the *request path*
+        then pays neither lowering to Python and ``compile()`` nor a
+        per-call artifact lookup.  The bound entry ``(args, memory) ->
+        ExecutionResult`` behaves exactly like ``run(function, args,
+        memory=memory)``.
+        """
+        artifact = self._artifact(function)
+        if isinstance(artifact, CompiledFunction):
+            return artifact.invoke
+
+        def interpreted(args: Sequence[int], memory: Optional[Memory] = None):
+            return self._interpreter().run(function, args, memory=memory)
+
+        return interpreted
+
     def run(
         self,
         function: Function,
         args: Sequence[int] = (),
         *,
         memory: Optional[Memory] = None,
-        profiler=None,
     ) -> ExecutionResult:
-        try:
-            artifact = self.compiler.compile(function)
-        except UnstructurableCFG:
-            return self._interpreter().run(function, args, memory=memory)
-        return artifact.invoke(args, memory)
+        """Run ``function`` from its entry with positional arguments."""
+        return self.prepare(function)(args, memory)
 
     def run_from(
         self,
@@ -303,15 +220,15 @@ class CompiledBackend(ExecutionBackend):
         *,
         memory: Optional[Memory] = None,
         previous_block: Optional[str] = None,
-        profiler=None,
     ) -> ExecutionResult:
-        # Compiled code does not observe values; ``profiler`` is accepted
-        # for interface parity and ignored.
-        try:
-            stub = self.compiler.compile(function, point)
-        except UnstructurableCFG:
-            return self._interpreter().resume(
-                function, point, env, memory=memory, previous_block=previous_block
-            )
-        return stub(dict(env), memory, previous_block)
+        """Resume ``function`` at ``point``: the landing side of an OSR.
 
+        ``env`` is what the OSR mapping produced (compensation code,
+        liveness restriction and any K_avail keep-alive values).
+        """
+        stub = self._artifact(function, point)
+        if isinstance(stub, CompiledFunction):
+            return stub(dict(env), memory, previous_block)
+        return self._interpreter().resume(
+            function, point, env, memory=memory, previous_block=previous_block
+        )

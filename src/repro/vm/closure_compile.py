@@ -85,7 +85,6 @@ Semantics are identical to the interpreter by construction:
 
 from __future__ import annotations
 
-import threading
 from typing import (
     Callable,
     Dict,
@@ -107,7 +106,6 @@ from ..cfg.structure import (
 )
 from ..ir.expr import BinOp, Const, Expr, UnOp, Undef, Var, int_div, int_rem
 from ..ir.function import BasicBlock, Function, ProgramPoint
-from ..ir.intrinsics import call_intrinsic
 from ..ir.instructions import (
     Abort,
     Alloca,
@@ -129,13 +127,11 @@ from ..ir.interp import (
     Memory,
     StepLimitExceeded,
 )
-from ..ir.verify import verify_function
 
 __all__ = [
     "CompiledResult",
     "CompiledFunction",
-    "ClosureCompiler",
-    "compile_ir_function",
+    "emit",
     "mangle",
     "compile_expr",
     "compile_test",
@@ -434,115 +430,37 @@ class CompiledFunction:
 
 
 # ---------------------------------------------------------------------- #
-# The compiler.
+# The emitter's entry.
 # ---------------------------------------------------------------------- #
 
 
-class ClosureCompiler:
-    """Lowers IR functions (and their OSR entry stubs) to Python code.
+def emit(
+    function: Function, entry: Optional[ProgramPoint] = None
+) -> Tuple[str, Dict[str, object]]:
+    """Emit ``function``, or its OSR stub entering at ``entry``.
 
-    One compiler instance owns a call-resolution hook shared by every
-    function it compiles: ``call @f(...)`` sites compile to an indirect
-    call through ``resolve_call(name, args, memory)``, which the owning
-    backend wires to module functions (compiled recursively) or host
-    natives.
-
-    :meth:`compile` raises :class:`~repro.cfg.structure.UnstructurableCFG`
-    for a function with no structured spelling (irreducible control
-    flow, or nesting deeper than Python compiles); the owning backend
-    runs those on the interpreter.
-
-    Thread-safety: the generated closures keep *all* execution state in
-    locals (plus the caller-supplied :class:`Memory`), so one compiled
-    artifact may run on any number of threads at once.  Writes to the
-    artifact cache are lock-protected (a lookup is one atomic
-    ``dict.get``); when two threads race to compile the same
-    ``(function, entry)`` the loser's artifact is dropped in favour of
-    the already-published one, so callers always share a single
-    compiled object per key.  The cache pins what it holds — artifact,
-    source text and the IR function — until :meth:`discard`.
+    Returns the generated source, which defines ``__compiled__``, and
+    the globals it reads, bar the two its backend supplies: ``_call``
+    (call resolution) and ``_FUEL`` (the step limit).  Raises
+    :class:`~repro.cfg.structure.UnstructurableCFG` for a function with
+    no structured spelling.
     """
-
-    def __init__(
-        self,
-        *,
-        step_limit: int = 2_000_000,
-        resolve_call: Optional[Callable[[str, List[int], Memory], int]] = None,
-    ) -> None:
-        self.step_limit = step_limit
-        self.resolve_call = resolve_call or _no_calls
-        self._cache: Dict[Tuple[int, Optional[ProgramPoint]], CompiledFunction] = {}
-        self._cache_lock = threading.Lock()
-
-    def compile(
-        self, function: Function, entry: Optional[ProgramPoint] = None
-    ) -> CompiledFunction:
-        """Compile ``function``, optionally as an OSR stub entering at ``entry``.
-
-        Compiled artifacts are cached per ``(function identity, entry)``;
-        callers must not mutate a function after its first compilation
-        (the runtime only compiles after the pass pipeline finished).
-        """
-        key = (id(function), entry)
-        cached = self._cache.get(key)
-        if cached is not None and cached.function is function:
-            return cached
-        verify_function(function, require_ssa=False)
-        compiled = self._lower(function, entry)
-        with self._cache_lock:
-            winner = self._cache.get(key)
-            if winner is not None and winner.function is function:
-                return winner  # another thread published first
-            self._cache[key] = compiled
-        return compiled
-
-    def discard(self, function: Function) -> None:
-        """Drop every cached artifact of ``function`` (entry and OSR stubs).
-
-        Running code keeps its own reference to what it executes; a later
-        :meth:`compile` of the same function simply lowers it again.
-        """
-        with self._cache_lock:
-            for key in [
-                key
-                for key, cached in self._cache.items()
-                if cached.function is function
-            ]:
-                del self._cache[key]
-
-    def _lower(
-        self, function: Function, entry: Optional[ProgramPoint]
-    ) -> CompiledFunction:
-        emitter = _StructuredEmitter(function, entry)
-        source = emitter.emit()
-        snapshot = _make_snapshot(emitter.name_table)
-        namespace = {
-            "_U": _UNDEFINED,
-            "_GF": GuardFailure,
-            "_Abort": AbortExecution,
-            "_StepLimit": StepLimitExceeded,
-            "_idiv": int_div,
-            "_irem": int_rem,
-            "_undef": _raise_undef,
-            "_call": self.resolve_call,
-            "_snapshot": snapshot,
-            "_PP": emitter.point_table,
-            "_REASONS": emitter.reason_table,
-            "_IPATHS": emitter.path_table,
-            "_FNAME": function.name,
-            "_FUEL": self.step_limit,
-        }
-        code = compile(source, f"<closure:{function.name}>", "exec")
-        exec(code, namespace)
-        raw = namespace["__compiled__"]
-        return CompiledFunction(function, entry, raw, source, snapshot)
-
-
-def _no_calls(name: str, args: List[int], memory: Memory) -> int:
-    result = call_intrinsic(name, args)
-    if result is None:
-        raise KeyError(f"call to unknown function @{name}")
-    return result
+    emitter = _StructuredEmitter(function, entry)
+    source = emitter.emit()
+    return source, {
+        "_U": _UNDEFINED,
+        "_GF": GuardFailure,
+        "_Abort": AbortExecution,
+        "_StepLimit": StepLimitExceeded,
+        "_idiv": int_div,
+        "_irem": int_rem,
+        "_undef": _raise_undef,
+        "_snapshot": _make_snapshot(emitter.name_table),
+        "_PP": emitter.point_table,
+        "_REASONS": emitter.reason_table,
+        "_IPATHS": emitter.path_table,
+        "_FNAME": function.name,
+    }
 
 
 def _make_snapshot(name_table: List[Tuple[str, str]]):
@@ -1177,16 +1095,3 @@ class _StructuredEmitter:
         if not (then_falls or else_falls):
             return None
         return _FALL if join is None else join
-
-
-def compile_ir_function(
-    function: Function,
-    entry: Optional[ProgramPoint] = None,
-    *,
-    step_limit: int = 2_000_000,
-    resolve_call=None,
-) -> CompiledFunction:
-    """One-shot convenience wrapper around :class:`ClosureCompiler`."""
-    return ClosureCompiler(step_limit=step_limit, resolve_call=resolve_call).compile(
-        function, entry
-    )

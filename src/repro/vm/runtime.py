@@ -55,11 +55,12 @@ from ..ir.function import Function, Module, ProgramPoint
 from ..ir.interp import (
     ExecutionResult,
     GuardFailure,
+    Interpreter,
     Memory,
     NativeFunction,
     StepLimitExceeded,
 )
-from .backend import CompiledBackend, InterpreterBackend
+from .backend import CompiledBackend
 from .profile import GENERIC_KEY, EntryClusterer, ShardedValueProfile, VersionKey
 from .transitions import Transitions
 from .version import (
@@ -205,20 +206,17 @@ class AdaptiveRuntime:
         #: Resolved soundness-verifier mode: ``config.verify_deopt`` when
         #: set, otherwise ``REPRO_VERIFY_DEOPT`` (validated eagerly).
         self.verify_deopt: str = self.config.verify_deopt or verify_deopt_from_env()
-        step_limit = self.config.step_limit
-        #: The profiled base tier interprets: only the interpreter feeds a
-        #: profiler and pauses at a ``break_at`` point.
-        self.base_backend = InterpreterBackend(step_limit=step_limit)
         #: Optimized versions, and f_base where a repeated guard failure
         #: lands (through an OSR entry stub), run as generated Python.
-        #: Neither backend carries a module: calls resolve through the
+        #: The backend carries no module: calls resolve through the
         #: dispatchers :meth:`register` installs, so every callee tiers
         #: independently and the call-depth fuel holds.
-        self.opt_backend = CompiledBackend(step_limit=step_limit)
+        self.opt_backend = CompiledBackend(step_limit=self.config.step_limit)
         self.functions: Dict[str, TieredFunction] = {}
-        #: Host dispatchers routing residual ``call`` instructions (in
-        #: any tier, on any engine) back through :meth:`call`.
-        self._dispatchers: Dict[str, NativeFunction] = {}
+        #: The one dispatcher table: host functions routing residual
+        #: ``call`` instructions (in generated code and in every base-tier
+        #: interpreter) back through :meth:`call`.
+        self._dispatchers: Dict[str, NativeFunction] = self.opt_backend.natives
         self.transitions = Transitions(self)
         #: Whether compilation runs on the worker pool (off the call path).
         self.background_compile = self.config.compile_workers >= 1
@@ -317,10 +315,9 @@ class AdaptiveRuntime:
             self.profile.discard(function.name)
             self.bus.publish(Invalidated(function.name, None, reason=REREGISTERED))
         if function.name not in self._dispatchers:
-            dispatcher = self._make_dispatcher(function.name)
-            self._dispatchers[function.name] = dispatcher
-            self.opt_backend.register_native(function.name, dispatcher)
-            self.base_backend.register_native(function.name, dispatcher)
+            self.opt_backend.register_native(
+                function.name, self._make_dispatcher(function.name)
+            )
         return state
 
     def register_module(
@@ -335,6 +332,20 @@ class AdaptiveRuntime:
             return result.value if result.value is not None else 0
 
         return dispatch
+
+    def _interpreter(self, *, profiled: bool = True) -> Interpreter:
+        """A fresh base-tier interpreter for one activation.
+
+        An ``Interpreter`` keeps per-run state (its step count), so one
+        is never cached here nor shared between threads.  It resolves
+        calls through the dispatcher table and, when ``profiled``, feeds
+        the runtime's profile.
+        """
+        return Interpreter(
+            step_limit=self.config.step_limit,
+            natives=self._dispatchers,
+            profiler=self.profile if profiled else None,
+        )
 
     def _resolve_base(self, name: str) -> Optional[Function]:
         state = self.functions.get(name)
@@ -739,9 +750,7 @@ class AdaptiveRuntime:
                 return entry.run(args, memory)
             except GuardFailure as failure:
                 return self.transitions.guard_failed(state, failure, entry, args)
-        return self.base_backend.run(
-            state.base, args, memory=memory, profiler=self.profile
-        )
+        return self._interpreter().run(state.base, args, memory=memory)
 
     # ------------------------------------------------------------------ #
     # Failure policy: what a guard failure means for the version table.

@@ -49,7 +49,7 @@ from ..engine.events import (
 from ..ir.expr import evaluate, free_vars
 from ..ir.function import Function, ProgramPoint
 from ..ir.instructions import Guard, Phi
-from ..ir.interp import ExecutionResult, GuardFailure, Interpreter, Memory
+from ..ir.interp import ExecutionResult, GuardFailure, Memory
 from .version import CompiledVersion, SpecializedVersion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,20 +125,19 @@ def speculation_holds(
 class Transitions:
     """Executes OSR entries, guard-failure deopts and forced deopts.
 
-    Shares the runtime's config, policy, bus, profile sink and backends;
-    owns no state of its own (the transition counters live on the
-    ``TieredFunction``, under its lock).
+    Shares the runtime's config, policy, bus, compiled backend and
+    interpreter factory; owns no state of its own (the transition
+    counters live on the ``TieredFunction``, under its lock).
     """
 
     def __init__(self, runtime: "AdaptiveRuntime") -> None:
         self.config = runtime.config
         self.policy = runtime.policy
         self.publish = runtime.bus.publish
-        self.profile = runtime.profile
         self.opt_backend = runtime.opt_backend
-        self.base_backend = runtime.base_backend
-        #: Host dispatchers routing residual calls back through the runtime.
-        self.natives = runtime._dispatchers
+        #: ``(profiled=True) -> Interpreter``: a fresh base-tier
+        #: interpreter per activation.
+        self.interpreter = runtime._interpreter
         #: ``(state, failure, entry, args, multiframe=...) -> count`` —
         #: the coordinator's failure-policy bookkeeping; returns how often
         #: this guard of ``entry`` has now failed.
@@ -174,13 +173,8 @@ class Transitions:
                 f"not a mapped pause-capable point of @{base.name}"
             )
         # Pausing at a point needs ``break_at``, which only the
-        # interpreter supports; module callees still tier normally.  A
-        # fresh instance per use: nothing is shared across threads.
-        interpreter = Interpreter(
-            step_limit=self.config.step_limit,
-            natives=self.natives,
-            profiler=self.profile,
-        )
+        # interpreter supports; module callees still tier normally.
+        interpreter = self.interpreter()
         paused = interpreter.run(base, args, memory=memory, break_at=osr_point)
         if paused.stopped_at is None:
             return paused  # the loop never ran; nothing to transfer
@@ -294,13 +288,12 @@ class Transitions:
             state.dispatch_misses += 1
             state.osr_exits += 1
         self.publish(DeoptimizingOSR(base.name, failure.point, from_guard=True))
-        return self.base_backend.run_from(
+        return self.interpreter().resume(
             base,
             frame.target,
             landing_env,
             memory=failure.memory,
             previous_block=previous_block,
-            profiler=self.profile,
         )
 
     def _unwind_multiframe(
@@ -338,25 +331,19 @@ class Transitions:
             for frame, env in zip(plan.frames, environments)
         ]
         inner = plan.frames[0]
-        result = self.base_backend.run_from(
+        result = self.interpreter().resume(
             inner.function,
             inner.target,
             environments[0],
             memory=failure.memory,
             previous_block=inner.translate_block(failure.previous_block),
-            profiler=self.profile,
         )
         value = result.value
         for frame, env in zip(plan.frames[1:], environments[1:]):
             if frame.dest is not None:
                 env[frame.dest] = value if value is not None else 0
-            result = self.base_backend.run_from(
-                frame.function,
-                frame.target,
-                env,
-                memory=failure.memory,
-                previous_block=None,
-                profiler=self.profile,
+            result = self.interpreter().resume(
+                frame.function, frame.target, env, memory=failure.memory
             )
             value = result.value
         return result
@@ -386,12 +373,11 @@ class Transitions:
             raise KeyError(f"deoptimization not supported at {point}")
         try:
             # Pausing at an arbitrary point needs ``break_at``, which only
-            # the interpreter provides: a forced external invalidation is
-            # an observation-heavy path, so it runs observably regardless
-            # of the optimized tier's backend.
-            paused = Interpreter(
-                step_limit=self.config.step_limit, natives=self.natives
-            ).run(version.optimized, args, memory=memory, break_at=point)
+            # the interpreter provides.  It runs f_opt, so it records
+            # nothing in f_base's profile.
+            paused = self.interpreter(profiled=False).run(
+                version.optimized, args, memory=memory, break_at=point
+            )
         except GuardFailure as failure:
             # A speculation failed before reaching the requested point;
             # the guard's own deoptimization wins.
@@ -403,11 +389,10 @@ class Transitions:
             state.osr_exits += 1
         self.publish(DeoptimizingOSR(state.base.name, point, from_guard=False))
         # The landing runs f_base, so it profiles like every other one.
-        return self.base_backend.run_from(
+        return self.interpreter().resume(
             state.base,
             landing.target,
             landing_env,
             memory=paused.memory,
             previous_block=paused.previous_block,
-            profiler=self.profile,
         )

@@ -30,8 +30,7 @@ from repro.passes import (
     standard_pipeline,
 )
 from repro.engine import Engine, EngineConfig
-from repro.vm import CompiledBackend, InterpreterBackend, ValueProfile
-from repro.vm.closure_compile import compile_ir_function
+from repro.vm import CompiledBackend, ValueProfile
 from repro.workloads import (
     BENCHMARK_NAMES,
     CALL_KERNEL_ENTRIES,
@@ -64,7 +63,7 @@ ALL_WORKLOADS = (
 
 @pytest.fixture(scope="module")
 def backends():
-    return InterpreterBackend(), CompiledBackend()
+    return Interpreter(), CompiledBackend()
 
 
 # ---------------------------------------------------------------------- #
@@ -232,7 +231,7 @@ def _interprocedural_pair(name, warm_runs=6):
 @pytest.mark.parametrize("name", CALL_KERNEL_NAMES)
 def test_backends_agree_on_inlined_versions(name):
     module, pair = _interprocedural_pair(name)
-    interp = InterpreterBackend(module=module)
+    interp = Interpreter(module)
     compiled = CompiledBackend(module=module)
     args, memory = call_kernel_arguments(name)
     reference = interp.run(pair.optimized, args, memory=memory.copy())
@@ -245,7 +244,7 @@ def test_inlined_guard_failures_are_identical_across_backends():
     module, pair = _interprocedural_pair("clamp_call")
     plans, uncovered = pair.deopt_plans()
     assert not uncovered
-    interp = InterpreterBackend(module=module)
+    interp = Interpreter(module)
     compiled = CompiledBackend(module=module)
 
     args, memory = call_kernel_arguments("clamp_call", violate=True)
@@ -278,11 +277,8 @@ def test_multiframe_deopt_bisimulation_per_backend(backend_name):
     module, pair = _interprocedural_pair("clamp_call")
     plans, uncovered = pair.deopt_plans()
     assert not uncovered
-    backend = (
-        InterpreterBackend(module=module)
-        if backend_name == "interp"
-        else CompiledBackend(module=module)
-    )
+    # ``None`` resumes on the interpreter.
+    backend = None if backend_name == "interp" else CompiledBackend(module=module)
     args, memory = call_kernel_arguments("clamp_call", violate=True)
     assert check_multiframe_deopt(
         pair.base,
@@ -403,7 +399,7 @@ def _raised(run):
 )
 def test_stub_with_partial_environment_never_returns(source, point, env):
     function = parse_function(source)
-    stub = compile_ir_function(function, point)
+    stub = CompiledBackend().compiled_artifact(function, point)
     _raised(lambda: Interpreter().resume(function, point, dict(env), memory=Memory()))
     _raised(lambda: stub(dict(env), Memory(), None))
 
@@ -427,7 +423,7 @@ join:
 }
 """
     )
-    compiled = compile_ir_function(function)
+    compiled = CompiledBackend().compiled_artifact(function)
     assert compiled.invoke([1]).value == Interpreter().run(function, [1]).value == 5
     _raised(lambda: Interpreter().run(function, [0], memory=Memory()))
     _raised(lambda: compiled.invoke([0], Memory()))
@@ -455,11 +451,11 @@ def test_conditions_read_for_their_truth_agree_across_tiers(cond):
     guard = parse_function(f"func @g(a, b) {{\nentry:\n  guard {cond}\n  ret 1\n}}")
     for a in (-1, 0, 1):
         args = [a, 0]
-        assert compile_ir_function(branch).invoke(args).value == (
+        assert CompiledBackend().compiled_artifact(branch).invoke(args).value == (
             Interpreter().run(branch, args).value
         )
         outcomes = []
-        for backend in (InterpreterBackend(), CompiledBackend()):
+        for backend in (Interpreter(), CompiledBackend()):
             try:
                 outcomes.append(backend.run(guard, args).value)
             except GuardFailure as failure:
@@ -488,9 +484,9 @@ def test_stub_guard_failure_reports_the_given_arrival_block(
 ):
     env = {"n": 4, "k": k, "%i.0": 1}
     failures = []
-    for backend in (InterpreterBackend(), CompiledBackend()):
+    for resume in (Interpreter().resume, CompiledBackend().run_from):
         with pytest.raises(GuardFailure) as excinfo:
-            backend.run_from(
+            resume(
                 guarded_loop, point, dict(env), memory=Memory(), previous_block=previous
             )
         failures.append(excinfo.value)
@@ -509,10 +505,10 @@ def test_standalone_compile_calls_intrinsics_and_refuses_other_callees():
     function = parse_function(
         "func @f(x) {\nentry:\n  r = call @gcd(x, 12)\n  ret r\n}"
     )
-    assert compile_ir_function(function).invoke([18]).value == 6
+    assert CompiledBackend().compiled_artifact(function).invoke([18]).value == 6
     unknown = parse_function("func @f() {\nentry:\n  r = call @missing()\n  ret r\n}")
     with pytest.raises(KeyError):
-        compile_ir_function(unknown).invoke([])
+        CompiledBackend().compiled_artifact(unknown).invoke([])
 
 
 #: Arguments per intrinsic position: zero, one, and both signs on either side.

@@ -56,7 +56,7 @@ from repro.frontend import compile_function
 from repro.ir import Function, Interpreter, Memory, ProgramPoint, print_function
 from repro.passes import Pass, interprocedural_pipeline, speculative_pipeline, standard_pipeline
 from repro.store.codec import encode_deopt_plan, encode_mapping
-from repro.vm.closure_compile import ClosureCompiler
+from repro.vm.backend import CompiledBackend
 from repro.vm.profile import ValueProfile
 from repro.workloads import (
     BENCHMARK_NAMES,
@@ -227,12 +227,12 @@ def _builds() -> Tuple[Tuple[str, Dict[str, object], Function], ...]:
 
 def _emitted_source(optimized: Function) -> Dict[str, str]:
     """The generated code of ``f_opt`` and of one OSR stub per loop header."""
-    compiler = ClosureCompiler()
-    sources = {"entry": compiler.compile(optimized).source}
+    backend = CompiledBackend()
+    sources = {"entry": backend.compiled_artifact(optimized).source}
     cfg = ControlFlowGraph(optimized)
     for header in sorted(loop.header for loop in find_loops(cfg, DominatorTree(cfg))):
         point = ProgramPoint(header, 0)
-        sources[str(point)] = compiler.compile(optimized, point).source
+        sources[str(point)] = backend.compiled_artifact(optimized, point).source
     return sources
 
 

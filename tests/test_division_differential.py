@@ -15,7 +15,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings, strategies as st
 
 from repro.ir import Interpreter, parse_function
-from repro.vm.closure_compile import compile_ir_function
+from repro.vm import CompiledBackend
 
 OPERAND = st.integers(-70, 70)
 
@@ -54,5 +54,5 @@ def test_division_and_remainder_agree_across_tiers(op, dividend, divisor, a, b):
         f"func @f(a, b) {{\nentry:\n  %r = ({lhs} {op} {rhs})\n  ret %r\n}}"
     )
     reference = _outcome(lambda: Interpreter().run(function, [a, b]))
-    actual = _outcome(lambda: compile_ir_function(function).invoke([a, b]))
+    actual = _outcome(lambda: CompiledBackend().compiled_artifact(function).invoke([a, b]))
     assert actual == reference

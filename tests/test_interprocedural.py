@@ -30,7 +30,7 @@ from repro.passes import (
     interprocedural_pipeline,
 )
 from repro.engine import Engine, EngineConfig
-from repro.vm import CompiledBackend, InterpreterBackend, ValueProfile
+from repro.vm import CompiledBackend, ValueProfile
 from repro.workloads import (
     CALL_KERNEL_ENTRIES,
     CALL_KERNEL_NAMES,
@@ -274,11 +274,8 @@ class TestDeoptPlans:
         pair = interprocedural_pair(module, "clamp_call", profile)
         plans, uncovered = pair.deopt_plans()
         assert not uncovered
-        backend = (
-            InterpreterBackend(module=module)
-            if backend_name == "interp"
-            else CompiledBackend(module=module)
-        )
+        # ``None`` resumes on the interpreter.
+        backend = None if backend_name == "interp" else CompiledBackend(module=module)
         args, memory = call_kernel_arguments("clamp_call", violate=True)
         assert check_multiframe_deopt(
             pair.base,
@@ -473,9 +470,7 @@ entry:
 }
 """
         )
-        backend = (
-            InterpreterBackend() if backend_name == "interp" else CompiledBackend()
-        )
+        backend = Interpreter() if backend_name == "interp" else CompiledBackend()
         result = backend.run(function, [12, 18])
         assert result.value == 6 * 100 + bin(18).count("1")
 

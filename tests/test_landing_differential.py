@@ -44,7 +44,7 @@ from repro.passes import (
     speculative_pipeline,
     standard_pipeline,
 )
-from repro.vm import CompiledBackend, InterpreterBackend, ValueProfile
+from repro.vm import CompiledBackend, ValueProfile
 from repro.workloads import (
     BENCHMARK_NAMES,
     CALL_KERNEL_ENTRIES,
@@ -118,7 +118,7 @@ def _landings(function, args, memory, module):
 
 def assert_landings_agree(function, inputs, module=None):
     """Resume every reached point of ``function`` on both backends."""
-    interp = InterpreterBackend(module=module)
+    interp = Interpreter(module)
     compiled = CompiledBackend(module=module)
     compiled.compiled_artifact(function)  # the whole function structures
     checked = 0
@@ -129,7 +129,7 @@ def assert_landings_agree(function, inputs, module=None):
             compiled.compiled_artifact(function, point)  # ...and so does the stub
             reference, actual = (
                 _outcome(
-                    lambda: backend.run_from(
+                    lambda: resume(
                         function,
                         point,
                         dict(env),
@@ -137,7 +137,7 @@ def assert_landings_agree(function, inputs, module=None):
                         previous_block=previous,
                     )
                 )
-                for backend in (interp, compiled)
+                for resume in (interp.resume, compiled.run_from)
             )
             assert actual == reference, f"@{function.name} diverges landing at {point}"
             checked += 1
@@ -283,12 +283,12 @@ def test_reregistration_discards_every_artifact_of_the_old_base():
         engine.call("dispatch", args, memory=memory)
     runtime = engine.runtime
     old = runtime.functions["dispatch"]
-    cache = runtime.opt_backend.compiler._cache
+    cache = runtime.opt_backend._cache
     assert old.dispatch_hits >= 1
-    assert any(artifact.function is old.base for artifact in cache.values())
+    assert any(function is old.base for function, _ in cache.values())
     runtime.register(speculative_function("dispatch"), replace=True)
     dead = {id(old.base)} | {id(entry.version.optimized) for entry in old.versions}
-    assert not [artifact for artifact in cache.values() if id(artifact.function) in dead]
+    assert not [function for function, _ in cache.values() if id(function) in dead]
 
 
 # ---------------------------------------------------------------------- #
@@ -482,7 +482,7 @@ def test_sequential_statements_do_not_nest(statement, count, optimize):
         source = compiled.compiled_artifact(version).source
         assert max(len(line) - len(line.lstrip()) for line in source.splitlines()) <= 24
         for arg in (0, 3, 300):
-            reference = InterpreterBackend().run(version, [arg])
+            reference = Interpreter().run(version, [arg])
             assert compiled.run(version, [arg]).value == reference.value
 
 

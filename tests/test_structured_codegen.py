@@ -40,8 +40,7 @@ import pytest
 from repro.cfg import ControlFlowGraph, DominatorTree, UnstructurableCFG, is_reducible
 from repro.ir import Interpreter, parse_function
 from repro.ir.function import ProgramPoint
-from repro.vm import CompiledBackend
-from repro.vm.closure_compile import compile_ir_function
+from repro.vm import CompiledBackend, closure_compile
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 UPDATE_ENV = "REPRO_UPDATE_GOLDENS"
@@ -146,7 +145,7 @@ def assert_matches_golden(name: str, source: str) -> None:
 class TestStructuredGoldens:
     def test_loop_kernel_structured(self):
         function = parse_function(LOOP_SUM)
-        compiled = compile_ir_function(function)
+        compiled = CompiledBackend().compiled_artifact(function)
         assert_matches_golden("loop_sum_structured.py.txt", compiled.source)
         # Shape assertions on top of the byte-for-byte diff: the loop is
         # a real `while` and the guarding compare+branch was fused.
@@ -156,7 +155,7 @@ class TestStructuredGoldens:
         assert result.value == Interpreter().run(function, [9]).value
 
     def test_loop_kernel_reads_like_its_native_twin(self):
-        source = compile_ir_function(parse_function(LOOP_SUM)).source
+        source = CompiledBackend().compiled_artifact(parse_function(LOOP_SUM)).source
         # Memory is the Memory's own dict, not its methods.
         assert "_memory.load" not in source and "_memory.store" not in source
         assert "_cells = _memory.cells; _mload = _cells.get" in source
@@ -168,7 +167,7 @@ class TestStructuredGoldens:
         assert "(+(" not in source
 
     def test_prev_is_written_only_where_a_guard_reads_it(self, guarded_loop):
-        source = compile_ir_function(guarded_loop).source
+        source = CompiledBackend().compiled_artifact(guarded_loop).source
         # `head` has two predecessors: its guard reads `_prev`, which the
         # edge from `entry` and the slow copy's back edge write.  The fast
         # copy unswitched that guard out, so its back edge writes nothing.
@@ -181,7 +180,7 @@ class TestStructuredGoldens:
 
     def test_nested_if_structured(self):
         function = parse_function(NESTED_IF)
-        compiled = compile_ir_function(function)
+        compiled = CompiledBackend().compiled_artifact(function)
         assert_matches_golden("nested_if_structured.py.txt", compiled.source)
         assert "while True:" not in compiled.source  # no loop, no loop code
         for args in ([3, 7], [15, 20], [9, 2]):
@@ -193,7 +192,7 @@ class TestStructuredGoldens:
         cfg = ControlFlowGraph(function)
         assert not is_reducible(cfg, DominatorTree(cfg))
         with pytest.raises(UnstructurableCFG):
-            compile_ir_function(function)
+            CompiledBackend().compiled_artifact(function)
         backend = CompiledBackend()
         for n in (0, 15):  # both sides of `n < 10`: both entries of the cycle
             reference = Interpreter().run(function, [n])
@@ -205,13 +204,36 @@ class TestStructuredGoldens:
             resumed = backend.run_from(function, point, paused.env)
             assert resumed.value == reference.value
 
+    def test_an_unstructurable_refusal_is_remembered(self, monkeypatch):
+        built = []
+
+        class CountingEmitter(closure_compile._StructuredEmitter):
+            def __init__(self, function, entry):
+                built.append(entry)
+                super().__init__(function, entry)
+
+        monkeypatch.setattr(closure_compile, "_StructuredEmitter", CountingEmitter)
+        function = parse_function(IRREDUCIBLE)
+        backend = CompiledBackend()
+        point = ProgramPoint("a", 1)
+        paused = Interpreter().run(function, [0], break_at=point)
+        for _ in range(5):
+            backend.run(function, [0])
+            backend.run_from(function, point, paused.env)
+        assert built == [None, point]  # one refusal per entry, each cached
+        with pytest.raises(UnstructurableCFG):
+            backend.compiled_artifact(function)
+        backend.discard(function)  # drops refusals as it drops artifacts
+        backend.run(function, [0])
+        assert built == [None, point, None]
+
     def test_osr_entry_stub_structured(self):
         function = parse_function(LOOP_SUM)
         # Land mid-iteration, after `%t1 = (%i.0 % 2)` — the stub must
         # peel the rest of the interrupted iteration straight-line and
         # then re-enter the loop as a freshly reconstructed construct.
         point = ProgramPoint("body", 1)
-        compiled = compile_ir_function(function, point)
+        compiled = CompiledBackend().compiled_artifact(function, point)
         assert_matches_golden("loop_sum_osr_structured.py.txt", compiled.source)
         # Resume at i=4 (%t1 = 4 % 2 = 0 already computed); register keys
         # keep their IR spelling, params are bare names.

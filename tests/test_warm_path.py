@@ -11,7 +11,7 @@ what a caller sees:
   steady-state kernel and on an OSR-stub entry, and a warm call that
   never reads it must never walk the name table.
 * **Compiler-cache bound** — versions that leave the table are
-  discarded from the closure compiler's cache, so it is bounded by the
+  discarded from the compiled backend's cache, so it is bounded by the
   live table however long the engine thrashes, and an activation that
   outlives its version's retirement still finishes correctly.
 """
@@ -78,7 +78,7 @@ def test_returned_env_equals_the_interpreters(name):
     assert result.backend == "compiled"
     # The same optimized code on the reference engine (residual calls
     # dispatch through the runtime on both).
-    reference = engine.runtime.base_backend.run(
+    reference = Interpreter(natives=engine.runtime.opt_backend.natives).run(
         entry.version.optimized, args, memory=_fresh(memory)
     )
     assert result.value == reference.value
@@ -127,7 +127,7 @@ def test_osr_stub_entry_reports_the_interpreters_env(monkeypatch):
     assert any(isinstance(event, OptimizingOSR) for event in engine.events)
     assert results[-1].backend == "compiled"
     [(function, point, env, landing_memory, previous_block)] = landings
-    reference = engine.runtime.base_backend.run_from(
+    reference = Interpreter(natives=engine.runtime.opt_backend.natives).resume(
         function, point, env, memory=landing_memory, previous_block=previous_block
     )
     assert (results[-1].value, results[-1].env) == (reference.value, reference.env)
@@ -195,7 +195,7 @@ def test_compiler_cache_is_bounded_by_the_live_table():
     engine = Engine.from_functions(
         polymorphic_function(KERNEL), config=EAGER.replace(max_versions=4)
     )
-    cache = engine.runtime.opt_backend.compiler._cache
+    cache = engine.runtime.opt_backend._cache
     sizes = []
     for _ in range(5):  # 200 blocks of 8 calls, 8 modes over 4 slots
         _thrash(engine, 5, inputs, expected)
@@ -240,8 +240,8 @@ def test_an_activation_outlives_its_versions_retirement():
     _thrash(engine, 3, inputs, expected)
     assert all(live is not held for live in state.versions)
     assert sum(isinstance(e, VersionRetired) for e in engine.events) > retired_before
-    compiler = engine.runtime.opt_backend.compiler
-    assert all(c.function is not held.version.optimized for c in compiler._cache.values())
+    cache = engine.runtime.opt_backend._cache
+    assert all(function is not held.version.optimized for function, _ in cache.values())
     # The held entry still runs its own code; the backend, asked by
     # function, rebuilds what it discarded.
     memory = inputs[mode][1]
