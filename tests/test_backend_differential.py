@@ -185,7 +185,7 @@ def test_osr_entry_stubs_are_bisimilar(name, backends):
 
 
 @pytest.mark.parametrize("name", SPECULATIVE_NAMES)
-def test_runtime_parity_across_opt_backends(name):
+def test_runtime_parity_with_the_interpreter(name):
     """Through tier-up, guard failure and deopt the engine answers what
     the interpreter answers on the base function."""
     base = speculative_function(name)
@@ -292,7 +292,7 @@ def test_multiframe_deopt_bisimulation_per_backend(backend_name):
 
 
 @pytest.mark.parametrize("name", CALL_KERNEL_NAMES)
-def test_runtime_parity_across_opt_backends_interprocedural(name):
+def test_runtime_parity_with_the_interpreter_interprocedural(name):
     """Same values as the interpreter, through inlining and multi-frame deopt."""
     entry = CALL_KERNEL_ENTRIES[name]
     oracle = call_kernel_module(name)

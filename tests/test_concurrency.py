@@ -67,8 +67,6 @@ from repro.workloads import (
     call_kernel_module,
 )
 
-BACKENDS = ("compiled",)
-
 DOWN_SRC = """
 func down(n) {
   if (n < 1) { return 0; }
@@ -475,9 +473,7 @@ func spin(n) {
 """
         engine = Engine.from_source(
             src,
-            config=EngineConfig(
-                hotness_threshold=3, min_samples=2, opt_backend="compiled"
-            ),
+            config=EngineConfig(hotness_threshold=3, min_samples=2),
         )
         publishers = _tier_up_publishers(engine)
         for _ in range(3):
@@ -488,8 +484,7 @@ func spin(n) {
         # ... so the caller paid the whole pipeline: it published the TierUp.
         assert publishers == [threading.get_ident()]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_async_mode_publishes_off_thread(self, backend):
+    def test_async_mode_publishes_off_thread(self):
         module = call_kernel_module("helper_loop")
         with Engine.from_module(
             module,
@@ -497,7 +492,6 @@ func spin(n) {
                 hotness_threshold=3,
                 min_samples=2,
                 inline_min_calls=2,
-                opt_backend=backend,
                 compile_workers=2,
             ),
         ) as engine:
@@ -590,10 +584,9 @@ def _oracle(kernel: str, args, memory) -> int:
     return interp.run(module.get(CALL_KERNEL_ENTRIES[kernel]), args, memory=memory).value
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", (0, 2))
 @pytest.mark.parametrize("kernel", STRESS_KERNELS)
-def test_thread_stress_differential(backend, workers, kernel):
+def test_thread_stress_differential(workers, kernel):
     """8 threads, mixed regular/violating inputs, vs the interpreter oracle.
 
     Violating inputs make guards fail *while* other threads run the same
@@ -613,7 +606,6 @@ def test_thread_stress_differential(backend, workers, kernel):
             hotness_threshold=3,
             min_samples=2,
             inline_min_calls=2,
-            opt_backend=backend,
             compile_workers=workers,
         ),
     )

@@ -42,18 +42,8 @@ from repro.workloads import (
     speculative_source,
 )
 
-BACKENDS = ("compiled",)
-
-
-def _dispatch_engine(backend_name="compiled", *, policy=None, **overrides):
-    config = EngineConfig(
-        **{
-            "hotness_threshold": 3,
-            "min_samples": 2,
-            "opt_backend": backend_name,
-            **overrides,
-        }
-    )
+def _dispatch_engine(*, policy=None, **overrides):
+    config = EngineConfig(**{"hotness_threshold": 3, "min_samples": 2, **overrides})
     return Engine.from_source(speculative_source("dispatch"), config=config,
                               policy=policy)
 
@@ -351,12 +341,11 @@ class TestGuardFailureLanding:
 
 
 class TestEngineRoundTrip:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_frontend_program_round_trips_with_typed_events(self, backend_name):
+    def test_frontend_program_round_trips_with_typed_events(self):
         # The single-version journey end to end: with a multiverse the
         # third violating call would tier up a specialized version
         # instead of dispatching twice.
-        engine = _dispatch_engine(backend_name, max_versions=1)
+        engine = _dispatch_engine(max_versions=1)
         handle = engine.function("dispatch")
         observed = []
         unsubscribe = engine.subscribe(observed.append)
@@ -391,13 +380,11 @@ class TestEngineRoundTrip:
         assert stats.as_dict() == engine.runtime.stats("dispatch")
         assert stats.dispatch_hits == 2 and stats.osr_exits == 1
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_interprocedural_stats_agree_with_legacy(self, backend_name):
+    def test_interprocedural_stats_agree_with_legacy(self):
         config = EngineConfig(
             hotness_threshold=3,
             min_samples=2,
             inline_min_calls=2,
-            opt_backend=backend_name,
         )
         engine = Engine.from_source(CALL_KERNEL_SOURCES["clamp_call"], config=config)
         for _ in range(6):

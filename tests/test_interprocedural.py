@@ -38,8 +38,6 @@ from repro.workloads import (
     call_kernel_module,
 )
 
-#: The engine's optimized-tier backend.
-BACKENDS = ("compiled",)
 #: Both execution engines, for tests that run the same IR on each.
 ENGINES = ("interp", "compiled")
 
@@ -303,24 +301,22 @@ class TestDeoptPlans:
 # ---------------------------------------------------------------------- #
 
 
-def make_engine(backend_name, **overrides):
+def make_engine(**overrides):
     settings = dict(
         hotness_threshold=3,
         min_samples=2,
         inline_min_calls=2,
-        opt_backend=backend_name,
     )
     settings.update(overrides)
     return Engine(EngineConfig(**settings))
 
 
 class TestAdaptiveRuntime:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("name", CALL_KERNEL_NAMES)
-    def test_tiered_results_match_reference(self, name, backend_name):
+    def test_tiered_results_match_reference(self, name):
         module = call_kernel_module(name)
         entry = CALL_KERNEL_ENTRIES[name]
-        runtime = make_engine(backend_name)
+        runtime = make_engine()
         runtime.register_module(module)
         for _ in range(8):
             args, memory = call_kernel_arguments(name)
@@ -332,20 +328,18 @@ class TestAdaptiveRuntime:
             assert actual.value == reference.value
         assert runtime.stats(entry).compiled == 1
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_hot_sites_inline_in_the_optimized_tier(self, backend_name):
+    def test_hot_sites_inline_in_the_optimized_tier(self):
         module = call_kernel_module("helper_loop")
-        runtime = make_engine(backend_name)
+        runtime = make_engine()
         runtime.register_module(module)
         for _ in range(8):
             args, memory = call_kernel_arguments("helper_loop")
             runtime.call("helper_loop", args, memory=memory)
         assert runtime.stats("helper_loop").inlined_frames >= 1
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_callees_tier_independently(self, backend_name):
+    def test_callees_tier_independently(self):
         module = call_kernel_module("chain")
-        runtime = make_engine(backend_name, inline=False)
+        runtime = make_engine(inline=False)
         runtime.register_module(module)
         for _ in range(6):
             args, memory = call_kernel_arguments("chain")
@@ -355,10 +349,9 @@ class TestAdaptiveRuntime:
         assert runtime.stats("mix").compiled == 1
         assert runtime.stats("clamp8").compiled == 1
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_multiframe_deopt_resumes_correctly(self, backend_name):
+    def test_multiframe_deopt_resumes_correctly(self):
         module = call_kernel_module("clamp_call")
-        runtime = make_engine(backend_name, invalidate_after=100)
+        runtime = make_engine(invalidate_after=100)
         runtime.register_module(module)
         for _ in range(6):
             args, memory = call_kernel_arguments("clamp_call")
@@ -376,10 +369,9 @@ class TestAdaptiveRuntime:
             (event.function, event.kind) for event in runtime.events
         }
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_repeated_multiframe_failures_invalidate(self, backend_name):
+    def test_repeated_multiframe_failures_invalidate(self):
         module = call_kernel_module("clamp_call")
-        runtime = make_engine(backend_name, invalidate_after=2)
+        runtime = make_engine(invalidate_after=2)
         runtime.register_module(module)
         for _ in range(6):
             args, memory = call_kernel_arguments("clamp_call")
@@ -413,7 +405,7 @@ func countdown(n) {
 
     def _exhaust(self, depth_budget):
         module = compile_program(self.DEEP_SRC)
-        runtime = make_engine("compiled", max_call_depth=depth_budget)
+        runtime = make_engine(max_call_depth=depth_budget)
         runtime.register_module(module)
         with pytest.raises(StepLimitExceeded) as excinfo:
             runtime.call("countdown", [100_000])
@@ -428,7 +420,7 @@ func countdown(n) {
 
     def test_runtime_recovers_after_exhaustion(self):
         module = compile_program(self.DEEP_SRC)
-        runtime = make_engine("compiled", max_call_depth=40)
+        runtime = make_engine(max_call_depth=40)
         runtime.register_module(module)
         with pytest.raises(StepLimitExceeded):
             runtime.call("countdown", [100_000])
@@ -437,7 +429,7 @@ func countdown(n) {
 
     def test_shallow_recursion_within_budget_is_exact(self):
         module = compile_program(self.DEEP_SRC)
-        runtime = make_engine("compiled", max_call_depth=96)
+        runtime = make_engine(max_call_depth=96)
         runtime.register_module(module)
         assert runtime.call("countdown", [30]).value == 0
 

@@ -57,14 +57,12 @@ from repro.workloads import (
     polymorphic_phases,
 )
 
-BACKENDS = ("compiled",)
-
 KERNEL = "modal_sum"
 
 
-def _poly_engine(backend="compiled", *, name=KERNEL, policy=None, **overrides):
+def _poly_engine(*, name=KERNEL, policy=None, **overrides):
     config = dict(
-        hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend
+        hotness_threshold=3, min_samples=2, max_versions=4
     )
     config.update(overrides)
     return Engine.from_functions(
@@ -227,10 +225,9 @@ def _observe_both(stream, *, max_clusters):
 # ---------------------------------------------------------------------- #
 # Growth, dispatch and the deopt-free steady state (differential).
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", POLYMORPHIC_NAMES)
-def test_multiverse_grows_and_dispatch_stops_deopting(backend, kernel):
-    engine = _poly_engine(backend, name=kernel)
+def test_multiverse_grows_and_dispatch_stops_deopting(kernel):
+    engine = _poly_engine(name=kernel)
     per_phase = _phase_inputs(kernel)
     expected = {mode: _oracle(kernel, mode) for mode in polymorphic_phases(kernel)}
     _drive(engine, per_phase, name=kernel, expected=expected)
@@ -255,9 +252,8 @@ def test_multiverse_grows_and_dispatch_stops_deopting(backend, kernel):
             assert f"arg0={mode}" in dispatched.key
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exact_version_events_and_stats_fold(backend):
-    engine = _poly_engine(backend)
+def test_exact_version_events_and_stats_fold():
+    engine = _poly_engine()
     per_phase = _phase_inputs()
     _drive(engine, per_phase)
 
@@ -427,10 +423,9 @@ def test_handle_versions_inspection_api():
 # ---------------------------------------------------------------------- #
 # Persistence round trip.
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_warm_start_restores_the_multiverse(backend, tmp_path):
+def test_warm_start_restores_the_multiverse(tmp_path):
     store = tmp_path / "store"
-    engine = _poly_engine(backend)
+    engine = _poly_engine()
     per_phase = _phase_inputs()
     expected = {mode: _oracle(KERNEL, mode) for mode in polymorphic_phases(KERNEL)}
     _drive(engine, per_phase, expected=expected)
@@ -444,7 +439,7 @@ def test_warm_start_restores_the_multiverse(backend, tmp_path):
         POLYMORPHIC_SOURCES[KERNEL],
         store,
         config=EngineConfig(
-            hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend
+            hotness_threshold=3, min_samples=2, max_versions=4
         ),
     )
     assert KERNEL in warm.restored_functions
@@ -474,7 +469,7 @@ def test_warm_start_truncates_to_the_opening_bound(tmp_path):
         POLYMORPHIC_SOURCES[KERNEL],
         store,
         config=EngineConfig(
-            hotness_threshold=3, min_samples=2, max_versions=2, opt_backend="compiled"
+            hotness_threshold=3, min_samples=2, max_versions=2
         ),
     )
     kept = [info.key for info in warm.function(KERNEL).versions]
@@ -487,12 +482,11 @@ def test_warm_start_truncates_to_the_opening_bound(tmp_path):
 STRESS_THREADS = 8
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_thread_stress_phase_shifting(backend):
+def test_thread_stress_phase_shifting():
     """8 threads rotate through the phases out of lockstep: version
     growth, dispatch, retirement and deopt all race, and every result
     must still match the interpreter oracle."""
-    engine = _poly_engine(backend, max_versions=2)
+    engine = _poly_engine(max_versions=2)
     phases = polymorphic_phases(KERNEL)
     per_phase = {mode: polymorphic_arguments(KERNEL, mode) for mode in phases}
     expected = {mode: _oracle(KERNEL, mode) for mode in phases}

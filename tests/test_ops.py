@@ -65,13 +65,10 @@ from repro.workloads import (
     speculative_source,
 )
 
-BACKENDS = ("compiled",)
-
-
-def _speculation_engine(backend="compiled"):
+def _speculation_engine():
     return Engine.from_functions(
         speculative_function("dispatch"),
-        config=EngineConfig(hotness_threshold=3, min_samples=2, opt_backend=backend),
+        config=EngineConfig(hotness_threshold=3, min_samples=2),
     )
 
 
@@ -86,12 +83,10 @@ def _drive_speculation(engine, *, violations=True):
     engine.wait_for_compilation(timeout=30.0)
 
 
-def _multiverse_engine(backend):
+def _multiverse_engine():
     return Engine.from_functions(
         polymorphic_function("modal_sum"),
-        config=EngineConfig(
-            hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend
-        ),
+        config=EngineConfig(hotness_threshold=3, min_samples=2, max_versions=4),
     )
 
 
@@ -136,9 +131,8 @@ def _assert_scrape_matches(parsed, name, stats):
 #: Attach the exporter before the first event, or after the last: the
 #: scrape is the same, and attaching subscribes nothing.
 ATTACH_CASES = [
-    pytest.param(backend, first, id=backend if first else f"{backend}-attach-after")
-    for first in (True, False)
-    for backend in BACKENDS
+    pytest.param(True, id="attach-first"),
+    pytest.param(False, id="attach-after"),
 ]
 
 
@@ -152,9 +146,9 @@ def _attached(exporter, engine):
 # Exporter exactness against the engine's own fold.
 # --------------------------------------------------------------------- #
 class TestExporterExactness:
-    @pytest.mark.parametrize("backend, attach_first", ATTACH_CASES)
-    def test_speculation_and_deopt_fold(self, backend, attach_first):
-        engine = _speculation_engine(backend)
+    @pytest.mark.parametrize("attach_first", ATTACH_CASES)
+    def test_speculation_and_deopt_fold(self, attach_first):
+        engine = _speculation_engine()
         exporter = MetricsExporter()
         try:
             if attach_first:
@@ -174,9 +168,9 @@ class TestExporterExactness:
             exporter.close()
             engine.close()
 
-    @pytest.mark.parametrize("backend, attach_first", ATTACH_CASES)
-    def test_multiverse_fold(self, backend, attach_first):
-        engine = _multiverse_engine(backend)
+    @pytest.mark.parametrize("attach_first", ATTACH_CASES)
+    def test_multiverse_fold(self, attach_first):
+        engine = _multiverse_engine()
         exporter = MetricsExporter()
         try:
             if attach_first:
@@ -205,9 +199,8 @@ class TestExporterExactness:
             exporter.close()
             engine.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_http_scrape_matches_engine(self, backend):
-        engine = _speculation_engine(backend)
+    def test_http_scrape_matches_engine(self):
+        engine = _speculation_engine()
         exporter = MetricsExporter()
         exporter.attach(engine)
         server = serve_metrics(exporter)

@@ -71,8 +71,6 @@ from repro.workloads import (
     speculative_function,
 )
 
-BACKENDS = ("compiled",)
-
 POLY_SRC = """
 func add(a, b) { return a + b; }
 func poly(k, x) {
@@ -483,13 +481,12 @@ def _sabotage_build(monkeypatch):
     monkeypatch.setattr(runtime_module, "build_version", build)
 
 
-def _dispatch_engine(backend, mode):
+def _dispatch_engine(mode):
     return Engine.from_functions(
         speculative_function("dispatch"),
         config=EngineConfig(
             hotness_threshold=3,
             min_samples=2,
-            opt_backend=backend,
             compile_workers=0,
             verify_deopt=mode,
         ),
@@ -503,9 +500,8 @@ def _warm_dispatch(engine, calls=6):
 
 
 class TestRuntimeGating:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_publishes_clean_versions_with_reports(self, backend):
-        engine = _dispatch_engine(backend, "strict")
+    def test_strict_publishes_clean_versions_with_reports(self):
+        engine = _dispatch_engine("strict")
         _warm_dispatch(engine)
         state = engine.runtime.functions["dispatch"]
         with state.lock:
@@ -520,20 +516,18 @@ class TestRuntimeGating:
             assert version["guard_obligations"]
             assert set(version["guard_obligations"].values()) == {PROVED}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_blocks_unsound_publication(self, backend, monkeypatch):
+    def test_strict_blocks_unsound_publication(self, monkeypatch):
         _sabotage_build(monkeypatch)
-        engine = _dispatch_engine(backend, "strict")
+        engine = _dispatch_engine("strict")
         with pytest.raises(UnsoundVersionError, match="definite-assignment"):
             _warm_dispatch(engine)
         state = engine.runtime.functions["dispatch"]
         with state.lock:
             assert state.versions == ()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warn_publishes_and_counts_violations(self, backend, monkeypatch):
+    def test_warn_publishes_and_counts_violations(self, monkeypatch):
         _sabotage_build(monkeypatch)
-        engine = _dispatch_engine(backend, "warn")
+        engine = _dispatch_engine("warn")
         _warm_dispatch(engine)
         state = engine.runtime.functions["dispatch"]
         with state.lock:
@@ -549,7 +543,7 @@ class TestRuntimeGating:
         )
 
     def test_off_skips_verification(self):
-        engine = _dispatch_engine("compiled", "off")
+        engine = _dispatch_engine("off")
         _warm_dispatch(engine)
         state = engine.runtime.functions["dispatch"]
         with state.lock:

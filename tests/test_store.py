@@ -4,8 +4,8 @@ Covers the store round trip end to end: hypothesis properties for the
 profile/config/mapping codecs, snapshot → save → ``Engine.open``
 hydration with the zero-``TierUp`` warm-start acceptance check,
 differential parity between a reloaded engine and a never-persisted one
-(including guard-failure deoptimization from a hydrated version) on both
-backends, typed staleness refusal for every mismatch class, and the
+(including guard-failure deoptimization from a hydrated version),
+typed staleness refusal for every mismatch class, and the
 merge-and-republish write path, including two processes writing one
 entry at once.
 """
@@ -53,8 +53,6 @@ from repro.workloads import (
     speculative_function,
 )
 from repro.workloads.polymorphic import POLYMORPHIC_SOURCES
-
-BACKENDS = ("compiled",)
 
 POLY_SRC = """
 func add(a, b) { return a + b; }
@@ -349,9 +347,8 @@ class TestVersionCodec:
 # Warm-start acceptance: zero TierUp on a store-backed second engine.
 # --------------------------------------------------------------------- #
 class TestWarmStart:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_second_engine_serves_first_call_compiled(self, tmp_path, backend):
-        config = EngineConfig(opt_backend=backend)
+    def test_second_engine_serves_first_call_compiled(self, tmp_path):
+        config = EngineConfig()
         cold = warm_poly(Engine.from_source(POLY_SRC, config=config))
         cold.save(tmp_path / "store")
 
@@ -452,10 +449,9 @@ class TestWarmStart:
 # Differential parity: reloaded engine vs never-persisted engine.
 # --------------------------------------------------------------------- #
 class TestReloadedParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", ("dispatch", "clamp_sum", "phase_field"))
-    def test_guard_failure_deopt_from_reloaded_version(self, tmp_path, backend, name):
-        config = EngineConfig(opt_backend=backend)
+    def test_guard_failure_deopt_from_reloaded_version(self, tmp_path, name):
+        config = EngineConfig()
 
         cold = Engine.from_functions(speculative_function(name), config=config)
         for _ in range(10):

@@ -305,17 +305,14 @@ def test_one_slot_table_regrows_a_generic_version_when_nothing_matches():
 # ---------------------------------------------------------------------- #
 def _function_run_by(backend, entry, args, memory):
     """Call ``entry.run``; return the function it executed and the result."""
-    # The closure backend binds the cached artifact's checked entry.
+    # The backend binds the cached artifact's checked entry.
     artifact = backend.compiled_artifact(entry.version.optimized)
     assert entry.run is artifact.invoke
     return artifact.function, entry.run(args, memory)
 
 
-@pytest.mark.parametrize("backend_name", ("compiled",))
-def test_every_way_into_the_table_binds_the_entrys_own_code(backend_name, tmp_path):
-    config = EngineConfig(
-        hotness_threshold=3, min_samples=2, max_versions=4, opt_backend=backend_name
-    )
+def test_every_way_into_the_table_binds_the_entrys_own_code(tmp_path):
+    config = EngineConfig(hotness_threshold=3, min_samples=2, max_versions=4)
     source = polymorphic_source(KERNEL)
     phases = {
         mode: polymorphic_arguments(KERNEL, mode) for mode in polymorphic_phases(KERNEL)
@@ -346,7 +343,7 @@ def test_every_way_into_the_table_binds_the_entrys_own_code(backend_name, tmp_pa
             function, result = _function_run_by(backend, entry, args, memory.copy())
             assert function is entry.version.optimized
             assert result.value == oracle[mode].value
-            assert result.backend == backend_name
+            assert result.backend == "compiled"
         # The arity check moved into the bound entry with the rest.
         short = phases[polymorphic_phases(KERNEL)[0]][0][:2]
         with pytest.raises(TypeError) as direct:

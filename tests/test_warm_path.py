@@ -37,8 +37,8 @@ from repro.workloads import (
     straightline_function,
 )
 
-#: The steady workloads' configuration: defaults, compiled optimized tier.
-CONFIG = EngineConfig(opt_backend="compiled", compile_workers=0)
+#: The steady workloads' configuration: defaults, synchronous compiles.
+CONFIG = EngineConfig(compile_workers=0)
 #: Eager tiering for the thrash tests.
 EAGER = CONFIG.replace(hotness_threshold=3, min_samples=2)
 
