@@ -17,6 +17,10 @@ because the list then means nothing.  A test that fails under the hook
 (tracing slows the timing-sensitive ones) is reported but does not fail
 the audit: a recorded call stays a call, and the untraced suite is what
 gates test results.
+
+After the audit it prints the lines of ``src/`` per package and in total
+(as ``wc -l`` counts them), so every run shows the size against its
+budget; the sizes gate nothing.
 """
 
 import ast
@@ -86,7 +90,19 @@ def main():
             print(f"  {path.relative_to(ROOT)}:{node.lineno} {node.name}")
     if status:
         print("note: tests failed under tracing; the list above may be too long")
+    print_sizes()
     return 1 if uncalled else 0
+
+
+def print_sizes():
+    sizes = collections.Counter()
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC).parts
+        sizes[parts[0] if len(parts) > 1 else "(top)"] += path.read_text().count("\n")
+    print("src/ lines per package:")
+    for package, lines in sorted(sizes.items()):
+        print(f"  {package:<12}{lines:>7,}")
+    print(f"  {'total':<12}{sum(sizes.values()):>7,}")
 
 
 if __name__ == "__main__":
