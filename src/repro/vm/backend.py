@@ -77,12 +77,11 @@ class CompiledBackend:
         self,
         *,
         module: Optional[Module] = None,
-        natives: Optional[Mapping[str, NativeFunction]] = None,
         step_limit: int = 2_000_000,
     ) -> None:
         self.module = module
-        self.natives: Dict[str, NativeFunction] = dict(natives or {})
-        reject_reserved_names(self.natives)
+        #: Host functions by name; :meth:`register_native` fills it.
+        self.natives: Dict[str, NativeFunction] = {}
         self.step_limit = step_limit
         #: ``(id(function), entry) -> (function, artifact or refusal)``;
         #: holding the function keeps its id from being reused.

@@ -88,14 +88,14 @@ class _PauseAfterTheCall(HotnessPolicy):
         return point
 
 
-def _runtime(*, inline=False, step_limit=STEP_LIMIT, policy=None):
+def _runtime(*, inline=False, policy=None):
     config = EngineConfig(
         hotness_threshold=3,
         min_samples=2,
         inline_min_calls=2,
         max_versions=1,
         inline=inline,
-        step_limit=step_limit,
+        step_limit=STEP_LIMIT,
     )
     runtime = AdaptiveRuntime(config, policy=policy)
     module = compile_program(SOURCE)
